@@ -19,13 +19,12 @@ switches to rationals for audit runs).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import _linalg, ktheory as kt
+from ._linalg import zero_matrix
 from .components import Multisegment
 from .starlattice import WeightData
 
@@ -97,36 +96,34 @@ class CyclicPair:
         return sum(self.dims)
 
 
-def _zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
+def _segment_arrows(p: int, segments) -> tuple[tuple[int, ...], list]:
+    """Dimension vector and forward arrows of a direct sum of serial modules.
 
-
-def _vertex_of_factor(p: int, j: int, t: int) -> int:
-    """Vertex of the t-th composition factor S_{j-t} of a segment [j; l)."""
-    return (t - j) % p
+    The t-th composition factor S_{j-t} of a segment [j; l) sits at vertex
+    ``(t - j) % p`` and ``phi`` maps it to the next factor by a unit entry.
+    """
+    dims = [0] * p
+    slots = []  # per segment: (vertex, index within the vertex) of each factor
+    for j, l in segments:
+        seg_slots = []
+        for t in range(l):
+            v = (t - j) % p
+            seg_slots.append((v, dims[v]))
+            dims[v] += 1
+        slots.append(seg_slots)
+    phi = [zero_matrix(dims[(k + 1) % p], dims[k]) for k in range(p)]
+    for seg_slots in slots:
+        for (v, idx), (_, idx2) in zip(seg_slots, seg_slots[1:]):
+            phi[v][idx2][idx] = 1
+    return tuple(dims), phi
 
 
 def build_rep(curve: WeightData, m: Multisegment, prime=DEFAULT_PRIME) -> CyclicPair:
     """Direct sum of segment shift representations; reverse arrows zero."""
     p = curve.weights[m.i]
-    dims = [0] * p
-    # slot assignment: (segment copy, t) -> index within its vertex
-    slots = []
-    for j, l in m.segments():
-        seg_slots = []
-        for t in range(l):
-            v = _vertex_of_factor(p, j, t)
-            seg_slots.append((v, dims[v]))
-            dims[v] += 1
-        slots.append(seg_slots)
-    phi = [_zero_matrix(dims[(k + 1) % p], dims[k]) for k in range(p)]
-    for seg_slots in slots:
-        for t in range(len(seg_slots) - 1):
-            v, idx = seg_slots[t]
-            v2, idx2 = seg_slots[t + 1]
-            phi[v][idx2][idx] = 1
-    phibar = [_zero_matrix(dims[(k - 1) % p], dims[k]) for k in range(p)]
-    return CyclicPair(p, tuple(dims), phi, phibar, prime, m.i)
+    dims, phi = _segment_arrows(p, m.segments())
+    phibar = [zero_matrix(dims[(k - 1) % p], dims[k]) for k in range(p)]
+    return CyclicPair(p, dims, phi, phibar, prime, m.i)
 
 
 def commutant_fiber(pair: CyclicPair) -> list:
@@ -164,7 +161,7 @@ def commutant_fiber(pair: CyclicPair) -> list:
     for vec in basis_vecs:
         phibar = []
         for k in range(p):
-            mat = _zero_matrix(dims[(k - 1) % p], dims[k])
+            mat = zero_matrix(dims[(k - 1) % p], dims[k])
             for r in range(dims[(k - 1) % p]):
                 for c in range(dims[k]):
                     mat[r][c] = vec[unknown(k, r, c)]
@@ -181,7 +178,7 @@ def _total_matrix(pair: CyclicPair):
     for k in range(p):
         offs.append(acc)
         acc += dims[k]
-    x = _zero_matrix(n, n)
+    x = zero_matrix(n, n)
     for k in range(p):
         kp, km = (k + 1) % p, (k - 1) % p
         for r in range(dims[kp]):
@@ -230,7 +227,7 @@ def sample_generic(
     rng = random.Random(f"cyclic:{seed}")
     for _ in range(retries):
         phibar = [
-            _zero_matrix(pair.dims[(k - 1) % pair.p], pair.dims[k])
+            zero_matrix(pair.dims[(k - 1) % pair.p], pair.dims[k])
             for k in range(pair.p)
         ]
         for basis_phibar in fiber:
@@ -248,59 +245,6 @@ def sample_generic(
     raise ValueError(
         "nilpotency repeatedly violated: input is likely not aperiodic"
     )
-
-
-def _count_congruent(lo, hi, residue, mod):
-    if hi < lo:
-        return 0
-    first = lo + (residue - lo) % mod
-    return 0 if first > hi else (hi - first) // mod + 1
-
-
-@lru_cache(maxsize=None)
-def _all_vertex_multisegments(p: int, dims: tuple[int, ...]) -> tuple[tuple, ...]:
-    """All multisets of ascending vertex runs [v0; l) with coverage == dims.
-
-    Memoized on ``(p, dims)`` and returned as a tuple, since ``recover_type``
-    matches against the same candidates for every sample of one dimension
-    vector.  The memo is unbounded, yet its size is bounded by the work it
-    serves: one entry per distinct dimension vector that a budgeted graph
-    build or an oracle battery reaches.
-    """
-    total = sum(dims)
-    if total == 0:
-        return ((),)
-    runs = [(v0, l) for l in range(1, total + 1) for v0 in range(p)]
-
-    def coverage(v0, l):
-        cov = [l // p] * p
-        for t in range(l % p):
-            cov[(v0 + t) % p] += 1
-        return cov
-
-    covs = {run: coverage(*run) for run in runs}
-    out = []
-
-    def dfs(idx, remaining, chosen):
-        if all(v == 0 for v in remaining):
-            out.append(tuple(chosen))
-            return
-        if idx == len(runs):
-            return
-        run = runs[idx]
-        cov = covs[run]
-        cap = min(
-            (remaining[v] // cov[v] for v in range(p) if cov[v] > 0), default=0
-        )
-        for mult in range(cap, -1, -1):
-            if mult:
-                nxt = [remaining[v] - mult * cov[v] for v in range(p)]
-                dfs(idx + 1, nxt, chosen + [(run, mult)])
-            else:
-                dfs(idx + 1, remaining, chosen)
-
-    dfs(0, list(dims), [])
-    return tuple(out)
 
 
 def rank_profile(pair: CyclicPair) -> dict:
@@ -323,58 +267,39 @@ def rank_profile(pair: CyclicPair) -> dict:
 
 
 def recover_type(pair: CyclicPair) -> Multisegment:
-    """Identify the multisegment whose segment model matches all path ranks.
+    """Read the multisegment of a nilpotent pair off its forward path ranks.
 
-    Works by matching against every candidate multisegment of the same
-    dimension vector (periodic candidates included: kernels of sampled
-    reverse arrows need not be aperiodic).
+    Write ``r(v, s)`` for the rank of the length-``s`` forward composite from
+    vertex ``v``, with ``r(v, 0) = dims[v]`` and ``r(v, n + 1) = 0`` for the
+    total dimension ``n``.  A nilpotent representation of the cyclic quiver
+    is a direct sum of ascending runs ``[v0; l)`` (vertices ``v0, ...,
+    v0 + l - 1``), and the number of runs ``[v0; l)`` is the second difference
+
+        r(v0, l - 1) - r(v0, l) - r(v0 - 1, l) + r(v0 - 1, l + 1)
+
+    with vertices mod p (Lusztig, *Affine quivers and canonical bases*, Publ.
+    IHES 76, 1992).  The run ``[v0; l)`` is the segment with head ``-v0``.
+    Periodic types are returned too: kernels of sampled reverse arrows need
+    not be aperiodic.  A pair with ``r(v, n) != 0`` for some ``v`` is not
+    nilpotent and is rejected with ``ValueError("no match: ...")``.
     """
-    p, dims = pair.p, pair.dims
-    n = pair.total_dim()
+    p, n = pair.p, pair.total_dim()
     if n == 0:
         return Multisegment(pair.point, ())
-    actual = rank_profile(pair)
-    matches = []
-    for cand in _all_vertex_multisegments(p, tuple(dims)):
-        ok = True
-        for (v, s), r in actual.items():
-            expect = 0
-            for (v0, l), mult in cand:
-                if l <= s:
-                    continue
-                expect += mult * _count_congruent(0, l - 1 - s, (v - v0) % p, p)
-            if expect != r:
-                ok = False
-                break
-        if ok:
-            matches.append(cand)
-    if not matches:
-        raise ValueError("no match: rank profile fits no multisegment")
-    if len(matches) > 1:
-        raise ValueError("ambiguous match: rank profile fits several types")
-    segs = []
-    for (v0, l), mult in matches[0]:
-        segs.extend([((-v0) % p, l)] * mult)
-    counts: dict[tuple[int, int], int] = {}
-    for key in segs:
-        counts[key] = counts.get(key, 0) + 1
-    return Multisegment(pair.point, tuple(sorted(counts.items())))
-
-
-def _serial_phi(p: int, j: int, l: int):
-    """Arrow matrices of the single serial module [j; l) on the p-cycle."""
-    dims = [0] * p
-    slots = []
-    for t in range(l):
-        v = _vertex_of_factor(p, j, t)
-        slots.append((v, dims[v]))
-        dims[v] += 1
-    phi = [_zero_matrix(dims[(k + 1) % p], dims[k]) for k in range(p)]
-    for t in range(l - 1):
-        v, idx = slots[t]
-        _, idx2 = slots[t + 1]
-        phi[v][idx2][idx] = 1
-    return tuple(dims), phi
+    r = rank_profile(pair)
+    if any(r[(v, n)] for v in range(p)):
+        raise ValueError("no match: a length-n path composite is nonzero")
+    for v in range(p):
+        r[(v, 0)] = pair.dims[v]
+        r[(v, n + 1)] = 0
+    pairs = []
+    for v0 in range(p):
+        u = (v0 - 1) % p
+        for l in range(1, n + 1):
+            mult = r[(v0, l - 1)] - r[(v0, l)] - r[(u, l)] + r[(u, l + 1)]
+            if mult:
+                pairs.append((((-v0) % p, l), mult))
+    return Multisegment(pair.point, tuple(sorted(pairs)))
 
 
 def serial_selfext_dim(p: int, j: int, l: int, prime=DEFAULT_PRIME) -> int:
@@ -388,7 +313,7 @@ def serial_selfext_dim(p: int, j: int, l: int, prime=DEFAULT_PRIME) -> int:
     """
     if l < 1:
         raise ValueError("length must be positive")
-    dims, phi = _serial_phi(p, j, l)
+    dims, phi = _segment_arrows(p, [(j, l)])
     offsets = []
     nvars = 0
     for k in range(p):
@@ -458,7 +383,7 @@ def _kernel_data(pair: CyclicPair):
     for k in range(p):
         kp = (k + 1) % p
         if kdims[k] == 0 or kdims[kp] == 0:
-            phi_r.append(_zero_matrix(kdims[kp], kdims[k]))
+            phi_r.append(zero_matrix(kdims[kp], kdims[k]))
             continue
         # images of kernel basis vectors, expressed in the target kernel basis
         images = []
@@ -473,7 +398,7 @@ def _kernel_data(pair: CyclicPair):
         basis_cols = kernels[kp]
         sol = _solve_in_basis(basis_cols, images, pair.prime)
         phi_r.append([[sol[r][t] for t in range(kdims[k])] for r in range(kdims[kp])])
-    phibar_r = [_zero_matrix(kdims[(k - 1) % p], kdims[k]) for k in range(p)]
+    phibar_r = [zero_matrix(kdims[(k - 1) % p], kdims[k]) for k in range(p)]
     return kernels, CyclicPair(p, kdims, phi_r, phibar_r, pair.prime, pair.point)
 
 
@@ -662,14 +587,14 @@ def quotient_type_sample(
         phi_q = []
         for k in range(p):
             kp = (k + 1) % p
-            mat = _zero_matrix(qdims[kp], qdims[k])
+            mat = zero_matrix(qdims[kp], qdims[k])
             for col, c in enumerate(comp_coords[k]):
                 img = [pair.phi[k][r][c] for r in range(pair.dims[kp])]
                 img = _reduce_by(img, *sub_rref[kp], prime)
                 for row, cc in enumerate(comp_coords[kp]):
                     mat[row][col] = img[cc]
             phi_q.append(mat)
-        phibar_q = [_zero_matrix(qdims[(k - 1) % p], qdims[k]) for k in range(p)]
+        phibar_q = [zero_matrix(qdims[(k - 1) % p], qdims[k]) for k in range(p)]
         q = CyclicPair(p, qdims, phi_q, phibar_q, prime, m.i)
         results.append(recover_type(q))
     # all trials are generic with overwhelming probability; majority vote

@@ -9,11 +9,13 @@ samplers against the exact serial Hom formulas.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopcrystal import catalog as cat
 from loopcrystal import components as comp
 from loopcrystal import ktheory as kt
 from loopcrystal import oracle as orc
+from loopcrystal._linalg import zero_matrix
 from loopcrystal.starlattice import WeightData
 
 
@@ -24,6 +26,48 @@ P1 = WeightData((1, 1, 1))
 
 def ms(curve, *segs):
     return comp.multisegment(curve, 0, segs)
+
+
+CURVES = {p: WeightData((p, 1, 1)) for p in (2, 3, 4)}
+MAX_TOTAL = 7
+
+
+@st.composite
+def multisegments(draw):
+    """A curve with weight p in {2, 3, 4} at point 0 and a multisegment there
+    of total length <= MAX_TOTAL; periodic multisegments are included."""
+    p = draw(st.sampled_from(sorted(CURVES)))
+    segs = []
+    if draw(st.booleans()):
+        # every head at one length: random draws alone rarely give this
+        l = draw(st.integers(1, MAX_TOTAL // p))
+        segs = [(j, l) for j in range(p)]
+    total = sum(l for _, l in segs)
+    for l in draw(st.lists(st.integers(1, MAX_TOTAL), max_size=MAX_TOTAL)):
+        if total + l > MAX_TOTAL:
+            break
+        segs.append((draw(st.integers(0, p - 1)), l))
+        total += l
+    return CURVES[p], ms(CURVES[p], *segs)
+
+
+def small_matrices(rows, cols):
+    row = st.lists(st.integers(0, 2), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@st.composite
+def arrow_sets(draw):
+    """A cyclic pair with small random forward arrows and zero reverse ones."""
+    p = draw(st.sampled_from(sorted(CURVES)))
+    dims = draw(
+        st.lists(st.integers(0, 3), min_size=p, max_size=p).filter(
+            lambda d: sum(d) <= MAX_TOTAL
+        )
+    )
+    phi = [draw(small_matrices(dims[(k + 1) % p], dims[k])) for k in range(p)]
+    phibar = [zero_matrix(dims[(k - 1) % p], dims[k]) for k in range(p)]
+    return CURVES[p], orc.CyclicPair(p, tuple(dims), phi, phibar)
 
 
 def aperiodic_battery(curve, max_total):
@@ -148,24 +192,18 @@ class TestRecoverType:
         assert orc.recover_type(pair) == ms(W2, (0, 1), (0, 1))
 
     def test_invertible_cycle_rejected(self):
-        pair = orc.CyclicPair(
-            2,
-            (1, 1),
-            [[[1]], [[1]]],
-            [[[0]], [[0]]],
-        )
-        with pytest.raises(ValueError, match="no match"):
-            orc.recover_type(pair)
+        # CyclicPair.dims may be a tuple or a list
+        for dims in [(1, 1), [1, 1]]:
+            pair = orc.CyclicPair(2, dims, [[[1]], [[1]]], [[[0]], [[0]]])
+            with pytest.raises(ValueError, match="no match"):
+                orc.recover_type(pair)
 
-    def test_round_trips_with_warm_memo(self):
+    def test_repeated_round_trips_agree(self):
         aperiodic = ms(W3, (0, 2), (1, 1))
         periodic = ms(W2, (0, 2), (1, 2))
         for _ in range(2):
             assert orc.recover_type(orc.build_rep(W3, aperiodic)) == aperiodic
             assert orc.recover_type(orc.build_rep(W2, periodic)) == periodic
-        hits = orc._all_vertex_multisegments.cache_info().hits
-        assert orc.recover_type(orc.build_rep(W3, aperiodic)) == aperiodic
-        assert orc._all_vertex_multisegments.cache_info().hits == hits + 1
 
     def test_dims_given_as_list(self):
         m = ms(W3, (0, 2), (1, 1))
@@ -173,12 +211,27 @@ class TestRecoverType:
         pair.dims = list(pair.dims)
         assert orc.recover_type(pair) == m
 
-    def test_invertible_cycle_rejected_with_warm_memo(self):
-        # dims (1, 1) is in the memo before the invertible cycle is matched
-        assert orc.recover_type(orc.build_rep(W2, ms(W2, (0, 2)))) == ms(W2, (0, 2))
-        pair = orc.CyclicPair(2, [1, 1], [[[1]], [[1]]], [[[0]], [[0]]])
-        with pytest.raises(ValueError, match="no match"):
-            orc.recover_type(pair)
+
+class TestRecoverTypeProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(multisegments())
+    def test_round_trip_over_both_fields(self, curve_m):
+        curve, m = curve_m
+        for prime in (orc.DEFAULT_PRIME, None):
+            assert orc.recover_type(orc.build_rep(curve, m, prime)) == m
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrow_sets())
+    def test_random_arrows_rejected_iff_not_nilpotent(self, curve_pair):
+        # about a third of the drawn arrow sets have a nonzero length-n
+        # composite; the rest must be read back to a type of the same ranks
+        curve, pair = curve_pair
+        if not orc.is_nilpotent(pair):
+            with pytest.raises(ValueError, match="no match"):
+                orc.recover_type(pair)
+            return
+        m = orc.recover_type(pair)
+        assert orc.rank_profile(orc.build_rep(curve, m)) == orc.rank_profile(pair)
 
 
 class TestKernelAndEps:
