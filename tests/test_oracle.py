@@ -192,11 +192,14 @@ class TestRecoverType:
         assert orc.recover_type(pair) == ms(W2, (0, 1), (0, 1))
 
     def test_invertible_cycle_rejected(self):
-        # CyclicPair.dims may be a tuple or a list
-        for dims in [(1, 1), [1, 1]]:
-            pair = orc.CyclicPair(2, dims, [[[1]], [[1]]], [[[0]], [[0]]])
-            with pytest.raises(ValueError, match="no match"):
-                orc.recover_type(pair)
+        pair = orc.CyclicPair(
+            2,
+            (1, 1),
+            [[[1]], [[1]]],
+            [[[0]], [[0]]],
+        )
+        with pytest.raises(ValueError, match="no match"):
+            orc.recover_type(pair)
 
     def test_repeated_round_trips_agree(self):
         aperiodic = ms(W3, (0, 2), (1, 1))
@@ -210,6 +213,14 @@ class TestRecoverType:
         pair = orc.build_rep(W3, m)
         pair.dims = list(pair.dims)
         assert orc.recover_type(pair) == m
+
+    def test_invertible_cycle_rejected_with_warm_memo(self):
+        # a nilpotent pair of dims (1, 1) is read back first, then the
+        # invertible cycle of the same dims, given as a list, is rejected
+        assert orc.recover_type(orc.build_rep(W2, ms(W2, (0, 2)))) == ms(W2, (0, 2))
+        pair = orc.CyclicPair(2, [1, 1], [[[1]], [[1]]], [[[0]], [[0]]])
+        with pytest.raises(ValueError, match="no match"):
+            orc.recover_type(pair)
 
 
 class TestRecoverTypeProperties:
