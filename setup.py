@@ -1,22 +1,21 @@
 """Build script.
 
-The package is pure Python; a small optional Cython extension accelerates the
-dense mod-p row reduction used by the randomized oracle.  If Cython (or a C
-compiler) is unavailable the build silently falls back to the pure-Python
-implementation in ``loopcrystal._linalg``.
+The package is pure Python; one optional C extension accelerates the dense
+mod-p row reduction used by the randomized oracle.  It is compiled from the
+committed, Cython-generated ``src/loopcrystal/_rowreduce.c`` (regenerate it
+with ``cython -3 src/loopcrystal/_rowreduce.pyx`` after editing the ``.pyx``).
+The extension is optional: without a C compiler the build warns and installs
+the pure-Python implementation in ``loopcrystal._linalg``.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/loopcrystal/_rowreduce.pyx"],
-        language_level=3,
-    )
-except Exception:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "loopcrystal._rowreduce",
+            ["src/loopcrystal/_rowreduce.c"],
+            optional=True,
+        )
+    ]
+)

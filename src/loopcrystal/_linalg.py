@@ -1,16 +1,17 @@
-"""Dense exact linear algebra over Q and over large prime fields.
+"""Dense exact linear algebra over Q and over prime fields.
 
-Matrices are plain lists of row lists.  Two element domains are supported:
-
-* ``Fraction`` entries for exact rational computations (Gram matrix inversion,
-  audit passes of the randomized oracle);
-* integers reduced modulo a prime, by default the 61-bit Mersenne prime
-  ``DEFAULT_PRIME``, for the oracle's randomized sampling.
+Matrices are plain lists of row lists.  Every function takes the field as
+``p``: a prime for GF(p), by default the 61-bit Mersenne prime
+``DEFAULT_PRIME`` used by the oracle's randomized sampling, or ``None`` for
+exact arithmetic over Q (Gram matrix inversion, audit passes of the oracle).
+Integer entries are valid in both fields; over GF(p) results are reduced
+residues, over Q they are ``Fraction`` or ``int``.
 
 Row reduction mod p is the hot path of the oracle.  A compiled kernel
-(:mod:`loopcrystal._rowreduce`, built from Cython when available) is selected at
-import time; otherwise a pure-Python implementation with the same contract is
-used.  ``BACKEND`` reports which one is active.
+(:mod:`loopcrystal._rowreduce`, built from the committed C source when a
+compiler is available) is selected at import time for primes below 2^62;
+otherwise the pure-Python elimination below, with the same output, is used.
+``BACKEND`` reports which one is active.
 """
 
 from __future__ import annotations
@@ -27,38 +28,43 @@ except ImportError:  # pragma: no cover
     BACKEND = "python"
 
 
-# ---------------------------------------------------------------------------
-# mod-p kernels
-# ---------------------------------------------------------------------------
+def rref_mod(rows, p=DEFAULT_PRIME):
+    """Reduced row echelon form over GF(p), or over Q when ``p`` is None.
 
-def _rref_mod_python(rows, p):
-    """In-place-free reduced row echelon form mod p.
-
-    Returns ``(reduced_rows, pivot_columns)``.  Rows of zeros are kept at the
-    bottom; the number of pivots is the rank.
+    Returns ``(reduced_rows, pivot_columns)``.  Entries are reduced on input,
+    rows below the rank are zero, and the number of pivots is the rank.
     """
-    m = [list(r) for r in rows]
+    # the kernel raises TypeError on a matrix without columns
+    if _compiled is not None and p is not None and p < (1 << 62) and rows and rows[0]:
+        return _compiled.rref_mod(rows, p)
+    if p is None:
+        m = [[Fraction(x) for x in r] for r in rows]
+    else:
+        m = [[x % p for x in r] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] % p:
-                piv = i
+        for piv in range(r, nrows):
+            if m[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        row_r = m[r]
+        if p is None:
+            inv = 1 / m[r][c]
+            m[r] = row_r = [x * inv for x in m[r]]
+        else:
+            inv = pow(m[r][c], p - 2, p)
+            m[r] = row_r = [x * inv % p for x in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c] % p:
-                f = m[i][c] % p
-                row_i = m[i]
-                m[i] = [(a - f * b) % p for a, b in zip(row_i, row_r)]
+            f = m[i][c]
+            if i != r and f:
+                if p is None:
+                    m[i] = [a - f * b for a, b in zip(m[i], row_r)]
+                else:
+                    m[i] = [(a - f * b) % p for a, b in zip(m[i], row_r)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -66,57 +72,52 @@ def _rref_mod_python(rows, p):
     return m, pivots
 
 
-def rref_mod(rows, p=DEFAULT_PRIME):
-    """Reduced row echelon form over GF(p); returns ``(rows, pivot_columns)``."""
-    if not rows or not rows[0]:
-        return [list(r) for r in rows], []
-    if _compiled is not None and p < (1 << 62):
-        return _compiled.rref_mod(rows, p)
-    return _rref_mod_python(rows, p)
-
-
 def rank_mod(rows, p=DEFAULT_PRIME):
     return len(rref_mod(rows, p)[1])
 
 
-def nullspace_mod(rows, p=DEFAULT_PRIME):
-    """Basis of the right kernel of the matrix over GF(p).
+def nullspace_mod(rows, ncols, p=DEFAULT_PRIME):
+    """Basis of the right kernel of the ``len(rows)`` x ``ncols`` matrix.
 
     The basis is in the standard back-substitution form: one vector per free
-    column, with a 1 in that column.
+    column, with a 1 in that column.  Empty ``rows`` give the standard basis.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
     red, pivots = rref_mod(rows, p)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [0] * ncols
         v[fc] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = (-red[i][fc]) % p
+            v[pc] = -red[i][fc] if p is None else -red[i][fc] % p
         basis.append(v)
     return basis
 
 
+def invert_frac(rows):
+    """Exact inverse over Q of a square matrix; raises on singular input."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = rref_mod(aug, None)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [r[n:] for r in red[:n]]
+
+
 def mat_mul_mod(a, b, p=DEFAULT_PRIME):
-    """Matrix product ``a @ b`` mod p."""
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    nk = len(b)
-    ncols = len(b[0])
-    bt = [[b[k][j] for k in range(nk)] for j in range(ncols)]
-    out = []
-    for row in a:
-        out.append([sum(x * y for x, y in zip(row, col)) % p for col in bt])
-    return out
+    """Matrix product ``a @ b``, reduced mod p unless ``p`` is None."""
+    cols = list(zip(*b))
+    if p is None:
+        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
 
 def mat_vec_mod(a, v, p=DEFAULT_PRIME):
+    """Matrix-vector product ``a @ v``, reduced mod p unless ``p`` is None."""
+    if p is None:
+        return [sum(x * y for x, y in zip(row, v)) for row in a]
     return [sum(x * y for x, y in zip(row, v)) % p for row in a]
 
 
@@ -128,84 +129,5 @@ def zero_matrix(nrows, ncols):
     return [[0] * ncols for _ in range(nrows)]
 
 
-# ---------------------------------------------------------------------------
-# exact rational kernels
-# ---------------------------------------------------------------------------
-
-def rref_frac(rows):
-    """Reduced row echelon form over Q; returns ``(rows, pivot_columns)``."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        row_r = m[r]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank_frac(rows):
-    return len(rref_frac(rows)[1])
-
-
-def nullspace_frac(rows):
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref_frac(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(v)
-    return basis
-
-
-def invert_frac(rows):
-    """Exact inverse of a square rational matrix; raises on singular input."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref_frac(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [r[n:] for r in red[:n]]
-
-
-def mat_mul_frac(a, b):
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    nk = len(b)
-    ncols = len(b[0])
-    bt = [[b[k][j] for k in range(nk)] for j in range(ncols)]
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def transpose(a):
-    if not a:
-        return []
     return [list(col) for col in zip(*a)]

@@ -198,8 +198,8 @@ def euler_matrix(curve: WeightData) -> list[list[int]]:
     t_cols = [to_vector(class_of_line_bundle(curve, x)) for x in span]
     t = [[t_cols[c][r] for c in range(dim)] for r in range(dim)]
     t_inv = _linalg.invert_frac(t)
-    g = _linalg.mat_mul_frac(
-        _linalg.mat_mul_frac(_linalg.transpose(t_inv), gram_span), t_inv
+    g = _linalg.mat_mul_mod(
+        _linalg.mat_mul_mod(_linalg.transpose(t_inv), gram_span, None), t_inv, None
     )
     out = []
     for row in g:

@@ -20,8 +20,7 @@ switches to rationals for audit runs).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from . import _linalg, ktheory as kt
 from ._linalg import zero_matrix
@@ -36,38 +35,9 @@ DEFAULT_TRIALS = 8
 # field-generic helpers
 # ---------------------------------------------------------------------------
 
-def _rank(rows, prime):
-    if not rows or not rows[0]:
-        return 0
-    if prime is None:
-        return _linalg.rank_frac(rows)
-    return _linalg.rank_mod(rows, prime)
-
-
-def _nullspace(rows, ncols, prime):
-    if ncols == 0:
-        return []
-    if not rows:
-        basis = []
-        for i in range(ncols):
-            v = [0] * ncols
-            v[i] = 1
-            basis.append(v)
-        return basis
-    if prime is None:
-        return _linalg.nullspace_frac(rows)
-    return _linalg.nullspace_mod(rows, prime)
-
-
-def _matmul(a, b, prime):
-    if prime is None:
-        return _linalg.mat_mul_frac(a, b)
-    return _linalg.mat_mul_mod(a, b, prime)
-
-
 def _rand_scalar(rng, prime):
     if prime is None:
-        return Fraction(rng.randint(-99, 99))
+        return rng.randint(-99, 99)
     return rng.randrange(1, prime)
 
 
@@ -156,7 +126,7 @@ def commutant_fiber(pair: CyclicPair) -> list:
                     row[unknown(k, s, c)] -= pair.phi[km][r][s]
                 if any(row):
                     rows.append(row)
-    basis_vecs = _nullspace(rows, total, pair.prime)
+    basis_vecs = _linalg.nullspace_mod(rows, total, pair.prime)
     out = []
     for vec in basis_vecs:
         phibar = []
@@ -200,11 +170,9 @@ def is_nilpotent(pair: CyclicPair) -> bool:
     if n == 0:
         return True
     x = _total_matrix(pair)
-    if pair.prime is None:
-        x = [[Fraction(v) for v in row] for row in x]
     power = 1
     while power < n:
-        x = _matmul(x, x, pair.prime)
+        x = _linalg.mat_mul_mod(x, x, pair.prime)
         power *= 2
     return all(all(v == 0 for v in row) for row in x)
 
@@ -253,16 +221,14 @@ def rank_profile(pair: CyclicPair) -> dict:
     n = pair.total_dim()
     profile = {}
     for v in range(p):
-        comp = pair.phi[v]
+        comp, rank = pair.phi[v], 1
         for s in range(1, n + 1):
-            if not comp or not comp[0]:
-                # a zero-dimensional vertex on the path: this and all longer
-                # composites from v vanish
-                for s2 in range(s, n + 1):
-                    profile[(v, s2)] = 0
-                break
-            profile[(v, s)] = _rank(comp, pair.prime)
-            comp = _matmul(pair.phi[(v + s) % p], comp, pair.prime)
+            # once a composite vanishes, so do all longer ones from v
+            if rank:
+                rank = _linalg.rank_mod(comp, pair.prime)
+                if rank and s < n:
+                    comp = _linalg.mat_mul_mod(pair.phi[(v + s) % p], comp, pair.prime)
+            profile[(v, s)] = rank
     return profile
 
 
@@ -337,7 +303,7 @@ def serial_selfext_dim(p: int, j: int, l: int, prime=DEFAULT_PRIME) -> int:
                         row[var(k, m, c)] -= phi[k][r][m]
                 if any(row):
                     rows.append(row)
-    end_dim = len(_nullspace(rows, nvars, prime))
+    end_dim = len(_linalg.nullspace_mod(rows, nvars, prime))
     chi = sum(d * d for d in dims) - sum(
         dims[k] * dims[(k + 1) % p] for k in range(p)
     )
@@ -357,10 +323,7 @@ def _solve_in_basis(basis_cols, targets, prime):
             [basis_cols[c][r] for c in range(ncols)]
             + [targets[t][r] for t in range(ntar)]
         )
-    if prime is None:
-        reduced, pivots = _linalg.rref_frac(aug)
-    else:
-        reduced, pivots = _linalg.rref_mod(aug, prime)
+    reduced, pivots = _linalg.rref_mod(aug, prime)
     for pc in pivots:
         if pc >= ncols:
             raise ValueError("target not in span of basis")
@@ -376,7 +339,7 @@ def _kernel_data(pair: CyclicPair):
     p, dims = pair.p, pair.dims
     kernels = []
     for k in range(p):
-        vecs = _nullspace(pair.phibar[k], dims[k], pair.prime)
+        vecs = _linalg.nullspace_mod(pair.phibar[k], dims[k], pair.prime)
         kernels.append(vecs)
     kdims = tuple(len(kernels[k]) for k in range(p))
     phi_r = []
@@ -386,15 +349,7 @@ def _kernel_data(pair: CyclicPair):
             phi_r.append(zero_matrix(kdims[kp], kdims[k]))
             continue
         # images of kernel basis vectors, expressed in the target kernel basis
-        images = []
-        for vec in kernels[k]:
-            img = [
-                sum(pair.phi[k][r][c] * vec[c] for c in range(dims[k]))
-                for r in range(dims[kp])
-            ]
-            if pair.prime is not None:
-                img = [v % pair.prime for v in img]
-            images.append(img)
+        images = [_linalg.mat_vec_mod(pair.phi[k], vec, pair.prime) for vec in kernels[k]]
         basis_cols = kernels[kp]
         sol = _solve_in_basis(basis_cols, images, pair.prime)
         phi_r.append([[sol[r][t] for t in range(kdims[k])] for r in range(kdims[kp])])
@@ -446,14 +401,7 @@ def eps_sample(
         ker = kernel_subpair(pair)
         ktype = recover_type(ker)
         if audit and not audit_done and prime is not None:
-            exact = CyclicPair(
-                pair.p,
-                pair.dims,
-                [[[Fraction(v) for v in row] for row in mat] for mat in pair.phi],
-                [[[Fraction(v) for v in row] for row in mat] for mat in pair.phibar],
-                None,
-                pair.point,
-            )
+            exact = replace(pair, prime=None)
             if not is_nilpotent(exact):
                 raise AssertionError("audit failure: nilpotency differs over Q")
             ktype_exact = recover_type(kernel_subpair(exact))
@@ -486,16 +434,6 @@ def kernel_type_sample(
         if best is None or size < best[0]:
             best = (size, ktype)
     return best[1]
-
-
-def _rref_rows(rows, prime):
-    if not rows or not any(any(r) for r in rows):
-        return [], []
-    if prime is None:
-        reduced, pivots = _linalg.rref_frac(rows)
-    else:
-        reduced, pivots = _linalg.rref_mod(rows, prime)
-    return reduced[: len(pivots)], pivots
 
 
 def _reduce_by(vec, rref, pivots, prime):
@@ -536,17 +474,12 @@ def quotient_type_sample(
         pair = sample_generic(curve, m, seed=f"{seed}:{t}", prime=prime)
         kernels, kpair = _kernel_data(pair)
         v_head = (-color_j) % p
-        if kpair.dims[v_head] == 0:
-            null_c = []
-        else:
-            comp = _linalg.identity(kpair.dims[v_head])
-            for step in range(color_l):
-                if not comp or not comp[0]:
-                    break
-                comp = _matmul(kpair.phi[(v_head + step) % p], comp, prime)
-            if not comp or not any(any(r) for r in comp):
-                comp = []
-            null_c = _nullspace(comp, kpair.dims[v_head], prime)
+        comp = _linalg.identity(kpair.dims[v_head])
+        for step in range(color_l):
+            if not comp:
+                break
+            comp = _linalg.mat_mul_mod(kpair.phi[(v_head + step) % p], comp, prime)
+        null_c = _linalg.nullspace_mod(comp, kpair.dims[v_head], prime)
         if len(null_c) < s:
             raise ValueError("not enough generic copies of the color in the kernel")
         rng = random.Random(f"quot:{seed}:{t}")
@@ -564,19 +497,10 @@ def quotient_type_sample(
             cur, v = amb, v_head
             for _ in range(color_l):
                 orbit_by_vertex[v].append(cur)
-                nxt = [
-                    sum(pair.phi[v][r][c] * cur[c] for c in range(pair.dims[v]))
-                    for r in range(pair.dims[(v + 1) % p])
-                ]
-                if prime is not None:
-                    nxt = [x % prime for x in nxt]
-                cur, v = nxt, (v + 1) % p
-        sub_rref = []
-        total_u = 0
-        for k in range(p):
-            rr, piv = _rref_rows(orbit_by_vertex[k], prime)
-            sub_rref.append((rr, piv))
-            total_u += len(piv)
+                cur, v = _linalg.mat_vec_mod(pair.phi[v], cur, prime), (v + 1) % p
+        # rows below the rank are zero, and _reduce_by stops at the last pivot
+        sub_rref = [_linalg.rref_mod(orbit_by_vertex[k], prime) for k in range(p)]
+        total_u = sum(len(piv) for _, piv in sub_rref)
         if total_u != s * color_l:
             raise ValueError("generic embedding failed: submodule dimension off")
         comp_coords = [
@@ -678,7 +602,7 @@ def _kernel_nullity_and_basis(h: P1Higgs, a: int, want_basis=False):
                     block_rows[r][offs[k2] + c] += tp[r][c]
         rows.extend(block_rows)
     rows = [r for r in rows if any(r)]
-    basis = _nullspace(rows, total, h.prime)
+    basis = _linalg.nullspace_mod(rows, total, h.prime)
     if want_basis:
         return len(basis), basis
     return len(basis)
@@ -704,7 +628,7 @@ def _generic_matrix_rank(h: P1Higgs) -> int:
                             val %= h.prime
                     out_row.append(val)
             scalar.append(out_row)
-        best = max(best, _rank(scalar, h.prime))
+        best = max(best, _linalg.rank_mod(scalar, h.prime))
     return best
 
 
@@ -844,7 +768,7 @@ def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
                                 for c in range(hw):
                                     alpha[row_off + r][sigma * hw + c] += tp[r][c]
                 row_off += hv[k]
-        rank_alpha = _rank([r for r in alpha if any(r)], h.prime)
+        rank_alpha = _linalg.rank_mod([r for r in alpha if any(r)], h.prime)
         coker = sum(hv) - rank_alpha
         h1w = _h1_dim(a - ap)
         beta_cols = s * h1w
@@ -863,7 +787,7 @@ def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
                             for c in range(h1w):
                                 beta[row_off + r][sigma * h1w + c] += blk[r][c]
             row_off += rows_k
-        ker_beta = beta_cols - _rank([r for r in beta if any(r)], h.prime)
+        ker_beta = beta_cols - _linalg.rank_mod([r for r in beta if any(r)], h.prime)
         return coker + ker_beta
 
     # quotient summand degrees can exceed max(degs): start above the total

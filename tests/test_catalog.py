@@ -54,11 +54,7 @@ def serial_hom_bruteforce(p, j, l, j2, l2):
                 nonzero = True
             if nonzero:
                 rows.append(row)
-    if not unknowns:
-        return 0
-    if not rows:
-        return len(unknowns)
-    return len(_linalg.nullspace_frac(rows))
+    return len(_linalg.nullspace_mod(rows, len(unknowns), None))
 
 
 class TestClasses:

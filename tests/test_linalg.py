@@ -1,0 +1,163 @@
+"""Field-generic linear algebra: GF(p) for a prime ``p`` and Q for ``p=None``.
+
+The compiled row-reduction kernel is compared entry for entry with the
+pure-Python elimination.  When the kernel is not installed, the committed
+``_rowreduce.c`` is compiled into a temporary directory with the C compiler
+that ``sysconfig`` names; the comparison is skipped only without a compiler.
+"""
+
+import importlib.util
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopcrystal import _linalg
+from loopcrystal._linalg import (
+    DEFAULT_PRIME,
+    identity,
+    invert_frac,
+    mat_mul_mod,
+    mat_vec_mod,
+    nullspace_mod,
+    rank_mod,
+    rref_mod,
+)
+
+KERNEL_SOURCE = Path(_linalg.__file__).with_name("_rowreduce.c")
+PRIMES = (2, 3, 5, DEFAULT_PRIME)
+FIELDS = (*PRIMES, None)
+
+
+def entries(p):
+    """Integers with small residues mod p (so pivots vanish and ranks drop),
+    negative and >= p ones included."""
+    if p is None:
+        return st.integers(-5, 5)
+    near_multiple = st.builds(
+        lambda k, r: k * p + r, st.integers(-2, 2), st.integers(-3, 3)
+    )
+    return near_multiple | st.integers(-3 * p, 3 * p)
+
+
+def matrices(p, ncols, min_rows=0, max_rows=6):
+    row = st.lists(entries(p), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=min_rows, max_size=max_rows)
+
+
+@st.composite
+def shaped_matrices(draw, p):
+    ncols = draw(st.integers(0, 6))
+    return draw(matrices(p, ncols)), ncols
+
+
+def rref_with(kernel, rows, p):
+    """``rref_mod`` with the given compiled kernel, or with None for Python."""
+    saved, _linalg._compiled = _linalg._compiled, kernel
+    try:
+        return rref_mod(rows, p)
+    finally:
+        _linalg._compiled = saved
+
+
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    try:
+        from loopcrystal import _rowreduce
+        return _rowreduce
+    except ImportError:
+        pass
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler to build the row-reduction kernel")
+    out = tmp_path_factory.mktemp("kernel") / (
+        "_rowreduce" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    cmd = [
+        *shlex.split(sysconfig.get_config_var("LDSHARED")),
+        *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+        "-I", sysconfig.get_paths()["include"],
+        str(KERNEL_SOURCE), "-o", str(out),
+    ]
+    subprocess.run(cmd, check=True, capture_output=True)
+    spec = importlib.util.spec_from_file_location("_rowreduce", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompiledKernel:
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_output_as_python(self, kernel, p, data):
+        rows, _ = data.draw(shaped_matrices(p))
+        assert rref_with(kernel, rows, p) == rref_with(None, rows, p)
+
+
+class TestRref:
+    @pytest.mark.parametrize("p", FIELDS)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_echelon_form(self, p, data):
+        rows, _ = data.draw(shaped_matrices(p))
+        red, pivots = rref_with(None, rows, p)
+        assert pivots == sorted(set(pivots))
+        for i, pc in enumerate(pivots):
+            assert [row[pc] for row in red] == [int(k == i) for k in range(len(red))]
+        assert all(x == 0 for row in red[len(pivots):] for x in row)
+        if p is not None:
+            assert all(0 <= x < p for row in red for x in row)
+
+    def test_empty_inputs(self):
+        for p in FIELDS:
+            assert rref_mod([], p) == ([], [])
+            assert rref_mod([[], []], p) == ([[], []], [])
+            assert rank_mod([], p) == 0
+
+
+class TestNullspace:
+    @pytest.mark.parametrize("p", FIELDS)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_kernel_basis(self, p, data):
+        rows, ncols = data.draw(shaped_matrices(p))
+        basis = nullspace_mod(rows, ncols, p)
+        assert rank_mod(rows, p) + len(basis) == ncols
+        for v in basis:
+            assert len(v) == ncols
+            assert mat_vec_mod(rows, v, p) == [0] * len(rows)
+
+    @pytest.mark.parametrize("p", FIELDS)
+    def test_no_rows_gives_standard_basis(self, p):
+        for n in range(5):
+            assert nullspace_mod([], n, p) == identity(n)
+
+
+class TestProducts:
+    def test_reduce_only_with_a_prime(self):
+        big = 1 << 70
+        assert mat_mul_mod([[big]], [[big]], None) == [[big * big]]
+        assert mat_mul_mod([[big]], [[big]], 7) == [[big * big % 7]]
+        assert mat_vec_mod([[big, -1]], [big, 1], None) == [big * big - 1]
+        assert mat_vec_mod([[big, -1]], [big, 1], 7) == [(big * big - 1) % 7]
+
+    def test_empty_factors(self):
+        assert mat_mul_mod([], [[1, 2]]) == []
+        assert mat_mul_mod([[], []], []) == [[], []]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_invert_frac(self, data):
+        n = data.draw(st.integers(1, 4))
+        a = data.draw(matrices(None, n, min_rows=n, max_rows=n))
+        if rank_mod(a, None) < n:
+            with pytest.raises(ValueError, match="singular"):
+                invert_frac(a)
+        else:
+            assert mat_mul_mod(invert_frac(a), a, None) == identity(n)

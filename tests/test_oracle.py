@@ -15,7 +15,7 @@ from loopcrystal import catalog as cat
 from loopcrystal import components as comp
 from loopcrystal import ktheory as kt
 from loopcrystal import oracle as orc
-from loopcrystal._linalg import zero_matrix
+from loopcrystal._linalg import mat_mul_mod, zero_matrix
 from loopcrystal.starlattice import WeightData
 
 
@@ -156,8 +156,8 @@ class TestSampleGeneric:
             assert orc.is_nilpotent(pair)
             p = pair.p
             for k in range(p):
-                lhs = orc._matmul(pair.phibar[(k + 1) % p], pair.phi[k], pair.prime)
-                rhs = orc._matmul(pair.phi[(k - 1) % p], pair.phibar[k], pair.prime)
+                lhs = mat_mul_mod(pair.phibar[(k + 1) % p], pair.phi[k], pair.prime)
+                rhs = mat_mul_mod(pair.phi[(k - 1) % p], pair.phibar[k], pair.prime)
                 assert lhs == rhs
 
     def test_periodic_input_rejected(self):
