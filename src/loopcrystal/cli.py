@@ -123,8 +123,12 @@ def resolve_seed(args, config: dict) -> int:
 
 def resolve_trials(args, config: dict) -> int:
     if getattr(args, "trials", None) is not None:
-        return args.trials
-    return int(config.get("trials", orc.DEFAULT_TRIALS))
+        trials = args.trials
+    else:
+        trials = int(config.get("trials", orc.DEFAULT_TRIALS))
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
 
 
 # ---------------------------------------------------------------------------

@@ -125,22 +125,27 @@ def _bracket(p: int, segments: list[tuple[int, int]], v: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _ms_kernel_type(curve: WeightData, m: Multisegment) -> Multisegment:
+    """Sampled generic kernel type of ``m``; one entry per visited multisegment."""
+    return oracle.kernel_type_sample(
+        curve, m, trials=ORACLE_TRIALS, seed=f"ker:{m.pairs}"
+    )
+
+
+@lru_cache(maxsize=None)
 def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
+    """Epsilon of a torsion color; one entry per visited multisegment and color."""
     if m.is_empty():
         return 0
     p = curve.weights[m.i]
     if l == 1:
         return len(_bracket(p, m.segments(), j))
-    return oracle.eps_sample(
-        curve, m, j, l,
-        trials=ORACLE_TRIALS,
-        seed=f"eps:{m.pairs}:{j}:{l}",
-        audit=False,
-    )
+    return oracle.rk_embeddings(p, _ms_kernel_type(curve, m), j, l)
 
 
 @lru_cache(maxsize=None)
 def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Multisegment:
+    """Quotient by ``s`` color copies; one entry per visited multisegment and color."""
     if s == 0:
         return m
     p = curve.weights[m.i]
@@ -168,6 +173,7 @@ def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Mult
 def _ms_es(
     curve: WeightData, target: Multisegment, i: int, j: int, l: int, s: int
 ) -> Multisegment:
+    """Inverse of ``_ms_fmax``; one entry per visited target, color and copy count."""
     if s == 0:
         return target
     dims = list(comp.dim_vector(curve, target))
@@ -213,6 +219,7 @@ def _kernel_degrees(curve: WeightData, degs: tuple[int, ...]) -> tuple[int, ...]
     zero, leaving exactly the top.  Other shapes are sampled on the unweighted
     line; on weighted curves they are refused (the sampling model is only
     justified there, while the closed shapes transfer verbatim in c-units).
+    The memo holds one entry per visited bundle degree tuple.
     """
     n = len(degs)
     if n <= 1:
@@ -315,6 +322,7 @@ def _grid_ftilde(curve: WeightData, degs, nu, a: int):
 
 @lru_cache(maxsize=None)
 def _grid_fmax(curve: WeightData, degs, nu, a: int):
+    """Quotient by all copies of ``O(a)``; one entry per visited state and color."""
     s = _grid_eps(curve, degs, nu, a)
     for step in range(s):
         degs, nu = _grid_ftilde(curve, degs, nu, a)
@@ -341,7 +349,8 @@ def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
     Candidates are generated from the two quotient mechanisms read backwards
     (re-insert a consumed summand and un-raise/un-scatter the partition, or
     un-interlace a sub-multiset of the degrees) and each is verified by
-    replaying the forward step, so over-generation is harmless.
+    replaying the forward step, so over-generation is harmless.  The memo
+    holds one entry per visited state and color.
     """
     out = set()
     skipped = False
@@ -396,6 +405,7 @@ def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
 
 @lru_cache(maxsize=None)
 def _grid_es(curve: WeightData, degs_p, nu_p, a: int, s: int):
+    """Inverse of ``_grid_fmax``; one entry per visited state, color and copy count."""
     if s == 0:
         return degs_p, nu_p
     frontier = {(degs_p, nu_p)}
@@ -457,16 +467,13 @@ def hom_into_kernel(curve: WeightData, z: ComponentLabel, color) -> int:
         m = _ms_at(z, color.i)
         if m.is_empty():
             return 0
-        ktype = oracle.kernel_type_sample(
-            curve, m, trials=ORACLE_TRIALS, seed=f"ker:{m.pairs}"
-        )
         return sum(
             mult * cat.hom_dim(
                 curve,
                 cat.ExcTorsion(color.i, color.j, color.l),
                 cat.ExcTorsion(color.i, head, length),
             )
-            for (head, length), mult in ktype.pairs
+            for (head, length), mult in _ms_kernel_type(curve, m).pairs
         )
     degs, nu = _grid_parts(curve, z)
     a = color.x.l

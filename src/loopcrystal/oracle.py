@@ -20,6 +20,7 @@ switches to rationals for audit runs).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import _linalg, ktheory as kt
@@ -311,9 +312,7 @@ def serial_selfext_dim(p: int, j: int, l: int, prime=DEFAULT_PRIME) -> int:
 
 
 def _solve_in_basis(basis_cols, targets, prime):
-    """Coordinates Y with B Y = T, for B a full-column-rank basis matrix."""
-    if not basis_cols:
-        return [[] for _ in range(0)]
+    """Coordinates Y with B Y = T, for B a nonempty full-column-rank basis."""
     nrows = len(basis_cols[0])
     ncols = len(basis_cols)
     ntar = len(targets)
@@ -375,6 +374,43 @@ def rk_embeddings(p: int, m: Multisegment, j: int, l: int) -> int:
     return count
 
 
+def kernel_type_sample(
+    curve: WeightData,
+    m: Multisegment,
+    trials: int = DEFAULT_TRIALS,
+    seed=0,
+    prime=DEFAULT_PRIME,
+    audit: bool = False,
+) -> Multisegment:
+    """The generic multisegment type of ker(phibar): the one of minimal total
+    kernel dimension across trials (kernel dims are upper semicontinuous).
+
+    With ``audit`` the first trial is recomputed over the rationals and must
+    give the same kernel type.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if m.is_empty():
+        return m
+    best = None
+    for t in range(trials):
+        pair = sample_generic(curve, m, seed=f"{seed}:{t}", prime=prime)
+        ker = kernel_subpair(pair)
+        ktype = recover_type(ker)
+        if audit and t == 0 and prime is not None:
+            exact = replace(pair, prime=None)
+            if not is_nilpotent(exact):
+                raise AssertionError("audit failure: nilpotency differs over Q")
+            if recover_type(kernel_subpair(exact)) != ktype:
+                raise AssertionError(
+                    "audit failure: kernel type differs between F_p and Q"
+                )
+        size = ker.total_dim()
+        if best is None or size < best[0]:
+            best = (size, ktype)
+    return best[1]
+
+
 def eps_sample(
     curve: WeightData,
     m: Multisegment,
@@ -387,53 +423,11 @@ def eps_sample(
 ) -> int:
     """Sampled generic rk of the color inside ker(phibar) on the stratum of m.
 
-    Max over independent trials (ranks are lower semicontinuous).  With
-    ``audit`` the first trial is recomputed over the rationals and must give
-    the same kernel type.
+    Read off the generic kernel type that :func:`kernel_type_sample` samples:
+    the number of segments of that type which receive S_j(l).
     """
-    if m.is_empty():
-        return 0
-    p = curve.weights[m.i]
-    best = 0
-    audit_done = False
-    for t in range(trials):
-        pair = sample_generic(curve, m, seed=f"{seed}:{t}", prime=prime)
-        ker = kernel_subpair(pair)
-        ktype = recover_type(ker)
-        if audit and not audit_done and prime is not None:
-            exact = replace(pair, prime=None)
-            if not is_nilpotent(exact):
-                raise AssertionError("audit failure: nilpotency differs over Q")
-            ktype_exact = recover_type(kernel_subpair(exact))
-            if ktype_exact != ktype:
-                raise AssertionError(
-                    "audit failure: kernel type differs between F_p and Q"
-                )
-            audit_done = True
-        best = max(best, rk_embeddings(p, ktype, color_j, color_l))
-    return best
-
-
-def kernel_type_sample(
-    curve: WeightData,
-    m: Multisegment,
-    trials: int = DEFAULT_TRIALS,
-    seed=0,
-    prime=DEFAULT_PRIME,
-) -> Multisegment:
-    """The generic multisegment type of ker(phibar): the one of minimal total
-    kernel dimension across trials (kernel dims are upper semicontinuous)."""
-    if m.is_empty():
-        return m
-    best = None
-    for t in range(trials):
-        pair = sample_generic(curve, m, seed=f"{seed}:{t}", prime=prime)
-        ker = kernel_subpair(pair)
-        ktype = recover_type(ker)
-        size = ker.total_dim()
-        if best is None or size < best[0]:
-            best = (size, ktype)
-    return best[1]
+    ktype = kernel_type_sample(curve, m, trials, seed, prime, audit)
+    return rk_embeddings(curve.weights[m.i], ktype, color_j, color_l)
 
 
 def _reduce_by(vec, rref, pivots, prime):
@@ -523,10 +517,7 @@ def quotient_type_sample(
         results.append(recover_type(q))
     # all trials are generic with overwhelming probability; majority vote
     # guards the astronomically unlikely degenerate draw
-    counts: dict[Multisegment, int] = {}
-    for r in results:
-        counts[r] = counts.get(r, 0) + 1
-    return max(counts.items(), key=lambda kv: kv[1])[0]
+    return Counter(results).most_common(1)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +565,13 @@ def _toeplitz(form, din):
     return out
 
 
-def _kernel_nullity_and_basis(h: P1Higgs, a: int, want_basis=False):
-    """dim (and basis) of {h: O(a) -> V with f h = 0} as a linear system."""
+def _kernel_basis(h: P1Higgs, a: int) -> list:
+    """Basis of {h: O(a) -> V with f h = 0}, solved as a linear system."""
     degs = h.degs
     sizes = [max(0, ak - a + 1) for ak in degs]
     total = sum(sizes)
     if total == 0:
-        return (0, []) if want_basis else 0
+        return []
     offs = []
     acc = 0
     for s in sizes:
@@ -602,10 +593,7 @@ def _kernel_nullity_and_basis(h: P1Higgs, a: int, want_basis=False):
                     block_rows[r][offs[k2] + c] += tp[r][c]
         rows.extend(block_rows)
     rows = [r for r in rows if any(r)]
-    basis = _linalg.nullspace_mod(rows, total, h.prime)
-    if want_basis:
-        return len(basis), basis
-    return len(basis)
+    return _linalg.nullspace_mod(rows, total, h.prime)
 
 
 def _generic_matrix_rank(h: P1Higgs) -> int:
@@ -650,11 +638,11 @@ def p1_kernel_profile(h: P1Higgs) -> tuple[tuple[int, ...], int]:
     # scan window with the spread
     spread = max(h.degs) - min(h.degs)
     floor = min(h.degs) - n * spread - 2 * n - 2
-    d_prev = _kernel_nullity_and_basis(h, a_hi + 1)
+    d_prev = len(_kernel_basis(h, a_hi + 1))
     delta_prev = 0
     a = a_hi
     while a >= floor:
-        d_cur = _kernel_nullity_and_basis(h, a)
+        d_cur = len(_kernel_basis(h, a))
         delta = d_cur - d_prev
         found.extend([a] * (delta - delta_prev))
         if delta == r_ker:
@@ -725,7 +713,7 @@ def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
     rk = p1_rk_line(h, a)
     if s > rk:
         raise ValueError("not enough copies: s exceeds the embedding count")
-    _, basis = _kernel_nullity_and_basis(h, a, want_basis=True)
+    basis = _kernel_basis(h, a)
     rng = random.Random(f"p1q:{seed}")
     sizes = [max(0, ak - a + 1) for ak in degs]
     offs = []

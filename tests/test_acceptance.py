@@ -6,7 +6,9 @@ The graph-based criteria share module-scoped fixtures, so the BFS closures
 are built once, inside the first criterion that needs them.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -208,6 +210,26 @@ def test_criterion_05_axiom_zero_violations(line_graph, torsion_graphs):
         60,
         f"zero axiom violations on graphs {', '.join(sizes)} (incl. build)",
     )
+
+
+#: sha256 of ``json.dumps(graph_to_json(g), sort_keys=True)`` for the line
+#: graph and the (2,1,1) and (3,1,1) torsion graphs; a simplification of the
+#: rules or the oracle must leave these graphs byte-identical
+GRAPH_JSON_SHA256 = [
+    "3d3fb2427d51ed6c6b5c88f60524b290097993ee4bb640183f7e140b0acf6336",
+    "103ab36db0bd971e5a065638325dd90ab97225750cad0100afae10c4b72b3763",
+    "38fb958dd123ad6ab18977279df4431242c7424c73a9115ffbe61592a414efa3",
+]
+
+
+def test_criterion_05_graphs_byte_identical(line_graph, torsion_graphs):
+    digests = [
+        hashlib.sha256(
+            json.dumps(cr.graph_to_json(graph), sort_keys=True).encode()
+        ).hexdigest()
+        for graph in _all_graphs(line_graph, torsion_graphs)
+    ]
+    assert digests == GRAPH_JSON_SHA256
 
 
 def test_criterion_06_expected_dimension_bookkeeping(line_graph, torsion_graphs):

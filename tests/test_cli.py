@@ -474,6 +474,25 @@ class TestOracleCheck:
         )
         assert d["seed"] == 7
 
+    @pytest.mark.parametrize("suite", ["cyclic", "p1"])
+    def test_zero_trials_rejected(self, capsys, suite):
+        code, out, err = run(
+            capsys, ["oracle", "check", "--suite", suite, "--trials", "0"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "trials" in err
+
+    def test_zero_trials_in_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 0}))
+        code, out, err = run(
+            capsys, ["--config", str(cfg), "oracle", "check", "--suite", "p1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "trials" in err
+
     def test_bad_env_seed_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("LOOPCRYSTAL_SEED", "many")
         code, _, err = run(capsys, ["oracle", "check", "--suite", "p1"])

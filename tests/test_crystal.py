@@ -372,6 +372,34 @@ class TestMultisegmentOracleAgreement:
                 want = orc.eps_sample(curve, m, v, 1, trials=4, seed=11)
                 assert got == want, (m, v)
 
+    def test_serial_epsilon_matches_sampler(self):
+        # length-2 colors go through the crystal's kernel-type memo, which
+        # samples with its own seeds
+        for m in self.battery(W3, 4):
+            z = comp.component_label(W3, (), (), [m])
+            for v in range(3):
+                got = cr.epsilon(W3, z, S(W3, v, 2))
+                want = orc.eps_sample(W3, m, v, 2, trials=4, seed=11)
+                assert got == want, (m, v)
+
+    def test_one_kernel_sample_per_multisegment(self, monkeypatch):
+        for memo in vars(cr).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+        calls = []
+        sample = orc.sample_generic
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(orc, "sample_generic", counted)
+        z = tl(W3, (0, 2), (1, 1))
+        for v in range(3):
+            cr.epsilon(W3, z, S(W3, v, 2))
+        cr.hom_into_kernel(W3, z, S(W3, 0, 2))
+        assert calls == [z.exceptional[0]] * cr.ORACLE_TRIALS
+
     @pytest.mark.parametrize("curve", [W2, W3], ids=["p2", "p3"])
     def test_quotient_matches_sampler(self, curve):
         for m in self.battery(curve, 4):

@@ -287,6 +287,14 @@ class TestKernelAndEps:
     def test_empty_multisegment(self):
         assert orc.eps_sample(W2, comp.Multisegment(0, ()), 0, 1) == 0
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        m = ms(W2, (0, 2))
+        with pytest.raises(ValueError, match="trials"):
+            orc.kernel_type_sample(W2, m, trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            orc.eps_sample(W2, m, 1, 1, trials=trials)
+
     def test_trials_monotone_and_deterministic(self):
         m = ms(W3, (0, 3), (1, 1))
         few = orc.eps_sample(W3, m, 2, 1, trials=2, seed=7)
@@ -443,6 +451,16 @@ class TestFieldAgreement:
         # audit=True re-runs the first trial over Q and compares kernel types
         m = ms(W3, (0, 2), (1, 1))
         assert orc.eps_sample(W3, m, 2, 1, trials=1, seed=4, audit=True) == 1
+
+    def test_audit_reports_a_mismatch_over_q(self, monkeypatch):
+        m = ms(W3, (0, 2), (1, 1))
+        nilpotent = orc.is_nilpotent
+        monkeypatch.setattr(
+            orc, "is_nilpotent", lambda pair: pair.prime is not None and nilpotent(pair)
+        )
+        assert orc.kernel_type_sample(W3, m, trials=2, seed=4) == ms(W3, (2, 1))
+        with pytest.raises(AssertionError, match="nilpotency differs"):
+            orc.kernel_type_sample(W3, m, trials=2, seed=4, audit=True)
 
 
 class TestQuotientTypeSample:
