@@ -124,17 +124,17 @@ def _bracket(p: int, segments: list[tuple[int, int]], v: int) -> list[int]:
     return [idx for idx in removable if idx not in protected]
 
 
+# Sampled generic kernel type of ``m``; one entry per visited multisegment.
 @lru_cache(maxsize=None)
 def _ms_kernel_type(curve: WeightData, m: Multisegment) -> Multisegment:
-    """Sampled generic kernel type of ``m``; one entry per visited multisegment."""
     return oracle.kernel_type_sample(
         curve, m, trials=ORACLE_TRIALS, seed=f"ker:{m.pairs}"
     )
 
 
+# One entry per visited multisegment and color.
 @lru_cache(maxsize=None)
 def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
-    """Epsilon of a torsion color; one entry per visited multisegment and color."""
     if m.is_empty():
         return 0
     p = curve.weights[m.i]
@@ -143,9 +143,9 @@ def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
     return oracle.rk_embeddings(p, _ms_kernel_type(curve, m), j, l)
 
 
+# One entry per visited multisegment, color and copy count.
 @lru_cache(maxsize=None)
 def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Multisegment:
-    """Quotient by ``s`` color copies; one entry per visited multisegment and color."""
     if s == 0:
         return m
     p = curve.weights[m.i]
@@ -169,11 +169,11 @@ def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Mult
     )
 
 
+# One entry per visited target, color and copy count.
 @lru_cache(maxsize=None)
 def _ms_es(
     curve: WeightData, target: Multisegment, i: int, j: int, l: int, s: int
 ) -> Multisegment:
-    """Inverse of ``_ms_fmax``; one entry per visited target, color and copy count."""
     if s == 0:
         return target
     dims = list(comp.dim_vector(curve, target))
@@ -208,6 +208,7 @@ def _grid_label(
     return comp.component_label(curve, bundle, nu, ())
 
 
+# One entry per visited bundle degree tuple.
 @lru_cache(maxsize=None)
 def _kernel_degrees(curve: WeightData, degs: tuple[int, ...]) -> tuple[int, ...]:
     """Degree multiset of the generic Higgs kernel on ``O(d1 c) + ... + O(dn c)``.
@@ -219,7 +220,6 @@ def _kernel_degrees(curve: WeightData, degs: tuple[int, ...]) -> tuple[int, ...]
     zero, leaving exactly the top.  Other shapes are sampled on the unweighted
     line; on weighted curves they are refused (the sampling model is only
     justified there, while the closed shapes transfer verbatim in c-units).
-    The memo holds one entry per visited bundle degree tuple.
     """
     n = len(degs)
     if n <= 1:
@@ -320,9 +320,9 @@ def _grid_ftilde(curve: WeightData, degs, nu, a: int):
     )
 
 
+# One entry per visited state and color.
 @lru_cache(maxsize=None)
 def _grid_fmax(curve: WeightData, degs, nu, a: int):
-    """Quotient by all copies of ``O(a)``; one entry per visited state and color."""
     s = _grid_eps(curve, degs, nu, a)
     for step in range(s):
         degs, nu = _grid_ftilde(curve, degs, nu, a)
@@ -342,6 +342,7 @@ def _submultisets(counts: Counter):
         yield tuple(sorted(out, reverse=True))
 
 
+# One entry per visited state and color.
 @lru_cache(maxsize=None)
 def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
     """All states one generic-quotient step above ``(degs, nu)``.
@@ -349,8 +350,7 @@ def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
     Candidates are generated from the two quotient mechanisms read backwards
     (re-insert a consumed summand and un-raise/un-scatter the partition, or
     un-interlace a sub-multiset of the degrees) and each is verified by
-    replaying the forward step, so over-generation is harmless.  The memo
-    holds one entry per visited state and color.
+    replaying the forward step, so over-generation is harmless.
     """
     out = set()
     skipped = False
@@ -403,9 +403,9 @@ def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
     return tuple(sorted(out)), skipped
 
 
+# One entry per visited state, color and copy count.
 @lru_cache(maxsize=None)
 def _grid_es(curve: WeightData, degs_p, nu_p, a: int, s: int):
-    """Inverse of ``_grid_fmax``; one entry per visited state, color and copy count."""
     if s == 0:
         return degs_p, nu_p
     frontier = {(degs_p, nu_p)}
