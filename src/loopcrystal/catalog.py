@@ -28,25 +28,25 @@ from . import ktheory as kt
 from .starlattice import LElement, WeightData
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineBundle:
     x: LElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExcTorsion:
     i: int
     j: int
     l: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrdTorsion:
     pt: str
     dlen: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealBundle:
     a: kt.KClass
 

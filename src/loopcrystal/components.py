@@ -51,17 +51,11 @@ def conjugate(nu: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def mu_prefixes(nu: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Prefixes (mu_1), (mu_1, mu_2), ... of the conjugate partition."""
-    mu = conjugate(nu)
-    return [mu[:i] for i in range(1, len(mu) + 1)]
-
-
 # ---------------------------------------------------------------------------
 # multisegments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multisegment:
     """Multiset of segments at one weighted point.
 
@@ -210,7 +204,7 @@ def _aperiodic_multisegments(
 # component labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HNLeaf:
     """A semistable leaf of a tubular label.
 
@@ -222,7 +216,7 @@ class HNLeaf:
     reduction: None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HNTree:
     leaves: tuple[HNLeaf, ...]
 
@@ -230,7 +224,7 @@ class HNTree:
 BundlePart = Union[tuple, HNTree]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentLabel:
     bundle: BundlePart
     ordinary: tuple[int, ...]

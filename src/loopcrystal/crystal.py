@@ -327,7 +327,8 @@ def _grid_fmax(curve: WeightData, degs, nu, a: int):
     for step in range(s):
         degs, nu = _grid_ftilde(curve, degs, nu, a)
         if _grid_eps(curve, degs, nu, a) != s - step - 1:
-            raise AssertionError("generic quotient chain lost embeddings early")
+            # a step that does not lower epsilon by exactly one: outside the grid rules
+            raise ValueError(UNSUPPORTED)
     return degs, nu
 
 
@@ -533,7 +534,7 @@ def e(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
 # graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Budget:
     """Weight-window bounds for graph growth.
 
@@ -563,7 +564,7 @@ class Budget:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrystalGraph:
     """Colored graph: an edge ``(src, tgt, color)`` means ``f_color(src) = tgt``."""
 

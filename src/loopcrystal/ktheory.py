@@ -31,7 +31,7 @@ from .starlattice import LElement, WeightData
 INFINITE_SLOPE = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KClass:
     """A class ``r*[O] + d*delta + sum m[i][j-1]*alpha_{i,j}``.
 
@@ -162,6 +162,7 @@ def class_of_ordinary_torsion(curve: WeightData, length: int) -> KClass:
 # Euler form
 # ---------------------------------------------------------------------------
 
+# One Gram matrix per weight sequence, so it holds one entry per curve in use.
 _euler_cache: dict[tuple[int, ...], list[list[int]]] = {}
 
 
@@ -218,14 +219,6 @@ def euler_form(curve: WeightData, a: KClass, b: KClass) -> int:
     g = euler_matrix(curve)
     va, vb = to_vector(a), to_vector(b)
     return sum(va[i] * g[i][j] * vb[j] for i in range(len(va)) for j in range(len(vb)))
-
-
-def symmetric_form(curve: WeightData, a: KClass, b: KClass) -> int:
-    return euler_form(curve, a, b) + euler_form(curve, b, a)
-
-
-def is_real_root(curve: WeightData, a: KClass) -> bool:
-    return euler_form(curve, a, a) == 1
 
 
 # ---------------------------------------------------------------------------

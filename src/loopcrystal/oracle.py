@@ -46,7 +46,7 @@ def _rand_scalar(rng, prime):
 # cyclic pairs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class CyclicPair:
     """Arrow data of a cyclic-quiver pair.
 
@@ -524,7 +524,7 @@ def quotient_type_sample(
 # projective-line Higgs fields
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class P1Higgs:
     """Splitting degrees and a matrix of binary forms of degree a_k - a_k' - 2.
 

@@ -347,6 +347,17 @@ class TestCrystalApply:
         assert code == 2
         assert "unsupported" in err
 
+    def test_quotient_chain_outside_grid_exits_2(self, capsys, tmp_path):
+        # a generic quotient step here lowers epsilon by more than one
+        path = write_component(tmp_path, P1, line_label(P1, -1, -2, 0, 3))
+        code, out, err = run(
+            capsys,
+            ["crystal", "apply", "--op", "f_max", "--color", "O(-2)", "--component", path],
+        )
+        assert code == 2
+        assert out == ""
+        assert "unsupported" in err
+
     def test_unknown_op_shows_usage(self, capsys):
         code, _, err = run(
             capsys,

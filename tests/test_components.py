@@ -40,10 +40,6 @@ class TestPartitions:
         for nu in comp.partitions(6):
             assert comp.conjugate(comp.conjugate(nu)) == nu
 
-    def test_mu_prefixes(self):
-        assert comp.mu_prefixes((3, 1)) == [(2,), (2, 1), (2, 1, 1)]
-        assert comp.mu_prefixes(()) == []
-
     def test_partition_count(self):
         assert len(list(comp.partitions(5))) == 7
         assert list(comp.partitions(0)) == [()]

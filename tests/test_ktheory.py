@@ -155,11 +155,6 @@ class TestEulerForm:
     def test_matrix_cached(self, w222):
         assert kt.euler_matrix(w222) is kt.euler_matrix(w222)
 
-    def test_real_roots(self, w237):
-        assert kt.is_real_root(w237, kt.structure_class(w237))
-        assert kt.is_real_root(w237, kt.class_of_simple(w237, 2, 3))
-        assert not kt.is_real_root(w237, kt.delta_class(w237))
-
 
 class TestDegreeSlopePositivity:
     def test_degree_values(self, w237):
