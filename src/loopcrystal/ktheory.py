@@ -137,8 +137,13 @@ def class_of_serial(curve: WeightData, i: int, j: int, length: int) -> KClass:
     """Class of the serial torsion sheaf with head ``S_{i,j}`` and given length."""
     if length < 1:
         raise ValueError("length must be positive")
-    acc = zero_class(curve)
-    for k in range(length):
+    # p_i consecutive composition factors sum to delta, so only the last
+    # partial period is summed simple by simple; a length of 10**12 costs
+    # no more than one of p_i.  The head is always summed, so a weight-1
+    # point still raises in class_of_simple.
+    periods, rest = divmod(length - 1, curve.weights[i])
+    acc = scale(periods, delta_class(curve))
+    for k in range(rest + 1):
         acc = add(acc, class_of_simple(curve, i, j - k))
     return acc
 

@@ -6,17 +6,20 @@ The graph-based criteria share module-scoped fixtures, so the BFS closures
 are built once, inside the first criterion that needs them.
 """
 
+import contextlib
 import hashlib
 import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
 import conftest
 from counting_oracle import count_torsion_labels
 from loopcrystal import catalog as cat
+from loopcrystal import cli
 from loopcrystal import components as comp
 from loopcrystal import crystal as cr
 from loopcrystal import ktheory as kt
@@ -230,6 +233,43 @@ def test_criterion_05_graphs_byte_identical(line_graph, torsion_graphs):
         for graph in _all_graphs(line_graph, torsion_graphs)
     ]
     assert digests == GRAPH_JSON_SHA256
+
+
+#: sha256 of the stdout of ``loopcrystal crystal graph --weights 3,1,1 --seeds
+#: empty --colors 'S[1,0](1)' 'S[1,1](1)' 'S[1,2](1)' 'S[1,0](2)' 'S[1,1](2)'
+#: 'S[1,2](2)' --max-delta 3 --verify``: the (3,1,1) graph as the CLI prints it
+CLI_GRAPH_STDOUT_SHA256 = (
+    "3a7cd72cd02c365e2dad36819f1c7aace65c1d1e5133e119ab82ae4239519381"
+)
+
+
+class _HashSink:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_criterion_05_cli_stdout_in_bounded_memory(torsion_graphs):
+    payload = cr.graph_to_json(torsion_graphs[(3, 1, 1)])
+    sink = _HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            cli._emit(payload)
+        transient = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == CLI_GRAPH_STDOUT_SHA256
+    # joining every chunk of the 638 KB graph at once took 5.07 MB
+    assert transient < 1_000_000, f"emission peaked at {transient} bytes of heap"
 
 
 def test_criterion_06_expected_dimension_bookkeeping(line_graph, torsion_graphs):

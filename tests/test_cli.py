@@ -1,12 +1,23 @@
 """Command-line behavior: grammars, reports, files, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcrystal import catalog as cat
 from loopcrystal import cli
 from loopcrystal import components as comp
+from loopcrystal import crystal as cr
 from loopcrystal import ktheory as kt
 from loopcrystal.starlattice import WeightData
 
@@ -451,6 +462,261 @@ class TestCrystalGraph:
         code, out, _ = run(capsys, ["crystal", "verify", "--graph", str(bad)])
         assert code == 3
         assert json.loads(out)["count"] >= 1
+
+
+def _torsion_color_texts(p):
+    return [f"S[1,{j}]({l})" for j in range(p) for l in range(1, p)]
+
+
+@st.composite
+def graph_requests(draw):
+    """Small ``crystal graph`` budgets: torsion at p in {2, 3}, or P1 bundles."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([2, 3]))
+        weights = f"{p},1,1"
+        palette = _torsion_color_texts(p)
+        budget = {"max_delta": draw(st.integers(0, 2))}
+    else:
+        weights = "1,1,1"
+        palette = ["O(-1)", "O", "O(1)"]
+        budget = {
+            "max_rank": draw(st.integers(0, 2)),
+            "max_deg": draw(st.integers(0, 2)),
+        }
+    colors = draw(st.lists(st.sampled_from(palette), min_size=1, unique=True))
+    return weights, colors, budget
+
+
+class TestGraphJsonRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(graph_requests())
+    def test_stdout_parses_back_and_verifies(self, request):
+        weights, colors, budget = request
+        argv = ["crystal", "graph", "--weights", weights, "--seeds", "empty",
+                "--colors", *colors]
+        for key, value in budget.items():
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        text = buf.getvalue()
+
+        curve = WeightData(tuple(int(w) for w in weights.split(",")))
+        want = cr.build_graph(
+            curve,
+            [comp.EMPTY],
+            [cli.parse_sheaf_label(curve, c) for c in colors],
+            cr.Budget(**budget),
+        )
+        got = cr.graph_from_json(json.loads(text))
+        assert got.curve.weights == want.curve.weights
+        assert (got.nodes, got.edges, got.colors, got.complete) == (
+            want.nodes, want.edges, want.colors, want.complete
+        )
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            path.write_text(text)
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(["crystal", "verify", "--graph", str(path)]) == 0
+        assert json.loads(buf.getvalue())["count"] == 0
+
+
+# ---------------------------------------------------------------------------
+# JSON emission
+# ---------------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**61, max_value=2**256)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(st.text(), children, max_size=6),
+    max_leaves=40,
+)
+
+
+class _CountingStringIO(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def emitted(payload):
+    out = _CountingStringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload)
+    return out.getvalue(), out.writes
+
+
+class TestEmit:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_same_bytes_as_print_json_dumps(self, value):
+        text, _ = emitted(value)
+        assert text == json.dumps(value, indent=2) + "\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(json_values, st.integers(cli._EMIT_BATCH // 2, 3 * cli._EMIT_BATCH))
+    def test_long_output_is_written_in_batches(self, value, copies):
+        payload = {"copies": [value] * copies}
+        text, writes = emitted(payload)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
+        assert writes == math.ceil((chunks + 1) / cli._EMIT_BATCH)
+
+
+# ---------------------------------------------------------------------------
+# broken pipe
+# ---------------------------------------------------------------------------
+
+def _module_cli(*argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "loopcrystal", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+class TestBrokenPipe:
+    def test_module_entry_point_runs(self):
+        proc = _module_cli("curve", "info", "--weights", "2,3,7")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert json.loads(out)["genus"] == "3/2"
+
+    def test_reader_gone_before_output(self):
+        proc = _module_cli("curve", "info")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+        assert err == b""
+
+    def test_reader_closes_mid_graph(self):
+        # 197 KB of output overfills the pipe, so a write fails after the close
+        proc = _module_cli(
+            "crystal", "graph", "--weights", "2,1,1", "--seeds", "empty",
+            "--colors", "S[1,0](1)", "S[1,1](1)", "--max-delta", "5",
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+        assert head.startswith(b"{")
+        assert err == b""
+
+    def test_in_process_stream_is_left_alone(self, monkeypatch):
+        class ClosedReader(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stream = ClosedReader()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert cli.main(["curve", "info"]) == cli.EXIT_BROKEN_PIPE
+        assert sys.stdout is stream
+
+
+# ---------------------------------------------------------------------------
+# parser fuzzing
+# ---------------------------------------------------------------------------
+
+FUZZ_CURVES = [WeightData(w) for w in ((1, 1, 1), (2, 1, 1), (2, 2, 2, 2), (2, 3, 7))]
+
+_GRAMMAR_TOKENS = [
+    "O", "O(", "delta", "S[", "T[", "E(", "c", "x", "*", "+", "-", ",", "(",
+    ")", "[", "]", " ", "0", "1", "2", "3", "7", "-1", "99", "pt",
+]
+
+fuzz_text = (
+    st.text()
+    | st.text(alphabet="0123456789+-*,()[] cxOSTEdelta")
+    | st.lists(
+        st.sampled_from(_GRAMMAR_TOKENS) | st.integers().map(str), max_size=12
+    ).map("".join)
+)
+
+
+def check_parse_and_exit(parse, args, argv):
+    """``parse(*args)`` returns or raises ValueError; ``argv`` exits 0 or 2,
+    and 2 whenever the parse failed."""
+    try:
+        parse(*args)
+        parsed = True
+    except ValueError:
+        parsed = False
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse-level rejection
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    if not parsed:
+        assert code == 2
+
+
+def _weights_flag(curve):
+    return "--weights=" + ",".join(map(str, curve.weights))
+
+
+class TestParserFuzz:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "info", "--weights=--"],
+            ["class", "slope", "--", "--"],
+            ["crystal", "graph", "--seeds", "empty", "--colors", "O", "--max-rank=--"],
+            ["oracle", "check", "--suite", "p1", "--trials=--"],
+        ],
+    )
+    def test_double_dash_as_value_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "'--'" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_CURVES), fuzz_text)
+    def test_class_expressions(self, curve, text):
+        check_parse_and_exit(
+            cli.parse_kclass, (curve, text),
+            ["class", "slope", _weights_flag(curve), "--", text],
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_CURVES), fuzz_text)
+    def test_lattice_elements(self, curve, text):
+        check_parse_and_exit(
+            cli.parse_lelement, (curve, text),
+            ["sheaf", "rigid", _weights_flag(curve), "--", f"O({text})"],
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_CURVES), fuzz_text)
+    def test_sheaf_labels(self, curve, text):
+        check_parse_and_exit(
+            cli.parse_sheaf_label, (curve, text),
+            ["sheaf", "rigid", _weights_flag(curve), "--", text],
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzz_text)
+    def test_weight_lists(self, text):
+        check_parse_and_exit(
+            cli._parse_weights_text, (text,), ["curve", "info", f"--weights={text}"]
+        )
 
 
 # ---------------------------------------------------------------------------

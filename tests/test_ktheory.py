@@ -77,6 +77,27 @@ class TestBasics:
             for j in range(p):
                 assert kt.class_of_serial(w237, i, j, p) == kt.delta_class(w237)
 
+    def test_serial_class_is_sum_of_composition_factors(self, w237):
+        for i, p in enumerate(w237.weights):
+            for j in range(p):
+                acc = kt.zero_class(w237)
+                for length in range(1, 3 * p + 2):
+                    acc = kt.add(acc, kt.class_of_simple(w237, i, j - length + 1))
+                    assert kt.class_of_serial(w237, i, j, length) == acc
+
+    def test_serial_class_at_weight_one_point_rejected(self):
+        with pytest.raises(ValueError):
+            kt.class_of_serial(WeightData((2, 1, 1)), 1, 0, 3)
+
+    def test_serial_class_of_huge_length(self, w237):
+        # whole periods are delta each, so this must not add 10**12 simples
+        length = 10**12 + 1
+        want = kt.add(
+            kt.scale(10**12 // 7, kt.delta_class(w237)),
+            kt.class_of_serial(w237, 2, 3, 10**12 % 7 + 1),
+        )
+        assert kt.class_of_serial(w237, 2, 3, length) == want
+
     def test_line_bundle_class(self, w237):
         x = w237.normalize([1, 2, 3], l=1)
         c = kt.class_of_line_bundle(w237, x)
