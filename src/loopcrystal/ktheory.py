@@ -137,10 +137,10 @@ def class_of_serial(curve: WeightData, i: int, j: int, length: int) -> KClass:
     """Class of the serial torsion sheaf with head ``S_{i,j}`` and given length."""
     if length < 1:
         raise ValueError("length must be positive")
-    # p_i consecutive composition factors sum to delta, so only the last
-    # partial period is summed simple by simple; a length of 10**12 costs
-    # no more than one of p_i.  The head is always summed, so a weight-1
-    # point still raises in class_of_simple.
+    # Any p_i consecutive composition factors sum to delta: add the whole
+    # periods at once and only the 1 to p_i factors from the head one by
+    # one, so the cost does not grow with the length and a weight-1 point
+    # still raises in class_of_simple.
     periods, rest = divmod(length - 1, curve.weights[i])
     acc = scale(periods, delta_class(curve))
     for k in range(rest + 1):

@@ -564,8 +564,8 @@ class TestEmit:
         text, _ = emitted(value)
         assert text == json.dumps(value, indent=2) + "\n"
 
-    @settings(max_examples=40, deadline=None)
-    @given(json_values, st.integers(cli._EMIT_BATCH // 2, 3 * cli._EMIT_BATCH))
+    @settings(max_examples=10, deadline=None)
+    @given(json_values, st.integers(cli._EMIT_BATCH, 2 * cli._EMIT_BATCH + 1))
     def test_long_output_is_written_in_batches(self, value, copies):
         payload = {"copies": [value] * copies}
         text, writes = emitted(payload)
