@@ -191,8 +191,22 @@ def label_to_json(label: IndecLabel) -> dict:
     raise TypeError(f"not an indecomposable label: {label!r}")
 
 
+def json_fields(data, what: str, **kinds) -> tuple:
+    """Values of the named fields of a JSON object, each of the given type.
+
+    Anything else (not an object, a field missing or of another type) raises
+    ``ValueError``, so a malformed file is refused instead of read as empty.
+    """
+    if type(data) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key, kind in kinds.items():
+        if type(data.get(key)) is not kind:
+            raise ValueError(f"{what} needs a {kind.__name__} field {key!r}")
+    return tuple(data[key] for key in kinds)
+
+
 def label_from_json(data: dict, curve: WeightData) -> IndecLabel:
-    kind = data.get("kind")
+    (kind,) = json_fields(data, "sheaf label", kind=str)
     if kind == "line_bundle":
         return LineBundle(LElement.from_json(data["x"]))
     if kind == "exc_torsion":

@@ -249,16 +249,31 @@ def parse_sheaf_label(curve: WeightData, text: str) -> cat.IndecLabel:
     return label
 
 
+def _load_json_file(path: str, what: str, parse):
+    """``parse`` applied to the JSON held in ``path``.
+
+    A file that cannot be read, is not JSON or does not have the shape
+    ``parse`` reads raises ``ValueError`` (exit 2).
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as err:
+        raise ValueError(f"cannot read {what} file {path!r}: {err}")
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{what} file {path!r} is not valid JSON: {err}")
+    try:
+        return parse(data)
+    except (AttributeError, IndexError, KeyError, TypeError) as err:
+        # a field of the wrong type or a missing one below the top level
+        raise ValueError(f"{what} file {path!r} is malformed: {err!r}") from None
+
+
 def load_component(curve: WeightData, spec: str) -> comp.ComponentLabel:
     if spec == "empty":
         return comp.EMPTY
-    try:
-        data = json.loads(Path(spec).read_text())
-    except OSError as err:
-        raise ValueError(f"cannot read component file {spec!r}: {err}")
-    except json.JSONDecodeError as err:
-        raise ValueError(f"component file {spec!r} is not valid JSON: {err}")
-    return comp.label_from_json(data, curve)
+    return _load_json_file(
+        spec, "component", lambda data: comp.label_from_json(data, curve)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +493,7 @@ def cmd_crystal_graph(args, config: dict) -> int:
 
 
 def cmd_crystal_verify(args, config: dict) -> int:
-    try:
-        data = json.loads(Path(args.graph).read_text())
-    except OSError as err:
-        raise ValueError(f"cannot read graph file {args.graph!r}: {err}")
-    except json.JSONDecodeError as err:
-        raise ValueError(f"graph file {args.graph!r} is not valid JSON: {err}")
-    graph = cry.graph_from_json(data)
+    graph = _load_json_file(args.graph, "graph", cry.graph_from_json)
     violations = cry.verify_axioms(graph)
     _emit(
         {

@@ -311,8 +311,12 @@ def label_to_json(curve: WeightData, z: ComponentLabel) -> dict:
 
 
 def label_from_json(data: dict, curve: WeightData) -> ComponentLabel:
-    raw_bundle = data.get("bundle", [])
-    if raw_bundle and raw_bundle[0].get("kind") == "hn_leaf":
+    """Inverse of :func:`label_to_json`; other shapes raise ``ValueError``."""
+    raw_bundle, ordinary, raw_excs = cat.json_fields(
+        data, "component label", bundle=list, ordinary=list, exceptional=list
+    )
+    head = raw_bundle[0] if raw_bundle else None
+    if type(head) is dict and head.get("kind") == "hn_leaf":
         bundle: BundlePart = HNTree(
             tuple(
                 HNLeaf(kt.KClass.from_json(item["class"], curve))
@@ -322,21 +326,19 @@ def label_from_json(data: dict, curve: WeightData) -> ComponentLabel:
     else:
         bundle = tuple(cat.label_from_json(item, curve) for item in raw_bundle)
     excs = []
-    for item in data.get("exceptional", []):
-        i = int(item["i"]) - 1
+    for item in raw_excs:
+        i, raw_segs = cat.json_fields(item, "exceptional part", i=int, segs=list)
         segs = []
-        for j, l, a in item["segs"]:
+        for j, l, a in raw_segs:
             segs.extend([(int(j), int(l))] * int(a))
-        excs.append(multisegment(curve, i, segs))
+        excs.append(multisegment(curve, i - 1, segs))
     if isinstance(bundle, HNTree):
         return ComponentLabel(
             bundle,
-            tuple(sorted((int(v) for v in data.get("ordinary", [])), reverse=True)),
+            tuple(sorted((int(v) for v in ordinary), reverse=True)),
             tuple(sorted(excs, key=lambda m: m.i)),
         )
-    return component_label(
-        curve, bundle, data.get("ordinary", []), excs
-    )
+    return component_label(curve, bundle, ordinary, excs)
 
 
 def format_label(curve: WeightData, z: ComponentLabel) -> str:

@@ -162,10 +162,11 @@ def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Mult
             else:
                 kept.append((head, length))
         return comp.multisegment(curve, m.i, kept)
+    # the kernel's seed: the copies embed into the kernel of the same pair
     return oracle.quotient_type_sample(
         curve, m, j, l, s,
         trials=ORACLE_TRIALS,
-        seed=f"quot:{m.pairs}:{j}:{l}:{s}",
+        seed=f"ker:{m.pairs}",
     )
 
 
@@ -811,15 +812,22 @@ def graph_to_json(graph: CrystalGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> CrystalGraph:
-    curve = WeightData(data["weights"])
-    nodes = tuple(comp.label_from_json(item, curve) for item in data["nodes"])
-    edges = tuple(
-        (
-            nodes[item["source"]],
-            nodes[item["target"]],
-            cat.label_from_json(item["color"], curve),
-        )
-        for item in data["edges"]
+    """Inverse of :func:`graph_to_json`; other shapes raise ``ValueError``."""
+    weights, raw_nodes, raw_edges, raw_colors = cat.json_fields(
+        data, "crystal graph", weights=list, nodes=list, edges=list, colors=list
     )
-    colors = tuple(cat.label_from_json(item, curve) for item in data["colors"])
-    return CrystalGraph(curve, nodes, edges, colors, bool(data.get("complete", True)))
+    curve = WeightData(weights)
+    nodes = tuple(comp.label_from_json(item, curve) for item in raw_nodes)
+    edges = []
+    for item in raw_edges:
+        source, target, color = cat.json_fields(
+            item, "graph edge", source=int, target=int, color=dict
+        )
+        for index in (source, target):
+            if not 0 <= index < len(nodes):
+                raise ValueError(f"edge endpoint {index} is not a node index")
+        edges.append((nodes[source], nodes[target], cat.label_from_json(color, curve)))
+    colors = tuple(cat.label_from_json(item, curve) for item in raw_colors)
+    return CrystalGraph(
+        curve, nodes, tuple(edges), colors, bool(data.get("complete", True))
+    )

@@ -20,12 +20,12 @@ switches to rationals for audit runs).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import _linalg, ktheory as kt
 from ._linalg import zero_matrix
-from .components import Multisegment
+from .components import Multisegment, is_aperiodic_for
 from .starlattice import WeightData
 
 DEFAULT_PRIME = _linalg.DEFAULT_PRIME
@@ -97,48 +97,47 @@ def build_rep(curve: WeightData, m: Multisegment, prime=DEFAULT_PRIME) -> Cyclic
     return CyclicPair(p, dims, phi, phibar, prime, m.i)
 
 
+def _intertwiners(p: int, dims, phi, shift: int, prime) -> list:
+    """Basis of the arrow tuples X with ``X_{k+1} phi_k = phi_{k-shift} X_k``.
+
+    ``X_k`` maps vertex ``k`` to ``k - shift``.  The unknowns are numbered
+    vertex by vertex, each ``X_k`` row-major, and there is one equation per
+    entry of each side, so the basis (and every draw from it) is fixed.
+    """
+    offsets, total = [], 0
+    for k in range(p):
+        offsets.append(total)
+        total += dims[(k - shift) % p] * dims[k]
+    if total == 0:
+        return []
+    rows = []
+    for k in range(p):
+        kp, ks = (k + 1) % p, (k - shift) % p
+        for r in range(dims[(kp - shift) % p]):
+            for c in range(dims[k]):
+                row = [0] * total
+                for s in range(dims[kp]):
+                    row[offsets[kp] + r * dims[kp] + s] += phi[k][s][c]
+                for s in range(dims[ks]):
+                    row[offsets[k] + s * dims[k] + c] -= phi[ks][r][s]
+                if any(row):
+                    rows.append(row)
+    return [
+        [
+            [[vec[offsets[k] + r * dims[k] + c] for c in range(dims[k])]
+             for r in range(dims[(k - shift) % p])]
+            for k in range(p)
+        ]
+        for vec in _linalg.nullspace_mod(rows, total, prime)
+    ]
+
+
 def commutant_fiber(pair: CyclicPair) -> list:
     """Basis of the linear space of reverse arrows commuting with phi.
 
     Returns a list of phibar-tuples (one matrix per vertex each).
     """
-    p, dims = pair.p, pair.dims
-    offsets = []
-    total = 0
-    for k in range(p):
-        offsets.append(total)
-        total += dims[(k - 1) % p] * dims[k]
-    if total == 0:
-        return []
-
-    def unknown(k, r, c):
-        # entry [r][c] of phibar[k], r < dims[k-1], c < dims[k]
-        return offsets[k] + r * dims[k] + c
-
-    rows = []
-    for k in range(p):
-        kp, km = (k + 1) % p, (k - 1) % p
-        for r in range(dims[k]):
-            for c in range(dims[k]):
-                row = [0] * total
-                for s in range(dims[kp]):
-                    row[unknown(kp, r, s)] += pair.phi[k][s][c]
-                for s in range(dims[km]):
-                    row[unknown(k, s, c)] -= pair.phi[km][r][s]
-                if any(row):
-                    rows.append(row)
-    basis_vecs = _linalg.nullspace_mod(rows, total, pair.prime)
-    out = []
-    for vec in basis_vecs:
-        phibar = []
-        for k in range(p):
-            mat = zero_matrix(dims[(k - 1) % p], dims[k])
-            for r in range(dims[(k - 1) % p]):
-                for c in range(dims[k]):
-                    mat[r][c] = vec[unknown(k, r, c)]
-            phibar.append(mat)
-        out.append(phibar)
-    return out
+    return _intertwiners(pair.p, pair.dims, pair.phi, 1, pair.prime)
 
 
 def _total_matrix(pair: CyclicPair):
@@ -178,42 +177,41 @@ def is_nilpotent(pair: CyclicPair) -> bool:
     return all(all(v == 0 for v in row) for row in x)
 
 
+@lru_cache(maxsize=1)
+def _stratum_model(curve: WeightData, m: Multisegment, prime) -> tuple:
+    """Segment model of ``m`` and its commutant fiber, shared by the trials
+    of a stratum (which run back to back) and never written to."""
+    pair = build_rep(curve, m, prime)
+    return pair, commutant_fiber(pair)
+
+
 def sample_generic(
-    curve: WeightData,
-    m: Multisegment,
-    seed=0,
-    prime=DEFAULT_PRIME,
-    retries: int = 6,
+    curve: WeightData, m: Multisegment, seed=0, prime=DEFAULT_PRIME
 ) -> CyclicPair:
     """phi from the segment model, phibar random in the commutant fiber.
 
-    The sampled pair must be nilpotent; non-aperiodic inputs make the
-    generic fiber element invertible around the cycle, which is reported
-    after bounded retries.
+    The conormal fiber of an aperiodic stratum lies in the nilpotent variety
+    (Lusztig, *Affine quivers and canonical bases*, 1992, section 15), so
+    every draw is a nilpotent pair.  Periodic input is refused.
     """
-    pair = build_rep(curve, m, prime)
-    fiber = commutant_fiber(pair)
+    if not is_aperiodic_for(curve, m):
+        raise ValueError("periodic input: the fiber breaks nilpotency")
+    pair, fiber = _stratum_model(curve, m, prime)
     rng = random.Random(f"cyclic:{seed}")
-    for _ in range(retries):
-        phibar = [
-            zero_matrix(pair.dims[(k - 1) % pair.p], pair.dims[k])
-            for k in range(pair.p)
-        ]
-        for basis_phibar in fiber:
-            coeff = _rand_scalar(rng, prime)
-            for k in range(pair.p):
-                mat = basis_phibar[k]
-                tgt = phibar[k]
-                for r in range(len(mat)):
-                    for c in range(len(mat[r])):
-                        v = tgt[r][c] + coeff * mat[r][c]
-                        tgt[r][c] = v % prime if prime is not None else v
-        cand = CyclicPair(pair.p, pair.dims, pair.phi, phibar, prime, pair.point)
-        if is_nilpotent(cand):
-            return cand
-    raise ValueError(
-        "nilpotency repeatedly violated: input is likely not aperiodic"
-    )
+    phibar = [
+        zero_matrix(pair.dims[(k - 1) % pair.p], pair.dims[k])
+        for k in range(pair.p)
+    ]
+    for basis_phibar in fiber:
+        coeff = _rand_scalar(rng, prime)
+        for k in range(pair.p):
+            mat = basis_phibar[k]
+            tgt = phibar[k]
+            for r in range(len(mat)):
+                for c in range(len(mat[r])):
+                    v = tgt[r][c] + coeff * mat[r][c]
+                    tgt[r][c] = v % prime if prime is not None else v
+    return CyclicPair(pair.p, pair.dims, pair.phi, phibar, prime, pair.point)
 
 
 def rank_profile(pair: CyclicPair) -> dict:
@@ -281,30 +279,7 @@ def serial_selfext_dim(p: int, j: int, l: int, prime=DEFAULT_PRIME) -> int:
     if l < 1:
         raise ValueError("length must be positive")
     dims, phi = _segment_arrows(p, [(j, l)])
-    offsets = []
-    nvars = 0
-    for k in range(p):
-        offsets.append(nvars)
-        nvars += dims[k] * dims[k]
-
-    def var(k, a, b):
-        return offsets[k] + a * dims[k] + b
-
-    rows = []
-    for k in range(p):
-        k2 = (k + 1) % p
-        for r in range(dims[k2]):
-            for c in range(dims[k]):
-                row = [0] * nvars
-                for m in range(dims[k2]):
-                    if phi[k][m][c]:
-                        row[var(k2, r, m)] += phi[k][m][c]
-                for m in range(dims[k]):
-                    if phi[k][r][m]:
-                        row[var(k, m, c)] -= phi[k][r][m]
-                if any(row):
-                    rows.append(row)
-    end_dim = len(_linalg.nullspace_mod(rows, nvars, prime))
+    end_dim = len(_intertwiners(p, dims, phi, 0, prime))
     chi = sum(d * d for d in dims) - sum(
         dims[k] * dims[(k + 1) % p] for k in range(p)
     )
@@ -374,6 +349,22 @@ def rk_embeddings(p: int, m: Multisegment, j: int, l: int) -> int:
     return count
 
 
+def _generic_kernel(curve: WeightData, m: Multisegment, trials, seed, prime) -> tuple:
+    """The trial with the smallest ker(phibar) as ``(pair, kernels, kernel pair)``.
+
+    Kernel dimensions are upper semicontinuous, so the smallest is generic.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    best = None
+    for t in range(trials):
+        pair = sample_generic(curve, m, seed=f"{seed}:{t}", prime=prime)
+        kernels, ker = _kernel_data(pair)
+        if best is None or ker.total_dim() < best[2].total_dim():
+            best = (pair, kernels, ker)
+    return best
+
+
 def kernel_type_sample(
     curve: WeightData,
     m: Multisegment,
@@ -382,33 +373,22 @@ def kernel_type_sample(
     prime=DEFAULT_PRIME,
     audit: bool = False,
 ) -> Multisegment:
-    """The generic multisegment type of ker(phibar): the one of minimal total
-    kernel dimension across trials (kernel dims are upper semicontinuous).
+    """The generic multisegment type of ker(phibar) on the stratum of ``m``.
 
-    With ``audit`` the first trial is recomputed over the rationals and must
+    With ``audit`` the chosen trial is recomputed over the rationals and must
     give the same kernel type.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if m.is_empty():
-        return m
-    best = None
-    for t in range(trials):
-        pair = sample_generic(curve, m, seed=f"{seed}:{t}", prime=prime)
-        ker = kernel_subpair(pair)
-        ktype = recover_type(ker)
-        if audit and t == 0 and prime is not None:
-            exact = replace(pair, prime=None)
-            if not is_nilpotent(exact):
-                raise AssertionError("audit failure: nilpotency differs over Q")
-            if recover_type(kernel_subpair(exact)) != ktype:
-                raise AssertionError(
-                    "audit failure: kernel type differs between F_p and Q"
-                )
-        size = ker.total_dim()
-        if best is None or size < best[0]:
-            best = (size, ktype)
-    return best[1]
+    pair, _, ker = _generic_kernel(curve, m, trials, seed, prime)
+    ktype = recover_type(ker)
+    if audit and prime is not None:
+        exact = replace(pair, prime=None)
+        if not is_nilpotent(exact):
+            raise AssertionError("audit failure: nilpotency differs over Q")
+        if recover_type(kernel_subpair(exact)) != ktype:
+            raise AssertionError(
+                "audit failure: kernel type differs between F_p and Q"
+            )
+    return ktype
 
 
 def eps_sample(
@@ -454,7 +434,8 @@ def quotient_type_sample(
 ) -> Multisegment:
     """Type of the generic quotient M / S_j(l)^s with the copies in ker(phibar).
 
-    Samples a generic pair on the stratum of ``m``, embeds ``s`` generic
+    Takes the generic pair that :func:`kernel_type_sample` reads the kernel
+    type off (same ``trials``, ``seed`` and ``prime``), embeds ``s`` generic
     copies of the serial module S_j(l) into ker(phibar) (head generators in
     the kernel of the l-fold forward composite), and identifies the type of
     the quotient module.  The submodule is phibar-stable automatically, so
@@ -463,61 +444,54 @@ def quotient_type_sample(
     if s == 0:
         return m
     p = curve.weights[m.i]
-    results = []
-    for t in range(trials):
-        pair = sample_generic(curve, m, seed=f"{seed}:{t}", prime=prime)
-        kernels, kpair = _kernel_data(pair)
-        v_head = (-color_j) % p
-        comp = _linalg.identity(kpair.dims[v_head])
-        for step in range(color_l):
-            if not comp:
-                break
-            comp = _linalg.mat_mul_mod(kpair.phi[(v_head + step) % p], comp, prime)
-        null_c = _linalg.nullspace_mod(comp, kpair.dims[v_head], prime)
-        if len(null_c) < s:
-            raise ValueError("not enough generic copies of the color in the kernel")
-        rng = random.Random(f"quot:{seed}:{t}")
-        orbit_by_vertex = [[] for _ in range(p)]
-        for _ in range(s):
-            combo = [_rand_scalar(rng, prime) for _ in null_c]
-            amb = [0] * pair.dims[v_head]
-            for coeff, kvec in zip(combo, null_c):
-                for b, val in enumerate(kvec):
-                    if val:
-                        for r in range(pair.dims[v_head]):
-                            amb[r] += coeff * val * kernels[v_head][b][r]
-            if prime is not None:
-                amb = [x % prime for x in amb]
-            cur, v = amb, v_head
-            for _ in range(color_l):
-                orbit_by_vertex[v].append(cur)
-                cur, v = _linalg.mat_vec_mod(pair.phi[v], cur, prime), (v + 1) % p
-        # rows below the rank are zero, and _reduce_by stops at the last pivot
-        sub_rref = [_linalg.rref_mod(orbit_by_vertex[k], prime) for k in range(p)]
-        total_u = sum(len(piv) for _, piv in sub_rref)
-        if total_u != s * color_l:
-            raise ValueError("generic embedding failed: submodule dimension off")
-        comp_coords = [
-            [c for c in range(pair.dims[k]) if c not in set(sub_rref[k][1])]
-            for k in range(p)
-        ]
-        qdims = tuple(len(comp_coords[k]) for k in range(p))
-        phi_q = []
-        for k in range(p):
-            kp = (k + 1) % p
-            mat = zero_matrix(qdims[kp], qdims[k])
-            for col, c in enumerate(comp_coords[k]):
-                img = [pair.phi[k][r][c] for r in range(pair.dims[kp])]
-                img = _reduce_by(img, *sub_rref[kp], prime)
-                for row, cc in enumerate(comp_coords[kp]):
-                    mat[row][col] = img[cc]
-            phi_q.append(mat)
-        phibar_q = [zero_matrix(qdims[(k - 1) % p], qdims[k]) for k in range(p)]
-        q = CyclicPair(p, qdims, phi_q, phibar_q, prime, m.i)
-        results.append(recover_type(q))
-    # all trials are generic with overwhelming probability; majority vote
-    # guards the astronomically unlikely degenerate draw
-    return Counter(results).most_common(1)[0][0]
+    pair, kernels, kpair = _generic_kernel(curve, m, trials, seed, prime)
+    v_head = (-color_j) % p
+    comp = _linalg.identity(kpair.dims[v_head])
+    for step in range(color_l):
+        if not comp:
+            break
+        comp = _linalg.mat_mul_mod(kpair.phi[(v_head + step) % p], comp, prime)
+    null_c = _linalg.nullspace_mod(comp, kpair.dims[v_head], prime)
+    if len(null_c) < s:
+        raise ValueError("not enough generic copies of the color in the kernel")
+    rng = random.Random(f"quot:{seed}")
+    orbit_by_vertex = [[] for _ in range(p)]
+    for _ in range(s):
+        combo = [_rand_scalar(rng, prime) for _ in null_c]
+        amb = [0] * pair.dims[v_head]
+        for coeff, kvec in zip(combo, null_c):
+            for b, val in enumerate(kvec):
+                if val:
+                    for r in range(pair.dims[v_head]):
+                        amb[r] += coeff * val * kernels[v_head][b][r]
+        if prime is not None:
+            amb = [x % prime for x in amb]
+        cur, v = amb, v_head
+        for _ in range(color_l):
+            orbit_by_vertex[v].append(cur)
+            cur, v = _linalg.mat_vec_mod(pair.phi[v], cur, prime), (v + 1) % p
+    # rows below the rank are zero, and _reduce_by stops at the last pivot
+    sub_rref = [_linalg.rref_mod(orbit_by_vertex[k], prime) for k in range(p)]
+    total_u = sum(len(piv) for _, piv in sub_rref)
+    if total_u != s * color_l:
+        raise ValueError("generic embedding failed: submodule dimension off")
+    comp_coords = [
+        [c for c in range(pair.dims[k]) if c not in set(sub_rref[k][1])]
+        for k in range(p)
+    ]
+    qdims = tuple(len(comp_coords[k]) for k in range(p))
+    phi_q = []
+    for k in range(p):
+        kp = (k + 1) % p
+        mat = zero_matrix(qdims[kp], qdims[k])
+        for col, c in enumerate(comp_coords[k]):
+            img = [pair.phi[k][r][c] for r in range(pair.dims[kp])]
+            img = _reduce_by(img, *sub_rref[kp], prime)
+            for row, cc in enumerate(comp_coords[kp]):
+                mat[row][col] = img[cc]
+        phi_q.append(mat)
+    phibar_q = [zero_matrix(qdims[(k - 1) % p], qdims[k]) for k in range(p)]
+    return recover_type(CyclicPair(p, qdims, phi_q, phibar_q, prime, m.i))
 
 
 # ---------------------------------------------------------------------------

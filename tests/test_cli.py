@@ -1,6 +1,7 @@
 """Command-line behavior: grammars, reports, files, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -377,10 +378,46 @@ class TestCrystalApply:
         assert code == 2
         assert "usage" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": 3},
+            [],
+            {"bundle": [], "ordinary": []},
+            {"bundle": [{"kind": "hn_leaf"}], "ordinary": [], "exceptional": []},
+            {"bundle": [{"kind": "line_bundle"}], "ordinary": [], "exceptional": []},
+            {"bundle": [], "ordinary": [], "exceptional": [{"i": 7, "segs": []}]},
+            {"bundle": [], "ordinary": [], "exceptional": [{"i": 1, "segs": [5]}]},
+        ],
+        ids=["kind", "list", "key", "hn-leaf", "line-bundle", "point", "segment"],
+    )
+    def test_malformed_component_file_rejected(self, capsys, tmp_path, data):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys,
+            ["crystal", "apply", "--op", "f", "--color", "O", "--component", str(path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert "component" in err
+
 
 # ---------------------------------------------------------------------------
 # crystal graph / verify
 # ---------------------------------------------------------------------------
+
+def _one_node_graph(source):
+    """The P1 graph on the empty label with one ``O`` edge out of ``source``."""
+    o = cat.label_to_json(cat.LineBundle(P1.normalize([0, 0, 0], l=0)))
+    return {
+        "weights": [1, 1, 1],
+        "nodes": [comp.label_to_json(P1, comp.EMPTY)],
+        "edges": [{"source": source, "target": 0, "color": o}],
+        "colors": [o],
+        "complete": True,
+    }
+
 
 class TestCrystalGraph:
     def test_rank_ladder(self, capsys):
@@ -462,6 +499,24 @@ class TestCrystalGraph:
         code, out, _ = run(capsys, ["crystal", "verify", "--graph", str(bad)])
         assert code == 3
         assert json.loads(out)["count"] >= 1
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({}, "crystal graph"),
+            ([], "crystal graph"),
+            (_one_node_graph(5), "edge endpoint 5"),
+            (_one_node_graph(-1), "edge endpoint -1"),
+        ],
+        ids=["empty-object", "list", "source-past-end", "negative-source"],
+    )
+    def test_verify_rejects_malformed_graph(self, capsys, tmp_path, data, message):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["crystal", "verify", "--graph", str(path)])
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def _torsion_color_texts(p):
@@ -769,6 +824,22 @@ class TestOracleCheck:
         assert code == 2
         assert out == ""
         assert "trials" in err
+
+    #: sha256 of the stdout of ``loopcrystal oracle check --suite <suite>`` at
+    #: the default seed and trials: changes to the oracle or the closed rules
+    #: must leave both reports byte-identical
+    SUITE_STDOUT_SHA256 = {
+        "cyclic": "5e30819fa932abdd90aad0d0d3c67c2b72144931b87f96da96cfea31735dd62c",
+        "p1": "11452cb540e9d05074ce414eb22918de29630a132bee5e696670c1481ce21efa",
+    }
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_STDOUT_SHA256))
+    def test_suite_stdout_byte_identical(self, capsys, monkeypatch, suite):
+        monkeypatch.delenv("LOOPCRYSTAL_SEED", raising=False)
+        code, out, err = run(capsys, ["oracle", "check", "--suite", suite])
+        assert code == 0, err
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.SUITE_STDOUT_SHA256[suite]
 
     def test_bad_env_seed_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("LOOPCRYSTAL_SEED", "many")

@@ -176,6 +176,44 @@ class TestSampleGeneric:
         assert a.phibar == b.phibar
 
 
+def _total_length(curve_m):
+    return sum(l for _, l in curve_m[1].segments())
+
+
+class TestFiberNilpotency:
+    """Every reverse arrow commuting with an aperiodic segment model is
+    nilpotent (the conormal fiber of an aperiodic stratum lies in the
+    nilpotent variety; Lusztig, Publ. IHES 76, 1992, section 15), which is
+    why ``sample_generic`` draws once and refuses periodic input outright."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(multisegments().filter(lambda cm: _total_length(cm) <= 6), st.data())
+    def test_aperiodic_fibers_are_nilpotent(self, curve_m, data):
+        curve, m = curve_m
+        if not comp.is_aperiodic_for(curve, m):
+            with pytest.raises(ValueError, match="nilpotency"):
+                orc.sample_generic(curve, m, seed=0)
+            return
+        for q in (2, 3, 5):
+            pair = orc.build_rep(curve, m, q)
+            fiber = orc.commutant_fiber(pair)
+            coeffs = data.draw(
+                st.lists(st.integers(0, q - 1), min_size=len(fiber), max_size=len(fiber))
+            )
+            phibar = [
+                [
+                    [
+                        sum(a * b[k][r][c] for a, b in zip(coeffs, fiber)) % q
+                        for c in range(len(row))
+                    ]
+                    for r, row in enumerate(mat)
+                ]
+                for k, mat in enumerate(pair.phibar)
+            ]
+            drawn = orc.CyclicPair(pair.p, pair.dims, pair.phi, phibar, q, pair.point)
+            assert orc.is_nilpotent(drawn), (m, q, coeffs)
+
+
 class TestRecoverType:
     @pytest.mark.parametrize("curve,max_total", [(W2, 5), (W3, 4)])
     def test_round_trip_aperiodic(self, curve, max_total):
@@ -294,6 +332,8 @@ class TestKernelAndEps:
             orc.kernel_type_sample(W2, m, trials=trials)
         with pytest.raises(ValueError, match="trials"):
             orc.eps_sample(W2, m, 1, 1, trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            orc.quotient_type_sample(W2, m, 1, 1, 1, trials=trials)
 
     def test_trials_monotone_and_deterministic(self):
         m = ms(W3, (0, 3), (1, 1))
