@@ -21,33 +21,32 @@ combinatorially determined here and raise ``unsupported pair``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Union
 
 from . import ktheory as kt
-from .starlattice import LElement, WeightData
+from .starlattice import LElement, Record, WeightData
 
 
-@dataclass(frozen=True, slots=True)
-class LineBundle:
+class LineBundle(Record):
+    __slots__ = ("x",)
     x: LElement
 
 
-@dataclass(frozen=True, slots=True)
-class ExcTorsion:
+class ExcTorsion(Record):
+    __slots__ = ("i", "j", "l")
     i: int
     j: int
     l: int
 
 
-@dataclass(frozen=True, slots=True)
-class OrdTorsion:
+class OrdTorsion(Record):
+    __slots__ = ("pt", "dlen")
     pt: str
     dlen: int
 
 
-@dataclass(frozen=True, slots=True)
-class RealBundle:
+class RealBundle(Record):
+    __slots__ = ("a",)
     a: kt.KClass
 
 

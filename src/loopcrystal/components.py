@@ -18,12 +18,11 @@ Multisegments are stored sparsely as multiplicities over segments ``[j; l)``
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
 from . import catalog as cat, ktheory as kt
-from .starlattice import WeightData
+from .starlattice import Record, WeightData
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +54,14 @@ def conjugate(nu: tuple[int, ...]) -> tuple[int, ...]:
 # multisegments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Multisegment:
+class Multisegment(Record):
     """Multiset of segments at one weighted point.
 
     ``pairs`` maps are stored as a sorted tuple of ((j, l), multiplicity)
     with j already reduced mod the weight and all multiplicities positive.
     """
 
+    __slots__ = ("i", "pairs")
     i: int
     pairs: tuple[tuple[tuple[int, int], int], ...]
 
@@ -204,28 +203,29 @@ def _aperiodic_multisegments(
 # component labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class HNLeaf:
+class HNLeaf(Record):
     """A semistable leaf of a tubular label.
 
     ``reduction`` is None for rank > 0 leaves: no line-bundle twist reaches
     slope infinity, so the leaf stays symbolic ("unreduced").
     """
 
+    __slots__ = ("cls", "reduction")
+    _defaults = {"reduction": None}
     cls: kt.KClass
-    reduction: None = None
+    reduction: None
 
 
-@dataclass(frozen=True, slots=True)
-class HNTree:
+class HNTree(Record):
+    __slots__ = ("leaves",)
     leaves: tuple[HNLeaf, ...]
 
 
 BundlePart = Union[tuple, HNTree]
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentLabel:
+class ComponentLabel(Record):
+    __slots__ = ("bundle", "ordinary", "exceptional")
     bundle: BundlePart
     ordinary: tuple[int, ...]
     exceptional: tuple[Multisegment, ...]

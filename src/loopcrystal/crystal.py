@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import catalog as cat, components as comp, ktheory as kt, oracle
 from .components import ComponentLabel, HNTree, Multisegment
-from .starlattice import WeightData
+from .starlattice import Record, WeightData
 
 UNSUPPORTED = "unsupported component family"
 NON_RIGID = "non-rigid operator index"
@@ -535,8 +534,7 @@ def e(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
 # graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Budget:
+class Budget(Record):
     """Weight-window bounds for graph growth.
 
     ``max_deg`` is measured in c-units (the linearized degree divided by the
@@ -545,10 +543,12 @@ class Budget:
     ``max_nodes`` is a hard size cap; hitting it flags the graph incomplete.
     """
 
-    max_rank: int | None = None
-    max_deg: int | None = None
-    max_delta: int | None = None
-    max_nodes: int | None = None
+    __slots__ = ("max_rank", "max_deg", "max_delta", "max_nodes")
+    _defaults = dict.fromkeys(__slots__)
+    max_rank: int | None
+    max_deg: int | None
+    max_delta: int | None
+    max_nodes: int | None
 
     def admits(self, curve: WeightData, a: kt.KClass) -> bool:
         if self.max_rank is not None and a.r > self.max_rank:
@@ -564,16 +564,26 @@ class Budget:
                 return False
         return True
 
+    def stops_raising(self, curve: WeightData, a: kt.KClass) -> bool:
+        """Whether adding the nonzero class ``a`` over and over leaves the window."""
+        return (
+            self.max_nodes is not None
+            or self.max_delta is not None
+            or (self.max_rank is not None and a.r > 0)
+            or (self.max_deg is not None and kt.degree_d(curve, a) != 0)
+        )
 
-@dataclass(frozen=True, slots=True)
-class CrystalGraph:
+
+class CrystalGraph(Record):
     """Colored graph: an edge ``(src, tgt, color)`` means ``f_color(src) = tgt``."""
 
+    __slots__ = ("curve", "nodes", "edges", "colors", "complete")
+    _defaults = {"complete": True}
     curve: WeightData
     nodes: tuple[ComponentLabel, ...]
     edges: tuple[tuple[ComponentLabel, ComponentLabel, object], ...]
     colors: tuple[object, ...]
-    complete: bool = True
+    complete: bool
 
 
 def build_graph(
@@ -587,7 +597,13 @@ def build_graph(
     Both directions are explored for every color; targets outside the budget
     window are simply not added.  Output ordering is deterministic (canonical
     sort of nodes, edges, colors) regardless of exploration order.
+
+    Raises ``ValueError`` for a negative ``max_nodes``, and for a colour
+    whose raising chain the budget never ends: ``e`` always applies and adds
+    the colour's class, so such a search never repeats a node and never ends.
     """
+    if budget.max_nodes is not None and budget.max_nodes < 0:
+        raise ValueError("max_nodes must be nonnegative")
     color_list = sorted(colors, key=repr)
     for color in color_list:
         _check_color(curve, color)
@@ -595,6 +611,12 @@ def build_graph(
     for z in seed_list:
         if not budget.admits(curve, comp.weight(curve, z)):
             raise ValueError("seed outside the budget window")
+    for color in color_list:
+        if not budget.stops_raising(curve, cat.class_of(curve, color)):
+            raise ValueError(
+                f"no budget bound stops raising by {cat.format_label(curve, color)}: "
+                "set max_nodes or max_delta, or a max_rank or max_deg it changes"
+            )
     nodes: set[ComponentLabel] = set(seed_list)
     edges: set[tuple] = set()
     queue = deque(seed_list)

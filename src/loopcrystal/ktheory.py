@@ -21,23 +21,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _linalg
-from .starlattice import LElement, WeightData
+from .starlattice import LElement, Record, WeightData
 
 INFINITE_SLOPE = math.inf
 
 
-@dataclass(frozen=True, slots=True)
-class KClass:
+class KClass(Record):
     """A class ``r*[O] + d*delta + sum m[i][j-1]*alpha_{i,j}``.
 
     ``m`` has one tuple per marked point; weight-1 points carry empty tuples.
     """
 
+    __slots__ = ("r", "d", "m")
     r: int
     d: int
     m: tuple[tuple[int, ...], ...]

@@ -20,13 +20,12 @@ switches to rationals for audit runs).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import _linalg, ktheory as kt
 from ._linalg import zero_matrix
 from .components import Multisegment, is_aperiodic_for
-from .starlattice import WeightData
+from .starlattice import Record, WeightData
 
 DEFAULT_PRIME = _linalg.DEFAULT_PRIME
 DEFAULT_TRIALS = 8
@@ -46,8 +45,7 @@ def _rand_scalar(rng, prime):
 # cyclic pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class CyclicPair:
+class CyclicPair(Record, frozen=False):
     """Arrow data of a cyclic-quiver pair.
 
     ``phi[k]`` maps vertex ``k`` to ``k+1`` (shape dims[k+1] x dims[k]);
@@ -56,12 +54,14 @@ class CyclicPair:
     recovered multisegments carry the right point index.
     """
 
+    __slots__ = ("p", "dims", "phi", "phibar", "prime", "point")
+    _defaults = {"prime": DEFAULT_PRIME, "point": 0}
     p: int
     dims: tuple[int, ...]
     phi: list
     phibar: list
-    prime: int | None = DEFAULT_PRIME
-    point: int = 0
+    prime: int | None
+    point: int
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -381,7 +381,7 @@ def kernel_type_sample(
     pair, _, ker = _generic_kernel(curve, m, trials, seed, prime)
     ktype = recover_type(ker)
     if audit and prime is not None:
-        exact = replace(pair, prime=None)
+        exact = CyclicPair(pair.p, pair.dims, pair.phi, pair.phibar, None, pair.point)
         if not is_nilpotent(exact):
             raise AssertionError("audit failure: nilpotency differs over Q")
         if recover_type(kernel_subpair(exact)) != ktype:
@@ -498,17 +498,18 @@ def quotient_type_sample(
 # projective-line Higgs fields
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class P1Higgs:
+class P1Higgs(Record, frozen=False):
     """Splitting degrees and a matrix of binary forms of degree a_k - a_k' - 2.
 
     Forms are coefficient tuples (c_0, ..., c_D) for c_0 x^D + ... + c_D y^D;
     ``None`` marks a negative-degree (zero) entry.
     """
 
+    __slots__ = ("degs", "f", "prime")
+    _defaults = {"prime": DEFAULT_PRIME}
     degs: tuple[int, ...]
     f: list
-    prime: int | None = DEFAULT_PRIME
+    prime: int | None
 
 
 def p1_sample(degs, seed=0, prime=DEFAULT_PRIME) -> P1Higgs:

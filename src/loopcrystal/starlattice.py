@@ -21,15 +21,78 @@ be cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 
-@dataclass(frozen=True, slots=True)
-class LElement:
+class Record:
+    """Base of the package's value classes: slotted records compared by value.
+
+    A subclass names its fields, in order, in ``__slots__`` (annotated below
+    it, for readers and type checkers) and gives any defaults in
+    ``_defaults``.  Creating the subclass generates its
+    ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__`` once:
+
+    - ``__eq__`` holds only between instances of the same class, field by
+      field, and ``__hash__`` is the hash of the field tuple;
+    - ``repr`` is ``Name(f=..., g=...)``, which callers sort by;
+    - fields refuse assignment with ``AttributeError``, unless the class is
+      declared with ``frozen=False``, which makes it mutable and unhashable;
+    - instances pickle and deep-copy as ``Name(*fields)``.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        params = ", ".join(
+            f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names
+        )
+        # __init__ fills the slots through their descriptors, which the
+        # refusing __setattr__ of a frozen class does not see.
+        stores = [f"    _set_{n}(self, {n})" for n in names]
+        mine = "".join(f"self.{n}," for n in names)
+        theirs = "".join(f"other.{n}," for n in names)
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        source = "\n".join([
+            f"def __init__(self, {params}):",
+            *stores,
+            "def __repr__(self):",
+            f'    return f"{{self.__class__.__qualname__}}({shown})"',
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({mine}) == ({theirs})",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash(({mine}))",
+        ])
+        namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
+        namespace.update((f"_set_{n}", vars(cls)[n].__set__) for n in names)
+        exec(source, namespace)
+        for method in ("__init__", "__repr__", "__eq__", "__hash__"):
+            namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, namespace[method])
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
+
+
+class LElement(Record):
     """Normal form ``l*c + sum_i residues[i] * x_i`` with ``0 <= residues[i] < p_i``."""
 
+    __slots__ = ("l", "residues")
     l: int
     residues: tuple[int, ...]
 

@@ -470,6 +470,33 @@ class TestCrystalGraph:
         )
         assert d["complete"] is False
 
+    def test_negative_node_cap_refused(self, capsys):
+        code, out, err = run(
+            capsys,
+            [
+                "crystal", "graph", "--seeds", "empty", "--colors", "O",
+                "--max-rank", "2", "--max-nodes", "-3",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_nodes" in err
+
+    def test_colors_without_budget_refused(self):
+        # without a budget the search never repeats a node; a hang is a failure
+        proc = _module_cli(
+            "crystal", "graph", "--weights", "3,1,1", "--seeds", "empty",
+            "--colors", "S[1,0](1)",
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 2
+        assert out == b""
+        assert b"budget" in err
+
     def test_seed_outside_window(self, capsys, tmp_path):
         path = write_component(tmp_path, P1, line_label(P1, 5))
         code, _, err = run(

@@ -10,6 +10,8 @@ oracle on the same inputs.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcrystal import catalog as cat
 from loopcrystal import components as comp
@@ -278,6 +280,37 @@ class TestGridRaising:
             cr.e_s(P1, z, O(0), 1)
 
 
+p1_labels = st.builds(
+    gl,
+    st.lists(st.integers(-3, 4), min_size=1, max_size=5),
+    st.integers(0, 3).map(lambda k: (1,) * k),
+)
+
+
+class TestGridAnswerOrRefuse:
+    # single e queries can take seconds (up to 49 s for O(4)^2+O(3)^2+O(-1)
+    # with nu=(1,) and colour O(-3)), so the example count stays small
+    @settings(max_examples=25, deadline=None)
+    @given(p1_labels, st.integers(-3, 3), st.sampled_from(["epsilon", "f", "e", "f_max"]))
+    def test_weight_drop_or_value_error(self, z, a, op):
+        color = O(a)
+        try:
+            s = cr.epsilon(P1, z, color)
+            value = getattr(cr, op)(P1, z, color)
+        except ValueError:
+            return
+        if op == "epsilon":
+            assert value == s >= 0
+            return
+        if op == "f" and s == 0:
+            assert value is None
+            return
+        cls = cat.class_of(P1, color)
+        drop = kt.sub(comp.weight(P1, z), comp.weight(P1, value))
+        want = {"f": cls, "e": kt.scale(-1, cls), "f_max": kt.scale(s, cls)}[op]
+        assert drop == want, (op, comp.format_label(P1, z), a)
+
+
 # ---------------------------------------------------------------------------
 # multisegment engine
 # ---------------------------------------------------------------------------
@@ -497,6 +530,23 @@ class TestBuildGraph:
         )
         assert not g.complete
         assert len(g.nodes) >= 4
+
+    @pytest.mark.parametrize(
+        "curve, color, budget",
+        [
+            (P1, O(0), cr.Budget()),
+            (P1, O(0), cr.Budget(max_deg=2)),
+            (W3, S(W3, 0), cr.Budget(max_rank=1)),
+        ],
+        ids=["no-budget", "degree-zero-color", "torsion-color-rank-cap"],
+    )
+    def test_unending_raising_chain_rejected(self, curve, color, budget):
+        with pytest.raises(ValueError, match="no budget bound stops raising"):
+            cr.build_graph(curve, [E], [color], budget)
+
+    def test_negative_node_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_nodes"):
+            cr.build_graph(P1, [E], [], cr.Budget(max_nodes=-1))
 
     def test_seed_outside_budget_rejected(self):
         with pytest.raises(ValueError, match="seed outside the budget"):

@@ -3,8 +3,12 @@
 import copy
 import dataclasses
 import importlib
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,20 +20,21 @@ from loopcrystal import components as comp
 from loopcrystal import crystal as cr
 from loopcrystal import ktheory as kt
 from loopcrystal import oracle as orc
-from loopcrystal.starlattice import LElement, WeightData
+from loopcrystal.starlattice import LElement, Record, WeightData
 
 W311 = WeightData((3, 1, 1))
 W2222 = WeightData((2, 2, 2, 2))
 
 
-def package_dataclasses() -> set:
+def package_records() -> set:
     found = set()
     for info in pkgutil.iter_modules(loopcrystal.__path__):
         module = importlib.import_module(f"loopcrystal.{info.name}")
         for obj in vars(module).values():
             if (
                 isinstance(obj, type)
-                and dataclasses.is_dataclass(obj)
+                and issubclass(obj, Record)
+                and obj is not Record
                 and obj.__module__ == module.__name__
             ):
                 found.add(obj)
@@ -59,11 +64,133 @@ def one_of_each() -> list:
 
 class TestSlots:
     def test_every_dataclass_is_covered(self):
-        assert {type(x) for x in one_of_each()} == package_dataclasses()
+        assert {type(x) for x in one_of_each()} == package_records()
 
     @pytest.mark.parametrize("value", one_of_each(), ids=lambda x: type(x).__name__)
     def test_no_instance_dict(self, value):
         assert not hasattr(value, "__dict__")
+
+
+# The dataclass declarations the records replaced: fields in order, with a
+# default as (name, value).  CyclicPair and P1Higgs were not frozen.
+DECLARED = {
+    LElement: ["l", "residues"],
+    cat.LineBundle: ["x"],
+    cat.ExcTorsion: ["i", "j", "l"],
+    cat.OrdTorsion: ["pt", "dlen"],
+    cat.RealBundle: ["a"],
+    kt.KClass: ["r", "d", "m"],
+    comp.Multisegment: ["i", "pairs"],
+    comp.HNLeaf: ["cls", ("reduction", None)],
+    comp.HNTree: ["leaves"],
+    comp.ComponentLabel: ["bundle", "ordinary", "exceptional"],
+    cr.Budget: [("max_rank", None), ("max_deg", None), ("max_delta", None),
+                ("max_nodes", None)],
+    cr.CrystalGraph: ["curve", "nodes", "edges", "colors", ("complete", True)],
+    orc.CyclicPair: ["p", "dims", "phi", "phibar", ("prime", orc.DEFAULT_PRIME),
+                     ("point", 0)],
+    orc.P1Higgs: ["degs", "f", ("prime", orc.DEFAULT_PRIME)],
+}
+MUTABLE = {orc.CyclicPair, orc.P1Higgs}
+RECORDS = sorted(DECLARED, key=lambda cls: cls.__name__)
+
+
+def twin(cls):
+    """The reference ``@dataclass`` of a record: same name, fields, defaults."""
+    fields = [
+        name if isinstance(name, str)
+        else (name[0], object, dataclasses.field(default=name[1]))
+        for name in DECLARED[cls]
+    ]
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, frozen=cls not in MUTABLE, slots=True
+    )
+
+
+TWINS = {cls: twin(cls) for cls in RECORDS}
+
+field_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.text(max_size=2),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+def required(cls) -> int:
+    return sum(isinstance(name, str) for name in DECLARED[cls])
+
+
+class TestDataclassParity:
+    def test_declarations_cover_the_package(self):
+        assert set(DECLARED) == package_records()
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_annotations_name_the_slots(self, cls):
+        assert tuple(cls.__annotations__) == cls.__slots__
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(RECORDS), st.data())
+    def test_repr_eq_hash_match_the_twin(self, cls, data):
+        ref = TWINS[cls]
+        n = len(DECLARED[cls])
+        a = data.draw(st.lists(field_values, min_size=n, max_size=n))
+        b = data.draw(st.just(list(a)) | st.lists(field_values, min_size=n, max_size=n))
+        assert repr(cls(*a)) == repr(ref(*a))
+        assert (cls(*a) == cls(*b)) == (ref(*a) == ref(*b))
+        assert (cls(*a) != cls(*b)) == (ref(*a) != ref(*b))
+        assert cls(*a) != ref(*a)
+        assert cls(**dict(zip(cls.__slots__, a))) == cls(*a)
+        if cls in MUTABLE:
+            with pytest.raises(TypeError):
+                hash(cls(*a))
+        else:
+            assert hash(cls(*a)) == hash(ref(*a))
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_defaults_match_the_twin(self, cls):
+        args = list(range(required(cls)))
+        assert repr(cls(*args)) == repr(TWINS[cls](*args))
+
+    def test_default_fields(self):
+        assert cr.Budget(max_delta=1) == cr.Budget(None, None, 1, None)
+        assert cr.CrystalGraph(W311, (), (), ()).complete is True
+        assert comp.HNLeaf(kt.structure_class(W311)).reduction is None
+
+    def test_equal_fields_of_two_classes_are_unequal(self):
+        x = W311.c()
+        assert cat.LineBundle(x) != cat.RealBundle(x)
+        assert not cat.LineBundle(x) == cat.RealBundle(x)
+        assert cat.ExcTorsion(0, 0, 1) != kt.KClass(0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "value", [x for x in one_of_each() if type(x) not in MUTABLE],
+        ids=lambda x: type(x).__name__,
+    )
+    def test_frozen_fields_refuse_assignment(self, value):
+        name = type(value).__slots__[0]
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+        assert getattr(value, name) is before
+
+    def test_cyclic_pair_is_mutable_and_unhashable(self):
+        m = comp.multisegment(W311, 0, [(0, 2)])
+        pair = orc.build_rep(W311, m)
+        pair.dims = (9,)
+        assert pair.dims == (9,)
+        higgs = orc.p1_sample((1, -1))
+        higgs.prime = None
+        assert higgs.prime is None
+        # unhashable even when every field is
+        for value in (orc.CyclicPair(2, (1, 1), (), ()), orc.P1Higgs((0,), ())):
+            with pytest.raises(TypeError):
+                hash(value)
 
 
 weights = st.lists(st.integers(1, 5), min_size=1, max_size=5)
@@ -118,3 +245,27 @@ class TestCopyAndPickle:
         assert loaded == label
         assert hash(loaded) == hash(label)
         assert comp.label_to_json(W2222, loaded) == comp.label_to_json(W2222, label)
+
+    @pytest.mark.parametrize("value", one_of_each(), ids=lambda x: type(x).__name__)
+    def test_every_record_round_trips(self, value):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is type(value)
+            assert copied == value
+            assert repr(copied) == repr(value)
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_dataclasses_and_inspect(self):
+        src = str(Path(loopcrystal.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import loopcrystal.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
