@@ -332,12 +332,6 @@ def label_from_json(data: dict, curve: WeightData) -> ComponentLabel:
         for j, l, a in raw_segs:
             segs.extend([(int(j), int(l))] * int(a))
         excs.append(multisegment(curve, i - 1, segs))
-    if isinstance(bundle, HNTree):
-        return ComponentLabel(
-            bundle,
-            tuple(sorted((int(v) for v in ordinary), reverse=True)),
-            tuple(sorted(excs, key=lambda m: m.i)),
-        )
     return component_label(curve, bundle, ordinary, excs)
 
 

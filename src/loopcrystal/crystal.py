@@ -35,7 +35,7 @@ from collections import Counter, deque
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from . import catalog as cat, components as comp, ktheory as kt, oracle
+from . import _linalg, catalog as cat, components as comp, ktheory as kt, oracle
 from .components import ComponentLabel, HNTree, Multisegment
 from .starlattice import Record, WeightData
 
@@ -564,14 +564,23 @@ class Budget(Record):
                 return False
         return True
 
-    def stops_raising(self, curve: WeightData, a: kt.KClass) -> bool:
-        """Whether adding the nonzero class ``a`` over and over leaves the window."""
-        return (
-            self.max_nodes is not None
-            or self.max_delta is not None
-            or (self.max_rank is not None and a.r > 0)
-            or (self.max_deg is not None and kt.degree_d(curve, a) != 0)
-        )
+    def stops_raising(self, curve: WeightData, classes) -> bool:
+        """Whether the window ends every walk by the colour ``classes``.
+
+        A search by ``e`` and ``f`` moves by integer combinations of the
+        classes.  ``max_nodes`` and ``max_delta`` bound every walk.  The other
+        two fields bound only the rank and the degree, so a combination that
+        leaves the set fields unchanged must leave the rank and the degree
+        unchanged too: the rows ``(rank, degree)`` of the classes have the
+        same rank over Q as their columns that a set field keeps.  For one
+        (nonzero) class this says that a set field changes it.
+        """
+        if self.max_nodes is not None or self.max_delta is not None:
+            return True
+        bounds = (self.max_rank, self.max_deg)
+        rows = [[a.r, kt.degree_d(curve, a)] for a in classes]
+        kept = [[x for x, b in zip(row, bounds) if b is not None] for row in rows]
+        return _linalg.rank_mod(rows, None) == _linalg.rank_mod(kept, None)
 
 
 class CrystalGraph(Record):
@@ -598,9 +607,10 @@ def build_graph(
     window are simply not added.  Output ordering is deterministic (canonical
     sort of nodes, edges, colors) regardless of exploration order.
 
-    Raises ``ValueError`` for a negative ``max_nodes``, and for a colour
-    whose raising chain the budget never ends: ``e`` always applies and adds
-    the colour's class, so such a search never repeats a node and never ends.
+    Raises ``ValueError`` for a negative ``max_nodes``, and for colours
+    whose walks the budget never ends (:meth:`Budget.stops_raising`): ``e``
+    always applies and adds the colour's class, so a search along such a
+    walk never repeats a node and never ends.
     """
     if budget.max_nodes is not None and budget.max_nodes < 0:
         raise ValueError("max_nodes must be nonnegative")
@@ -611,12 +621,12 @@ def build_graph(
     for z in seed_list:
         if not budget.admits(curve, comp.weight(curve, z)):
             raise ValueError("seed outside the budget window")
-    for color in color_list:
-        if not budget.stops_raising(curve, cat.class_of(curve, color)):
-            raise ValueError(
-                f"no budget bound stops raising by {cat.format_label(curve, color)}: "
-                "set max_nodes or max_delta, or a max_rank or max_deg it changes"
-            )
+    if not budget.stops_raising(curve, [cat.class_of(curve, c) for c in color_list]):
+        labels = ", ".join(cat.format_label(curve, c) for c in color_list)
+        raise ValueError(
+            f"no budget bound stops raising by {labels}: set max_nodes or "
+            "max_delta, or a max_rank or max_deg that every combination changes"
+        )
     nodes: set[ComponentLabel] = set(seed_list)
     edges: set[tuple] = set()
     queue = deque(seed_list)

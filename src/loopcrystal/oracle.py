@@ -214,21 +214,52 @@ def sample_generic(
     return CyclicPair(pair.p, pair.dims, pair.phi, phibar, prime, pair.point)
 
 
+def _path_ranks(pair: CyclicPair, sources, subs=None) -> dict:
+    """Ranks of the forward paths on a subquotient of ``pair``.
+
+    ``r(v, s)`` is the dimension of the image of ``span(sources[v])`` under
+    the length-``s`` forward path from vertex ``v``, modulo
+    ``span(subs[v + s])``, keyed by ``(v, s)`` for ``s = 1..n`` with ``n``
+    the total dimension of the pair.  ``subs`` (zero when omitted) holds
+    independent rows spanning a phi-stable subspace, so a rank once zero
+    stays zero and the push along the path stops there.
+    """
+    p, n, prime = pair.p, pair.total_dim(), pair.prime
+    r = {}
+    for v in range(p):
+        vecs, rank = sources[v], len(sources[v])
+        for s in range(1, n + 1):
+            if rank:
+                w = (v + s) % p
+                arrow = pair.phi[(w - 1) % p]
+                sub = subs[w] if subs else []
+                # span(sub + image) is all that later steps need modulo sub
+                reduced, pivots = _linalg.rref_mod(
+                    sub + [_linalg.mat_vec_mod(arrow, x, prime) for x in vecs], prime
+                )
+                rank = len(pivots) - len(sub)
+                vecs = reduced[:len(pivots)]
+            r[(v, s)] = rank
+    return r
+
+
 def rank_profile(pair: CyclicPair) -> dict:
     """Ranks of all forward path composites, keyed by (start vertex, length)."""
-    p, dims = pair.p, pair.dims
-    n = pair.total_dim()
-    profile = {}
-    for v in range(p):
-        comp, rank = pair.phi[v], 1
-        for s in range(1, n + 1):
-            # once a composite vanishes, so do all longer ones from v
-            if rank:
-                rank = _linalg.rank_mod(comp, pair.prime)
-                if rank and s < n:
-                    comp = _linalg.mat_mul_mod(pair.phi[(v + s) % p], comp, pair.prime)
-            profile[(v, s)] = rank
-    return profile
+    return _path_ranks(pair, [_linalg.identity(d) for d in pair.dims])
+
+
+def _read_type(p: int, dims, r: dict, point: int) -> Multisegment:
+    """The multisegment with dimension vector ``dims`` (by quiver vertex) and
+    forward path ranks ``r`` (see :func:`recover_type`)."""
+    r = {**r, **{(v, 0): dims[v] for v in range(p)}}
+    pairs = []
+    for v0 in range(p):
+        u = (v0 - 1) % p
+        for l in range(1, sum(dims) + 1):
+            mult = r[(v0, l - 1)] - r[(v0, l)] - r[(u, l)] + r.get((u, l + 1), 0)
+            if mult:
+                pairs.append((((-v0) % p, l), mult))
+    return Multisegment(point, tuple(sorted(pairs)))
 
 
 def recover_type(pair: CyclicPair) -> Multisegment:
@@ -254,17 +285,7 @@ def recover_type(pair: CyclicPair) -> Multisegment:
     r = rank_profile(pair)
     if any(r[(v, n)] for v in range(p)):
         raise ValueError("no match: a length-n path composite is nonzero")
-    for v in range(p):
-        r[(v, 0)] = pair.dims[v]
-        r[(v, n + 1)] = 0
-    pairs = []
-    for v0 in range(p):
-        u = (v0 - 1) % p
-        for l in range(1, n + 1):
-            mult = r[(v0, l - 1)] - r[(v0, l)] - r[(u, l)] + r[(u, l + 1)]
-            if mult:
-                pairs.append((((-v0) % p, l), mult))
-    return Multisegment(pair.point, tuple(sorted(pairs)))
+    return _read_type(p, pair.dims, r, pair.point)
 
 
 def serial_selfext_dim(p: int, j: int, l: int, prime=DEFAULT_PRIME) -> int:
@@ -286,54 +307,19 @@ def serial_selfext_dim(p: int, j: int, l: int, prime=DEFAULT_PRIME) -> int:
     return end_dim - chi
 
 
-def _solve_in_basis(basis_cols, targets, prime):
-    """Coordinates Y with B Y = T, for B a nonempty full-column-rank basis."""
-    nrows = len(basis_cols[0])
-    ncols = len(basis_cols)
-    ntar = len(targets)
-    aug = []
-    for r in range(nrows):
-        aug.append(
-            [basis_cols[c][r] for c in range(ncols)]
-            + [targets[t][r] for t in range(ntar)]
-        )
-    reduced, pivots = _linalg.rref_mod(aug, prime)
-    for pc in pivots:
-        if pc >= ncols:
-            raise ValueError("target not in span of basis")
-    sol = [[0] * ntar for _ in range(ncols)]
-    for row_idx, pc in enumerate(pivots):
-        for t in range(ntar):
-            sol[pc][t] = reduced[row_idx][ncols + t]
-    return sol
+def _kernel_data(pair: CyclicPair) -> list:
+    """Basis of ker(phibar) at each vertex, a phi-stable subspace."""
+    return [
+        _linalg.nullspace_mod(pair.phibar[k], pair.dims[k], pair.prime)
+        for k in range(pair.p)
+    ]
 
 
-def _kernel_data(pair: CyclicPair):
-    """Kernel bases of phibar per vertex plus the phi-restricted pair."""
-    p, dims = pair.p, pair.dims
-    kernels = []
-    for k in range(p):
-        vecs = _linalg.nullspace_mod(pair.phibar[k], dims[k], pair.prime)
-        kernels.append(vecs)
-    kdims = tuple(len(kernels[k]) for k in range(p))
-    phi_r = []
-    for k in range(p):
-        kp = (k + 1) % p
-        if kdims[k] == 0 or kdims[kp] == 0:
-            phi_r.append(zero_matrix(kdims[kp], kdims[k]))
-            continue
-        # images of kernel basis vectors, expressed in the target kernel basis
-        images = [_linalg.mat_vec_mod(pair.phi[k], vec, pair.prime) for vec in kernels[k]]
-        basis_cols = kernels[kp]
-        sol = _solve_in_basis(basis_cols, images, pair.prime)
-        phi_r.append([[sol[r][t] for t in range(kdims[k])] for r in range(kdims[kp])])
-    phibar_r = [zero_matrix(kdims[(k - 1) % p], kdims[k]) for k in range(p)]
-    return kernels, CyclicPair(p, kdims, phi_r, phibar_r, pair.prime, pair.point)
-
-
-def kernel_subpair(pair: CyclicPair) -> CyclicPair:
-    """The forward-arrow restriction to ker(phibar), a phi-stable subspace."""
-    return _kernel_data(pair)[1]
+def _kernel_type(pair: CyclicPair, kernels) -> Multisegment:
+    """Type of the forward-arrow restriction to ker(phibar), read off the
+    path ranks of the kernel bases."""
+    kdims = [len(basis) for basis in kernels]
+    return _read_type(pair.p, kdims, _path_ranks(pair, kernels), pair.point)
 
 
 def rk_embeddings(p: int, m: Multisegment, j: int, l: int) -> int:
@@ -350,19 +336,19 @@ def rk_embeddings(p: int, m: Multisegment, j: int, l: int) -> int:
 
 
 def _generic_kernel(curve: WeightData, m: Multisegment, trials, seed, prime) -> tuple:
-    """The trial with the smallest ker(phibar) as ``(pair, kernels, kernel pair)``.
+    """The trial with the smallest ker(phibar) as ``(pair, kernels)``.
 
     Kernel dimensions are upper semicontinuous, so the smallest is generic.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    best = None
-    for t in range(trials):
+
+    def draw(t):
         pair = sample_generic(curve, m, seed=f"{seed}:{t}", prime=prime)
-        kernels, ker = _kernel_data(pair)
-        if best is None or ker.total_dim() < best[2].total_dim():
-            best = (pair, kernels, ker)
-    return best
+        return pair, _kernel_data(pair)
+
+    # min keeps the first of equally small kernels
+    return min(map(draw, range(trials)), key=lambda d: sum(map(len, d[1])))
 
 
 def kernel_type_sample(
@@ -378,13 +364,13 @@ def kernel_type_sample(
     With ``audit`` the chosen trial is recomputed over the rationals and must
     give the same kernel type.
     """
-    pair, _, ker = _generic_kernel(curve, m, trials, seed, prime)
-    ktype = recover_type(ker)
+    pair, kernels = _generic_kernel(curve, m, trials, seed, prime)
+    ktype = _kernel_type(pair, kernels)
     if audit and prime is not None:
         exact = CyclicPair(pair.p, pair.dims, pair.phi, pair.phibar, None, pair.point)
         if not is_nilpotent(exact):
             raise AssertionError("audit failure: nilpotency differs over Q")
-        if recover_type(kernel_subpair(exact)) != ktype:
+        if _kernel_type(exact, _kernel_data(exact)) != ktype:
             raise AssertionError(
                 "audit failure: kernel type differs between F_p and Q"
             )
@@ -410,18 +396,6 @@ def eps_sample(
     return rk_embeddings(curve.weights[m.i], ktype, color_j, color_l)
 
 
-def _reduce_by(vec, rref, pivots, prime):
-    v = list(vec)
-    for row, pc in zip(rref, pivots):
-        c = v[pc]
-        if c:
-            for idx in range(len(v)):
-                v[idx] -= c * row[idx]
-                if prime is not None:
-                    v[idx] %= prime
-    return v
-
-
 def quotient_type_sample(
     curve: WeightData,
     m: Multisegment,
@@ -437,21 +411,23 @@ def quotient_type_sample(
     Takes the generic pair that :func:`kernel_type_sample` reads the kernel
     type off (same ``trials``, ``seed`` and ``prime``), embeds ``s`` generic
     copies of the serial module S_j(l) into ker(phibar) (head generators in
-    the kernel of the l-fold forward composite), and identifies the type of
-    the quotient module.  The submodule is phibar-stable automatically, so
-    the quotient carries an induced pair.
+    the kernel of the l-fold forward composite), and reads the type of the
+    quotient module off its path ranks.  The submodule is phibar-stable
+    automatically, so the quotient carries an induced pair.
     """
     if s == 0:
         return m
     p = curve.weights[m.i]
-    pair, kernels, kpair = _generic_kernel(curve, m, trials, seed, prime)
+    pair, kernels = _generic_kernel(curve, m, trials, seed, prime)
     v_head = (-color_j) % p
-    comp = _linalg.identity(kpair.dims[v_head])
+    # head generators: combinations of the kernel basis killed by the path
+    images = kernels[v_head]
     for step in range(color_l):
-        if not comp:
-            break
-        comp = _linalg.mat_mul_mod(kpair.phi[(v_head + step) % p], comp, prime)
-    null_c = _linalg.nullspace_mod(comp, kpair.dims[v_head], prime)
+        arrow = pair.phi[(v_head + step) % p]
+        images = [_linalg.mat_vec_mod(arrow, x, prime) for x in images]
+    null_c = _linalg.nullspace_mod(
+        _linalg.transpose(images), len(kernels[v_head]), prime
+    )
     if len(null_c) < s:
         raise ValueError("not enough generic copies of the color in the kernel")
     rng = random.Random(f"quot:{seed}")
@@ -470,28 +446,15 @@ def quotient_type_sample(
         for _ in range(color_l):
             orbit_by_vertex[v].append(cur)
             cur, v = _linalg.mat_vec_mod(pair.phi[v], cur, prime), (v + 1) % p
-    # rows below the rank are zero, and _reduce_by stops at the last pivot
-    sub_rref = [_linalg.rref_mod(orbit_by_vertex[k], prime) for k in range(p)]
-    total_u = sum(len(piv) for _, piv in sub_rref)
-    if total_u != s * color_l:
-        raise ValueError("generic embedding failed: submodule dimension off")
-    comp_coords = [
-        [c for c in range(pair.dims[k]) if c not in set(sub_rref[k][1])]
-        for k in range(p)
-    ]
-    qdims = tuple(len(comp_coords[k]) for k in range(p))
-    phi_q = []
+    subs = []
     for k in range(p):
-        kp = (k + 1) % p
-        mat = zero_matrix(qdims[kp], qdims[k])
-        for col, c in enumerate(comp_coords[k]):
-            img = [pair.phi[k][r][c] for r in range(pair.dims[kp])]
-            img = _reduce_by(img, *sub_rref[kp], prime)
-            for row, cc in enumerate(comp_coords[kp]):
-                mat[row][col] = img[cc]
-        phi_q.append(mat)
-    phibar_q = [zero_matrix(qdims[(k - 1) % p], qdims[k]) for k in range(p)]
-    return recover_type(CyclicPair(p, qdims, phi_q, phibar_q, prime, m.i))
+        reduced, pivots = _linalg.rref_mod(orbit_by_vertex[k], prime)
+        subs.append(reduced[:len(pivots)])
+    if sum(map(len, subs)) != s * color_l:
+        raise ValueError("generic embedding failed: submodule dimension off")
+    qdims = [pair.dims[k] - len(subs[k]) for k in range(p)]
+    r = _path_ranks(pair, [_linalg.identity(d) for d in pair.dims], subs)
+    return _read_type(p, qdims, r, m.i)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +558,27 @@ def _generic_matrix_rank(h: P1Higgs) -> int:
     return best
 
 
+def _splitting_scan(hom, rank: int, a_hi: int, floor: int, what: str):
+    """Splitting degrees and torsion length of a sheaf F of rank ``rank`` on
+    the line, from ``hom(a) = dim Hom(O(a), F)``.
+
+    Scans ``a`` down from ``a_hi``: the first difference ``hom(a) - hom(a +
+    1)`` counts the summands of degree at least ``a``, and once it reaches
+    ``rank`` every summand is found and the rest of ``hom(a)`` is torsion.
+    """
+    found: list[int] = []
+    h_prev, delta_prev = hom(a_hi + 1), 0
+    for a in range(a_hi, floor - 1, -1):
+        h_cur = hom(a)
+        delta = h_cur - h_prev
+        found.extend([a] * (delta - delta_prev))
+        if delta == rank:
+            torsion = h_cur - sum(b - a + 1 for b in found)
+            return tuple(sorted(found, reverse=True)), torsion
+        h_prev, delta_prev = h_cur, delta
+    raise AssertionError(f"{what} profile did not stabilize inside the window")
+
+
 def p1_kernel_profile(h: P1Higgs) -> tuple[tuple[int, ...], int]:
     """Splitting degrees of ker f (a saturated, hence torsion-free, subsheaf).
 
@@ -605,26 +589,15 @@ def p1_kernel_profile(h: P1Higgs) -> tuple[tuple[int, ...], int]:
     r_ker = n - _generic_matrix_rank(h)
     if r_ker == 0:
         return ((), 0)
-    found: list[int] = []
-    a_hi = max(h.degs)
     # saturating the kernel can dig far below the summand degrees when the
     # degree spread is wide (the kernel generator of an r x (r+1) block of
     # forms has degree minus the sum of the form degrees), so scale the
     # scan window with the spread
     spread = max(h.degs) - min(h.degs)
     floor = min(h.degs) - n * spread - 2 * n - 2
-    d_prev = len(_kernel_basis(h, a_hi + 1))
-    delta_prev = 0
-    a = a_hi
-    while a >= floor:
-        d_cur = len(_kernel_basis(h, a))
-        delta = d_cur - d_prev
-        found.extend([a] * (delta - delta_prev))
-        if delta == r_ker:
-            return (tuple(sorted(found, reverse=True)), 0)
-        d_prev, delta_prev = d_cur, delta
-        a -= 1
-    raise AssertionError("kernel profile did not stabilize inside the window")
+    return _splitting_scan(
+        lambda a: len(_kernel_basis(h, a)), r_ker, max(h.degs), floor, "kernel"
+    )
 
 
 def p1_rk_line(h: P1Higgs, a: int) -> int:
@@ -711,7 +684,6 @@ def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
                 w[k][sigma][c] = val
 
     cls = kt.KClass(n - s, sum(degs) - s * a, ((), (), ()))
-    rank_q = n - s
 
     def hom_to_quotient(ap: int) -> int:
         # Hom(O(ap), Q) via the two-term presentation O(a)^s -> V:
@@ -757,17 +729,4 @@ def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
     # degree budget and scan down past any possible splitting degree
     a_hi = sum(abs(d) for d in degs) + abs(a) * s + 1
     floor = min(degs + (a,)) - 2 * n - 4
-    found: list[int] = []
-    h_prev = hom_to_quotient(a_hi + 1)
-    delta_prev = 0
-    ap = a_hi
-    while ap >= floor:
-        h_cur = hom_to_quotient(ap)
-        delta = h_cur - h_prev
-        found.extend([ap] * (delta - delta_prev))
-        if delta == rank_q:
-            torsion = h_cur - sum(b - ap + 1 for b in found)
-            return cls, (tuple(sorted(found, reverse=True)), torsion)
-        h_prev, delta_prev = h_cur, delta
-        ap -= 1
-    raise AssertionError("quotient profile did not stabilize inside the window")
+    return cls, _splitting_scan(hom_to_quotient, n - s, a_hi, floor, "quotient")

@@ -497,6 +497,39 @@ class TestCrystalGraph:
         assert out == b""
         assert b"budget" in err
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            ["--colors", "O", "O(1)", "--max-rank", "1"],
+            ["--colors", "O(1)", "O(-1)", "--max-deg", "1"],
+        ],
+        ids=["rank-bound", "degree-bound"],
+    )
+    def test_drifting_color_pair_refused(self, budget):
+        # each colour alone changes the bounded field, but a difference of the
+        # two does not, and the search walks along it forever
+        proc = _module_cli("crystal", "graph", "--seeds", "empty", *budget)
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 2
+        assert out == b""
+        assert b"budget" in err
+
+    def test_positive_color_pair_under_degree_bound(self, capsys):
+        # two torsion colours of degree 1: every walk raises the degree
+        d = run_json(
+            capsys,
+            [
+                "crystal", "graph", "--weights", "2,1,1", "--seeds", "empty",
+                "--colors", "S[1,0](1)", "S[1,1](1)", "--max-deg", "2",
+            ],
+        )
+        assert len(d["nodes"]) == 29
+        assert d["complete"]
+
     def test_seed_outside_window(self, capsys, tmp_path):
         path = write_component(tmp_path, P1, line_label(P1, 5))
         code, _, err = run(
@@ -505,6 +538,26 @@ class TestCrystalGraph:
         )
         assert code == 2
         assert "budget" in err
+
+    def test_verify_rejects_invalid_hn_node(self, capsys, tmp_path):
+        # an HN label with a nonpositive partition part and a periodic
+        # multisegment is not a component label
+        curve = WeightData((2, 2, 2, 2))
+        z = comp.ComponentLabel(
+            comp.HNTree((comp.HNLeaf(kt.structure_class(curve)),)), (), ()
+        )
+        node = comp.label_to_json(curve, z)
+        node["ordinary"] = [0, -2]
+        node["exceptional"] = [{"i": 1, "segs": [[0, 1, 1], [1, 1, 1]]}]
+        path = tmp_path / "g.json"
+        path.write_text(
+            json.dumps(
+                {"weights": [2, 2, 2, 2], "nodes": [node], "edges": [], "colors": []}
+            )
+        )
+        code, out, err = run(capsys, ["crystal", "verify", "--graph", str(path)])
+        assert code == 2
+        assert out == ""
 
     def test_verify_round_trip_and_corruption(self, capsys, tmp_path):
         d = run_json(

@@ -167,6 +167,21 @@ class TestLabelsAndWeights:
         data = comp.label_to_json(w2222, z)
         assert comp.label_from_json(data, w2222) == z
 
+    @pytest.mark.parametrize(
+        "ordinary, segs",
+        [([0, -2], []), ([], [[0, 1, 1], [1, 1, 1]])],
+        ids=["partition", "periodic"],
+    )
+    def test_json_hn_label_validated(self, w2222, ordinary, segs):
+        z = comp.ComponentLabel(
+            comp.HNTree((comp.HNLeaf(kt.structure_class(w2222)),)), (), ()
+        )
+        data = comp.label_to_json(w2222, z)
+        data["ordinary"] = ordinary
+        data["exceptional"] = [{"i": 1, "segs": segs}]
+        with pytest.raises(ValueError):
+            comp.label_from_json(data, w2222)
+
 
 class TestTorsionEnumeration:
     def test_p1_point_classes(self, p1):

@@ -607,6 +607,37 @@ class TestVerifyAxioms:
         assert violations
         assert any("weight" in v or "vanish" in v for v in violations)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["line", "torsion"]), st.booleans(), st.data())
+    def test_corruption_is_reported(self, kind, retarget, data):
+        # a removed edge is not reported: no check asks for a missing edge
+        g = line_graph() if kind == "line" else torsion_graph(W2, 2)
+        if retarget:
+            k = data.draw(st.integers(0, len(g.edges) - 1))
+            src, tgt, color = g.edges[k]
+            others = [z for z in g.nodes if z != tgt]
+            # a node of the target's weight passes the weight check
+            wt = comp.weight(g.curve, tgt)
+            twins = [z for z in others if comp.weight(g.curve, z) == wt]
+            if twins and data.draw(st.booleans()):
+                others = twins
+            other = data.draw(st.sampled_from(others))
+            edges = g.edges[:k] + ((src, other, color),) + g.edges[k + 1:]
+        else:
+            src, color = data.draw(
+                st.sampled_from(
+                    [
+                        (z, c)
+                        for z in g.nodes
+                        for c in g.colors
+                        if cr.epsilon(g.curve, z, c) == 0
+                    ]
+                )
+            )
+            edges = g.edges + ((src, data.draw(st.sampled_from(g.nodes)), color),)
+        bad = cr.CrystalGraph(g.curve, g.nodes, edges, g.colors, g.complete)
+        assert cr.verify_axioms(bad)
+
     def test_expected_dim_bookkeeping(self):
         # quotienting out all s kernel copies shifts the expected dimension
         # by the mixed Euler terms of gamma = s [I] against the remainder

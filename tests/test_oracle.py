@@ -6,6 +6,7 @@ computations on the projective line; the larger batteries cross-check the
 samplers against the exact serial Hom formulas.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -15,7 +16,7 @@ from loopcrystal import catalog as cat
 from loopcrystal import components as comp
 from loopcrystal import ktheory as kt
 from loopcrystal import oracle as orc
-from loopcrystal._linalg import mat_mul_mod, zero_matrix
+from loopcrystal._linalg import mat_mul_mod, nullspace_mod, zero_matrix
 from loopcrystal.starlattice import WeightData
 
 
@@ -538,3 +539,75 @@ class TestQuotientTypeSample:
         a = orc.quotient_type_sample(W3, m, 2, 1, 1, trials=4, seed=7)
         b = orc.quotient_type_sample(W3, m, 2, 1, 1, trials=4, seed=7)
         assert a == b
+
+
+class TestTypeBattery:
+    """Kernel and quotient types over every aperiodic multisegment of a
+    fixed battery: p = 2 up to total length 6, p in {3, 4} up to 5."""
+
+    BATTERY = ((2, 6), (3, 5), (4, 5))
+
+    #: sha256 of :meth:`battery_lines`; any change to how the oracle reads
+    #: kernel or quotient types must leave every line byte-identical
+    BATTERY_SHA256 = "1c3ee9de39fcc5a3d7bc2dc7189365406070d549929639aeed13a303da8e4d11"
+
+    @staticmethod
+    def battery_lines():
+        """One line per multisegment with its generic kernel type, and one
+        per quotient M / S_j(l)^s for every colour and s = 1..eps; the kernel
+        type is audited over Q up to total length 3."""
+        lines = []
+        for p, max_total in TestTypeBattery.BATTERY:
+            curve = CURVES[p]
+            for m in aperiodic_battery(curve, max_total):
+                if m.is_empty():
+                    continue
+                total = sum(l for _, l in m.segments())
+                ktype = orc.kernel_type_sample(
+                    curve, m, trials=2, seed=0, audit=total <= 3
+                )
+                lines.append(f"ker {m.pairs} {ktype.pairs}")
+                for j, l in itertools.product(range(p), range(1, total + 1)):
+                    for s in range(1, orc.rk_embeddings(p, ktype, j, l) + 1):
+                        q = orc.quotient_type_sample(curve, m, j, l, s, trials=2, seed=0)
+                        lines.append(f"quot {m.pairs} {j} {l} {s} {q.pairs}")
+        return lines
+
+    def test_battery_digest(self):
+        lines = self.battery_lines()
+        assert sum(line.startswith("ker ") for line in lines) == 682
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.BATTERY_SHA256
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        multisegments().filter(lambda cm: comp.is_aperiodic_for(*cm)),
+        st.integers(0, 50),
+        st.data(),
+    )
+    def test_type_dimension_vectors(self, curve_m, seed, data):
+        # one trial: the kernel is read off the pair sample_generic draws
+        curve, m = curve_m
+        p = curve.weights[0]
+        pair = orc.sample_generic(curve, m, seed=f"{seed}:0")
+        kdims = [
+            len(nullspace_mod(pair.phibar[k], pair.dims[k], pair.prime))
+            for k in range(p)
+        ]
+        ktype = orc.kernel_type_sample(curve, m, trials=1, seed=seed)
+        # dim_vector counts S_j, which sits at quiver vertex -j
+        assert comp.dim_vector(curve, ktype) == tuple(kdims[-j % p] for j in range(p))
+        colours = [
+            (j, l)
+            for j, l in itertools.product(range(p), range(1, MAX_TOTAL + 1))
+            if orc.rk_embeddings(p, ktype, j, l)
+        ]
+        if not colours:
+            return
+        j, l = data.draw(st.sampled_from(colours))
+        s = data.draw(st.integers(1, orc.rk_embeddings(p, ktype, j, l)))
+        q = orc.quotient_type_sample(curve, m, j, l, s, trials=1, seed=seed)
+        cover = comp.segment_coverage(p, j, l)
+        assert comp.dim_vector(curve, q) == tuple(
+            d - s * c for d, c in zip(comp.dim_vector(curve, m), cover)
+        )
