@@ -150,6 +150,8 @@ def aperiodic_multisegments(
     return _aperiodic_multisegments(curve, i, tuple(dims))
 
 
+# One entry per reached dimension vector, bounded by the work it serves
+# (see the docstring).
 @lru_cache(maxsize=None)
 def _aperiodic_multisegments(
     curve: WeightData, i: int, dims: tuple[int, ...]

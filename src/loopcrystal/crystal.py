@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Iterable, Optional
 
 from . import _linalg, catalog as cat, components as comp, ktheory as kt, oracle
@@ -42,8 +42,9 @@ from .starlattice import Record, WeightData
 UNSUPPORTED = "unsupported component family"
 NON_RIGID = "non-rigid operator index"
 
-#: trials used whenever an operator value is delegated to the oracle module
-ORACLE_TRIALS = 8
+#: draws per sampled stratum: a draw over GF(2^61 - 1) is non-generic with
+#: probability at most deg / (2^61 - 2) (see :func:`oracle.sample_generic`)
+ORACLE_TRIALS = 1
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +124,8 @@ def _bracket(p: int, segments: list[tuple[int, int]], v: int) -> list[int]:
     return [idx for idx in removable if idx not in protected]
 
 
-# Sampled generic kernel type of ``m``; one entry per visited multisegment.
+# Sampled generic kernel type of ``m`` (one draw); one entry per visited
+# multisegment, so bounded by the graph budget or the calls made.
 @lru_cache(maxsize=None)
 def _ms_kernel_type(curve: WeightData, m: Multisegment) -> Multisegment:
     return oracle.kernel_type_sample(
@@ -131,7 +133,7 @@ def _ms_kernel_type(curve: WeightData, m: Multisegment) -> Multisegment:
     )
 
 
-# One entry per visited multisegment and color.
+# One entry per visited multisegment and color (bounded as above).
 @lru_cache(maxsize=None)
 def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
     if m.is_empty():
@@ -142,7 +144,7 @@ def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
     return oracle.rk_embeddings(p, _ms_kernel_type(curve, m), j, l)
 
 
-# One entry per visited multisegment, color and copy count.
+# One entry per visited multisegment, color and copy count (bounded as above).
 @lru_cache(maxsize=None)
 def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Multisegment:
     if s == 0:
@@ -169,7 +171,7 @@ def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Mult
     )
 
 
-# One entry per visited target, color and copy count.
+# One entry per visited target, color and copy count (bounded as above).
 @lru_cache(maxsize=None)
 def _ms_es(
     curve: WeightData, target: Multisegment, i: int, j: int, l: int, s: int
@@ -208,10 +210,17 @@ def _grid_label(
     return comp.component_label(curve, bundle, nu, ())
 
 
-# One entry per visited bundle degree tuple.
+# One entry per sampled shape up to twist (normalised to minimum degree 0),
+# so bounded by the twist classes of the shapes the calls reach.
 @lru_cache(maxsize=None)
+def _sampled_kernel(shape: tuple[int, ...]) -> tuple[int, ...]:
+    h = oracle.p1_sample(shape, seed=f"w0:{shape}")
+    return oracle.p1_kernel_profile(h)[0]
+
+
 def _kernel_degrees(curve: WeightData, degs: tuple[int, ...]) -> tuple[int, ...]:
-    """Degree multiset of the generic Higgs kernel on ``O(d1 c) + ... + O(dn c)``.
+    """Degree multiset of the generic Higgs kernel on ``O(d1 c) + ... + O(dn c)``,
+    for degrees sorted in descending order.
 
     Closed shapes: a single summand is its own kernel; adjacent stacks
     (max - min <= 1) have no nonzero entries in the twist-down matrix, so the
@@ -220,25 +229,28 @@ def _kernel_degrees(curve: WeightData, degs: tuple[int, ...]) -> tuple[int, ...]
     zero, leaving exactly the top.  Other shapes are sampled on the unweighted
     line; on weighted curves they are refused (the sampling model is only
     justified there, while the closed shapes transfer verbatim in c-units).
+
+    A twist changes nothing: ``Hom(V(k), V(k)(-2)) = Hom(V, V(-2))``, so the
+    kernel of ``degs + k`` is the kernel of ``degs`` shifted by ``k``.  A
+    sampled shape is therefore normalised to minimum degree 0, and one draw of
+    the normalised shape (:func:`oracle.p1_sample`, generic but for a
+    probability of at most deg / (2^61 - 2)) answers its whole twist class.
     """
     n = len(degs)
     if n <= 1:
         return degs
-    if max(degs) - min(degs) <= 1:
+    low = min(degs)
+    if max(degs) - low <= 1:
         return degs
     gaps_ok = len(set(degs)) == n and all(
         degs[k] - degs[k + 1] >= 2 for k in range(n - 1)
     )
     if gaps_ok:
         return (degs[0],)
-    if all(w == 1 for w in curve.weights):
-        profiles = []
-        for t in range(3):
-            h = oracle.p1_sample(degs, seed=f"w0:{degs}:{t}")
-            profiles.append(oracle.p1_kernel_profile(h)[0])
-        best, _ = Counter(profiles).most_common(1)[0]
-        return best
-    raise ValueError(UNSUPPORTED)
+    if any(w != 1 for w in curve.weights):
+        raise ValueError(UNSUPPORTED)
+    shape = tuple(d - low for d in degs)
+    return tuple(d + low for d in _sampled_kernel(shape))
 
 
 def _decremented(
@@ -320,8 +332,6 @@ def _grid_ftilde(curve: WeightData, degs, nu, a: int):
     )
 
 
-# One entry per visited state and color.
-@lru_cache(maxsize=None)
 def _grid_fmax(curve: WeightData, degs, nu, a: int):
     s = _grid_eps(curve, degs, nu, a)
     for step in range(s):
@@ -343,8 +353,6 @@ def _submultisets(counts: Counter):
         yield tuple(sorted(out, reverse=True))
 
 
-# One entry per visited state and color.
-@lru_cache(maxsize=None)
 def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
     """All states one generic-quotient step above ``(degs, nu)``.
 
@@ -404,8 +412,6 @@ def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
     return tuple(sorted(out)), skipped
 
 
-# One entry per visited state, color and copy count.
-@lru_cache(maxsize=None)
 def _grid_es(curve: WeightData, degs_p, nu_p, a: int, s: int):
     if s == 0:
         return degs_p, nu_p
@@ -621,7 +627,8 @@ def build_graph(
     for z in seed_list:
         if not budget.admits(curve, comp.weight(curve, z)):
             raise ValueError("seed outside the budget window")
-    if not budget.stops_raising(curve, [cat.class_of(curve, c) for c in color_list]):
+    classes = [cat.class_of(curve, c) for c in color_list]
+    if not budget.stops_raising(curve, classes):
         labels = ", ".join(cat.format_label(curve, c) for c in color_list)
         raise ValueError(
             f"no budget bound stops raising by {labels}: set max_nodes or "
@@ -637,8 +644,7 @@ def build_graph(
             break
         z = queue.popleft()
         wt_z = comp.weight(curve, z)
-        for color in color_list:
-            cls = cat.class_of(curve, color)
+        for color, cls in zip(color_list, classes):
             s = epsilon(curve, z, color)
             if s > 0:
                 down = f(curve, z, color)
@@ -668,48 +674,65 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
     Per edge ``(Z, Z', I)``: the weight drops by the class of ``I``; epsilon
     drops by one; phi drops by ``1 + <[I],[I]>`` (the increment the phi
     formula forces once the weight shift and epsilon step hold); ``f`` and
-    ``e`` invert each other across the edge.  Per node: colors with epsilon 0
-    have no outgoing edge.  Returns the list of violations (empty = pass);
-    each offending edge is reported once.
+    ``e`` invert each other across the edge.  Per node and color: at epsilon
+    0 there is no outgoing edge; in a complete graph, at epsilon > 0 without
+    an outgoing edge, ``f`` leaves the node set (otherwise the edge to it is
+    missing).  Every edge between nodes is an ``f`` edge, so this finds every
+    missing edge without calling ``e`` at the top of the window.  Returns the
+    list of violations (empty = pass); each offending edge is reported once.
     """
     curve = graph.curve
     out: list[str] = []
+    # each node's weight and each color's class, name and phi drop, once
+    weight = cache(partial(comp.weight, curve))
+    cls = cache(partial(cat.class_of, curve))
+    cname = cache(partial(cat.format_label, curve))
+
+    @cache
+    def drop(color):
+        return 1 + kt.euler_form(curve, cls(color), cls(color))
 
     def name(z):
         return comp.format_label(curve, z)
 
+    def edge(src, tgt, color):
+        return f"{name(src)} -> {name(tgt)} [{cname(color)}]"
+
     for src, tgt, color in graph.edges:
-        cls = cat.class_of(curve, color)
-        cname = cat.format_label(curve, color)
-        if comp.weight(curve, tgt) != kt.sub(comp.weight(curve, src), cls):
-            out.append(f"weight shift violated on {name(src)} -> {name(tgt)} [{cname}]")
+        a = cls(color)
+        if weight(tgt) != kt.sub(weight(src), a):
+            out.append(f"weight shift violated on {edge(src, tgt, color)}")
             continue
         eps_src = epsilon(curve, src, color)
         eps_tgt = epsilon(curve, tgt, color)
         if eps_src != eps_tgt + 1:
-            out.append(f"epsilon step violated on {name(src)} -> {name(tgt)} [{cname}]")
+            out.append(f"epsilon step violated on {edge(src, tgt, color)}")
             continue
-        drop = 1 + kt.euler_form(curve, cls, cls)
-        if phi(curve, src, color) - phi(curve, tgt, color) != drop:
-            out.append(f"phi step violated on {name(src)} -> {name(tgt)} [{cname}]")
+        # phi = epsilon + <[I], wt>, as in :func:`phi`
+        phi_src = eps_src + kt.euler_form(curve, a, weight(src))
+        if phi_src - eps_tgt - kt.euler_form(curve, a, weight(tgt)) != drop(color):
+            out.append(f"phi step violated on {edge(src, tgt, color)}")
             continue
         if f(curve, src, color) != tgt:
-            out.append(f"f does not follow the edge {name(src)} -> {name(tgt)} [{cname}]")
+            out.append(f"f does not follow the edge {edge(src, tgt, color)}")
             continue
         if e(curve, tgt, color) != src:
-            out.append(f"e does not invert the edge {name(src)} -> {name(tgt)} [{cname}]")
+            out.append(f"e does not invert the edge {edge(src, tgt, color)}")
     outgoing = {(src, color) for src, _, color in graph.edges}
+    nodes = set(graph.nodes)
     for z in graph.nodes:
         for color in graph.colors:
             try:
                 eps_val = epsilon(curve, z, color)
+                down = None
+                if eps_val and (z, color) not in outgoing and graph.complete:
+                    down = f(curve, z, color)
             except ValueError:
                 continue
             if eps_val == 0 and (z, color) in outgoing:
-                out.append(
-                    f"f should vanish at {name(z)} "
-                    f"[{cat.format_label(curve, color)}]"
-                )
+                out.append(f"f should vanish at {name(z)} [{cname(color)}]")
+            elif down in nodes:
+                out.append(f"missing edge {edge(z, down, color)}")
     return out
 
 

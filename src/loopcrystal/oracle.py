@@ -177,6 +177,7 @@ def is_nilpotent(pair: CyclicPair) -> bool:
     return all(all(v == 0 for v in row) for row in x)
 
 
+# One entry: the trials of a stratum run back to back.
 @lru_cache(maxsize=1)
 def _stratum_model(curve: WeightData, m: Multisegment, prime) -> tuple:
     """Segment model of ``m`` and its commutant fiber, shared by the trials
@@ -193,6 +194,13 @@ def sample_generic(
     The conormal fiber of an aperiodic stratum lies in the nilpotent variety
     (Lusztig, *Affine quivers and canonical bases*, 1992, section 15), so
     every draw is a nilpotent pair.  Periodic input is refused.
+
+    A draw has a non-generic kernel or quotient type only on the zero set of
+    a nonzero polynomial of degree ``deg`` (small in the total dimension) in
+    the fiber coefficients, which are uniform on the nonzero residues of
+    GF(2^61 - 1): by the Schwartz-Zippel bound (Schwartz, J. ACM 27, 1980;
+    Zippel, EUROSAM 1979) one draw is non-generic with probability at most
+    ``deg / (2^61 - 2)``.
     """
     if not is_aperiodic_for(curve, m):
         raise ValueError("periodic input: the fiber breaks nilpotency")
@@ -476,6 +484,10 @@ class P1Higgs(Record, frozen=False):
 
 
 def p1_sample(degs, seed=0, prime=DEFAULT_PRIME) -> P1Higgs:
+    """A Higgs field on ``O(d_1) + ... + O(d_n)`` with random form coefficients,
+    whose kernel profile is non-generic with probability at most
+    ``deg / (2^61 - 2)`` by the Schwartz-Zippel bound (see :func:`sample_generic`).
+    """
     degs = tuple(sorted(degs, reverse=True))
     rng = random.Random(f"p1:{seed}")
     f = []
@@ -610,6 +622,8 @@ def p1_eps_sample(
     degs, a: int, trials: int = DEFAULT_TRIALS, seed=0, prime=DEFAULT_PRIME
 ) -> int:
     """Max over sampled Higgs fields of the O(a)-embedding count in ker f."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     best = 0
     for t in range(trials):
         h = p1_sample(degs, seed=f"{seed}:{t}", prime=prime)

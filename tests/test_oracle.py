@@ -396,6 +396,11 @@ class TestP1Profiles:
                     assert orc.p1_eps_sample(degs, 0, trials=2, seed=9) == l + n
                     assert orc.p1_eps_sample(degs, 1, trials=2, seed=9) == l
 
+    def test_eps_sample_refuses_zero_trials(self):
+        # a loop over no draws would report 0 copies for any shape
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            orc.p1_eps_sample((1, 0), 0, trials=0)
+
     def test_sample_deterministic(self):
         assert orc.p1_sample((3, 1), seed=8).f == orc.p1_sample((3, 1), seed=8).f
 
