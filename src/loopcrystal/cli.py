@@ -47,6 +47,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,12 +87,7 @@ def _check_lambda(values) -> tuple[str, ...]:
 
 
 def load_config(path: str) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as err:
-        raise ValueError(f"cannot read config file: {err}")
-    except json.JSONDecodeError as err:
-        raise ValueError(f"config file is not valid JSON: {err}")
+    data = _load_json_file(path, "config", lambda data: data)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     return data
@@ -193,17 +189,16 @@ def parse_lelement(curve: WeightData, text: str):
     coeffs = [0] * curve.n
     l = 0
     for term in _signed_terms(text):
-        m = re.fullmatch(r"([+-]?\d*)c", term)
+        m = re.fullmatch(r"([+-]?)(\d*)c", term)
         if m:
-            l += int(m.group(1) + "1") if m.group(1) in ("", "+", "-") else int(m.group(1))
+            l += int(m.group(1) + (m.group(2) or "1"))
             continue
-        m = re.fullmatch(r"([+-]?\d*)x(\d+)", term)
+        m = re.fullmatch(r"([+-]?)(\d*)x(\d+)", term)
         if m:
-            idx = int(m.group(2))
+            idx = int(m.group(3))
             if not (1 <= idx <= curve.n):
                 raise ValueError(f"generator index {idx} out of range in {term!r}")
-            k = int(m.group(1) + "1") if m.group(1) in ("", "+", "-") else int(m.group(1))
-            coeffs[idx - 1] += k
+            coeffs[idx - 1] += int(m.group(1) + (m.group(2) or "1"))
             continue
         m = re.fullmatch(r"[+-]?\d+", term)
         if m:
@@ -284,16 +279,56 @@ def load_component(curve: WeightData, spec: str) -> comp.ComponentLabel:
 #: yields one small string per token (31,870 for a 197 KB crystal graph), so
 #: joining them all at once costs about 8 bytes of heap per byte of output;
 #: a fixed batch bounds that transient, and keeps the write count small for
-#: an ``io.StringIO`` stdout, which holds every write as its own object.
-_EMIT_BATCH = 4096
+#: an ``io.StringIO`` stdout, which holds every write as its own object.  For
+#: criterion 05's 638 KB graph, 1024 chunks make 106 writes and a heap peak of
+#: 0.19 MB while emitting; 4096 made 27 writes and 0.37 MB.
+_EMIT_BATCH = 1024
+
+_INDENTED = json.JSONEncoder(indent=2)
+
+
+def _nested_chunks(value, depth: int):
+    """Chunks of ``json.dumps(value, indent=2)`` placed ``depth`` levels deep."""
+    pad = "\n" + "  " * depth
+    for chunk in _INDENTED.iterencode(value):
+        yield chunk.replace("\n", pad)
+
+
+def _json_chunks(payload):
+    """Chunks of ``json.dumps(payload, indent=2)``, where a top-level field
+    whose value is an iterator reads as the list of its items.
+
+    Such a field is encoded one item at a time, as the iterator yields it, so
+    its list never exists.  The keys of a dict with such a field are strings.
+    """
+    fields = payload.items() if isinstance(payload, dict) else ()
+    if not any(isinstance(value, Iterator) for _, value in fields):
+        yield from _INDENTED.iterencode(payload)
+        return
+    sep = "{"
+    for key, value in fields:
+        yield f"{sep}\n  {_INDENTED.encode(key)}: "
+        sep = ","
+        if not isinstance(value, Iterator):
+            yield from _nested_chunks(value, 1)
+            continue
+        head = "["
+        for item in value:
+            yield head + "\n    "
+            yield from _nested_chunks(item, 2)
+            head = ","
+        yield "[]" if head == "[" else "\n  ]"
+    yield "\n}"
 
 
 def _emit(payload) -> None:
     """Print ``payload`` as indented JSON and a newline, written in batches.
 
-    The bytes are those of ``print(json.dumps(payload, indent=2))``.
+    The bytes are those of ``print(json.dumps(listed, indent=2))``, where
+    ``listed`` is ``payload`` with every top-level iterator read into a list
+    (see :func:`_json_chunks`).
     """
-    chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
+    chunks = itertools.chain(_json_chunks(payload), ["\n"])
     for head in chunks:
         sys.stdout.write(head + "".join(itertools.islice(chunks, _EMIT_BATCH - 1)))
 
@@ -424,14 +459,14 @@ def cmd_components(args, config: dict) -> int:
         {
             "class": a.to_json(),
             "count": len(labels),
-            "components": [
+            "components": (
                 {
                     "display": comp.format_label(curve, z),
                     "expected_dim": comp.expected_dim(curve, z),
                     "label": comp.label_to_json(curve, z),
                 }
                 for z in labels
-            ],
+            ),
         }
     )
     return 0
@@ -488,7 +523,7 @@ def cmd_crystal_graph(args, config: dict) -> int:
     if args.dot:
         print(cry.to_dot(graph))
     else:
-        _emit(cry.graph_to_json(graph))
+        _emit(cry.graph_json_fields(graph))
     return 0
 
 
@@ -522,10 +557,9 @@ def _case(name: str, expected, observed) -> dict:
 def _small_multisegments(curve: WeightData, max_total: int):
     p = curve.weights[0]
     out = []
-    for total in range(1, max_total + 1):
-        for dims in itertools.product(range(total + 1), repeat=p):
-            if sum(dims) == total:
-                out.extend(comp.aperiodic_multisegments(curve, 0, dims))
+    for dims in itertools.product(range(max_total + 1), repeat=p):
+        if 0 < sum(dims) <= max_total:
+            out.extend(comp.aperiodic_multisegments(curve, 0, dims))
     return sorted(out, key=lambda m: m.pairs)
 
 
@@ -599,58 +633,50 @@ def cmd_oracle_check(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config", default=argparse.SUPPRESS,
-        help="JSON config file with weights/lambda/seed/trials",
-    )
-    common.add_argument(
-        "--weights", default=argparse.SUPPRESS,
-        help="comma-separated weight list, e.g. 2,3,7",
-    )
     parser = argparse.ArgumentParser(
         prog="loopcrystal",
         description="Exact combinatorics of nilpotent Higgs components and crystal operators.",
     )
-    parser.add_argument("--config", help="JSON config file with weights/lambda/seed/trials")
-    parser.add_argument("--weights", help="comma-separated weight list, e.g. 2,3,7")
+    # the curve options go before or after the subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    for owner, default in ((parser, None), (common, argparse.SUPPRESS)):
+        owner.add_argument(
+            "--config", default=default,
+            help="JSON config file with weights/lambda/seed/trials",
+        )
+        owner.add_argument(
+            "--weights", default=default,
+            help="comma-separated weight list, e.g. 2,3,7",
+        )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    curve = sub.add_parser("curve", help="curve-level reports")
-    curve_sub = curve.add_subparsers(dest="verb", required=True)
-    info = curve_sub.add_parser(
-        "info", parents=[common],
-        help="genus, regime, dualizing element, lattice rank",
-    )
-    info.set_defaults(func=cmd_curve_info)
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="verb", required=True)
 
-    klass = sub.add_parser("class", help="K-theory lattice computations")
-    klass_sub = klass.add_subparsers(dest="verb", required=True)
-    euler = klass_sub.add_parser("euler", parents=[common], help="Euler form of two classes")
+    def command(verbs, name, func, help):
+        leaf = verbs.add_parser(name, parents=[common], help=help)
+        leaf.set_defaults(func=func)
+        return leaf
+
+    curve = group("curve", "curve-level reports")
+    command(curve, "info", cmd_curve_info, "genus, regime, dualizing element, lattice rank")
+
+    klass = group("class", "K-theory lattice computations")
+    euler = command(klass, "euler", cmd_class, "Euler form of two classes")
     euler.add_argument("lhs")
     euler.add_argument("rhs")
-    euler.set_defaults(func=cmd_class)
-    slope = klass_sub.add_parser(
-        "slope", parents=[common], help="rank, degree, and slope of a class"
-    )
+    slope = command(klass, "slope", cmd_class, "rank, degree, and slope of a class")
     slope.add_argument("lhs")
-    slope.set_defaults(func=cmd_class)
 
-    sheaf = sub.add_parser("sheaf", help="indecomposable-sheaf computations")
-    sheaf_sub = sheaf.add_subparsers(dest="verb", required=True)
-    hom = sheaf_sub.add_parser(
-        "hom", parents=[common], help="Hom and Ext dimensions between labels"
-    )
+    sheaf = group("sheaf", "indecomposable-sheaf computations")
+    hom = command(sheaf, "hom", cmd_sheaf, "Hom and Ext dimensions between labels")
     hom.add_argument("lhs")
     hom.add_argument("rhs")
-    hom.set_defaults(func=cmd_sheaf)
-    rigid = sheaf_sub.add_parser("rigid", parents=[common], help="rigidity of a label")
+    rigid = command(sheaf, "rigid", cmd_sheaf, "rigidity of a label")
     rigid.add_argument("lhs")
-    rigid.set_defaults(func=cmd_sheaf)
 
-    comps = sub.add_parser("components", help="irreducible-component listings")
-    comps_sub = comps.add_subparsers(dest="verb", required=True)
-    clist = comps_sub.add_parser("list", parents=[common], help="labels of a positive class")
+    comps = group("components", "irreducible-component listings")
+    clist = command(comps, "list", cmd_components, "labels of a positive class")
     clist.add_argument("--class", dest="klass", required=True, help="class expression")
     clist.add_argument("--min-degree", type=int, default=0, help="line-bundle degree floor (genus < 1)")
     clist.add_argument(
@@ -662,11 +688,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="slope bounds for genus-1 splittings; HI may be 'inf'",
     )
     clist.add_argument("--max-parts", type=int, default=4, help="splitting length cap (genus 1)")
-    clist.set_defaults(func=cmd_components)
 
-    crystal = sub.add_parser("crystal", help="operators and graphs")
-    crystal_sub = crystal.add_subparsers(dest="verb", required=True)
-    apply_p = crystal_sub.add_parser("apply", parents=[common], help="apply one operator to a component label")
+    crystal = group("crystal", "operators and graphs")
+    apply_p = command(crystal, "apply", cmd_crystal_apply, "apply one operator to a component label")
     apply_p.add_argument(
         "--op", required=True,
         choices=["eps", "epsilon", "phi", "f", "fmax", "f_max", "e"],
@@ -676,8 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--component", required=True,
         help="component JSON file, or 'empty' for the empty label",
     )
-    apply_p.set_defaults(func=cmd_crystal_apply)
-    graph_p = crystal_sub.add_parser("graph", parents=[common], help="close seeds under raising and lowering")
+    graph_p = command(crystal, "graph", cmd_crystal_graph, "close seeds under raising and lowering")
     graph_p.add_argument("--seeds", nargs="+", required=True, help="component files or 'empty'")
     graph_p.add_argument("--colors", nargs="+", required=True, help="rigid sheaf labels")
     graph_p.add_argument("--max-rank", type=int, default=None)
@@ -686,18 +709,14 @@ def build_parser() -> argparse.ArgumentParser:
     graph_p.add_argument("--max-nodes", type=int, default=None)
     graph_p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     graph_p.add_argument("--verify", action="store_true", help="check axioms before emitting")
-    graph_p.set_defaults(func=cmd_crystal_graph)
-    verify_p = crystal_sub.add_parser("verify", parents=[common], help="check axioms on a saved graph")
+    verify_p = command(crystal, "verify", cmd_crystal_verify, "check axioms on a saved graph")
     verify_p.add_argument("--graph", required=True, help="graph JSON file")
-    verify_p.set_defaults(func=cmd_crystal_verify)
 
-    oracle = sub.add_parser("oracle", help="randomized consistency suites")
-    oracle_sub = oracle.add_subparsers(dest="verb", required=True)
-    check = oracle_sub.add_parser("check", parents=[common], help="replay closed rules against the sampler")
+    oracle = group("oracle", "randomized consistency suites")
+    check = command(oracle, "check", cmd_oracle_check, "replay closed rules against the sampler")
     check.add_argument("--suite", required=True, choices=["cyclic", "p1"])
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--trials", type=int, default=None)
-    check.set_defaults(func=cmd_oracle_check)
 
     return parser
 
@@ -717,6 +736,8 @@ def main(argv=None) -> int:
             parser.error(f"argument {name}: expected a value, got '--'")
     try:
         config = load_config(args.config) if args.config else {}
+        # each command starts with empty operator memos, as a new process does
+        cry.clear_memos()
         code = args.func(args, config)
         sys.stdout.flush()
         return code

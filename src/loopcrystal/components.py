@@ -150,8 +150,8 @@ def aperiodic_multisegments(
     return _aperiodic_multisegments(curve, i, tuple(dims))
 
 
-# One entry per reached dimension vector, bounded by the work it serves
-# (see the docstring).
+# One entry per dimension vector reached in one CLI command (see
+# ``crystal.clear_memos``) or by the direct calls made (see the docstring).
 @lru_cache(maxsize=None)
 def _aperiodic_multisegments(
     curve: WeightData, i: int, dims: tuple[int, ...]
@@ -163,6 +163,7 @@ def _aperiodic_multisegments(
     unbounded, yet its size is bounded by the work it serves: one entry per
     distinct dimension vector that a budgeted graph build (``max_delta``,
     ``max_nodes``), a torsion-class enumeration or an oracle battery reaches.
+    ``cli.main`` empties it before each command (``crystal.clear_memos``).
     """
     p = curve.weights[i]
     if len(dims) != p:

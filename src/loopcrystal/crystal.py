@@ -124,8 +124,9 @@ def _bracket(p: int, segments: list[tuple[int, int]], v: int) -> list[int]:
     return [idx for idx in removable if idx not in protected]
 
 
-# Sampled generic kernel type of ``m`` (one draw); one entry per visited
-# multisegment, so bounded by the graph budget or the calls made.
+# Sampled generic kernel type of ``m`` (one draw); one entry per multisegment
+# visited in one CLI command (see :func:`clear_memos`), so bounded by its graph
+# budget, or by the direct calls made.
 @lru_cache(maxsize=None)
 def _ms_kernel_type(curve: WeightData, m: Multisegment) -> Multisegment:
     return oracle.kernel_type_sample(
@@ -133,7 +134,8 @@ def _ms_kernel_type(curve: WeightData, m: Multisegment) -> Multisegment:
     )
 
 
-# One entry per visited multisegment and color (bounded as above).
+# One entry per multisegment and color visited in one CLI command (bounded as
+# above).
 @lru_cache(maxsize=None)
 def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
     if m.is_empty():
@@ -144,7 +146,8 @@ def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
     return oracle.rk_embeddings(p, _ms_kernel_type(curve, m), j, l)
 
 
-# One entry per visited multisegment, color and copy count (bounded as above).
+# One entry per multisegment, color and copy count visited in one CLI command
+# (bounded as above).
 @lru_cache(maxsize=None)
 def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Multisegment:
     if s == 0:
@@ -171,7 +174,8 @@ def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Mult
     )
 
 
-# One entry per visited target, color and copy count (bounded as above).
+# One entry per target, color and copy count visited in one CLI command
+# (bounded as above).
 @lru_cache(maxsize=None)
 def _ms_es(
     curve: WeightData, target: Multisegment, i: int, j: int, l: int, s: int
@@ -198,20 +202,25 @@ def _ms_es(
 # c-grid rules (line-bundle colors)
 # ---------------------------------------------------------------------------
 
-def _grid_parts(curve: WeightData, z: ComponentLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _grid_parts(z: ComponentLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     degs = tuple(sorted((lab.x.l for lab in z.bundle), reverse=True))
     return degs, z.ordinary
+
+
+def _line_color(curve: WeightData, d: int) -> cat.LineBundle:
+    return cat.LineBundle(curve.normalize([0] * curve.n, l=d))
 
 
 def _grid_label(
     curve: WeightData, degs: Iterable[int], nu: Iterable[int]
 ) -> ComponentLabel:
-    bundle = [cat.LineBundle(curve.normalize([0] * curve.n, l=d)) for d in degs]
+    bundle = [_line_color(curve, d) for d in degs]
     return comp.component_label(curve, bundle, nu, ())
 
 
 # One entry per sampled shape up to twist (normalised to minimum degree 0),
-# so bounded by the twist classes of the shapes the calls reach.
+# so bounded by the twist classes of the shapes one CLI command (see
+# :func:`clear_memos`) or the direct calls reach.
 @lru_cache(maxsize=None)
 def _sampled_kernel(shape: tuple[int, ...]) -> tuple[int, ...]:
     h = oracle.p1_sample(shape, seed=f"w0:{shape}")
@@ -453,7 +462,7 @@ def epsilon(curve: WeightData, z: ComponentLabel, color) -> int:
     family = _dispatch(curve, z, color)
     if family == "exc":
         return _ms_eps(curve, _ms_at(z, color.i), color.j, color.l)
-    degs, nu = _grid_parts(curve, z)
+    degs, nu = _grid_parts(z)
     return _grid_eps(curve, degs, nu, color.x.l)
 
 
@@ -475,14 +484,10 @@ def hom_into_kernel(curve: WeightData, z: ComponentLabel, color) -> int:
         if m.is_empty():
             return 0
         return sum(
-            mult * cat.hom_dim(
-                curve,
-                cat.ExcTorsion(color.i, color.j, color.l),
-                cat.ExcTorsion(color.i, head, length),
-            )
+            mult * cat.hom_dim(curve, color, cat.ExcTorsion(color.i, head, length))
             for (head, length), mult in _ms_kernel_type(curve, m).pairs
         )
-    degs, nu = _grid_parts(curve, z)
+    degs, nu = _grid_parts(z)
     a = color.x.l
     return sum(
         max(0, e[1] - a + 1 - len(e[2]))
@@ -497,7 +502,7 @@ def f_max(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
         m = _ms_at(z, color.i)
         s = _ms_eps(curve, m, color.j, color.l)
         return _with_ms(curve, z, _ms_fmax(curve, m, color.j, color.l, s))
-    degs, nu = _grid_parts(curve, z)
+    degs, nu = _grid_parts(z)
     newdegs, newnu = _grid_fmax(curve, degs, nu, color.x.l)
     return _grid_label(curve, newdegs, newnu)
 
@@ -517,7 +522,7 @@ def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
     if family == "exc":
         m = _ms_es(curve, _ms_at(zp, color.i), color.i, color.j, color.l, s)
         return _with_ms(curve, zp, m)
-    degs_p, nu_p = _grid_parts(curve, zp)
+    degs_p, nu_p = _grid_parts(zp)
     degs, nu = _grid_es(curve, degs_p, nu_p, color.x.l, s)
     return _grid_label(curve, degs, nu)
 
@@ -534,6 +539,20 @@ def e(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
     """Single raising step (always defined)."""
     s = epsilon(curve, z, color)
     return e_s(curve, f_max(curve, z, color), color, s + 1)
+
+
+def clear_memos() -> None:
+    """Empty the operator memos and the multisegment enumerator memo.
+
+    ``cli.main`` calls this before each command, so every command starts
+    with empty memos, in one process or many.  Direct callers keep their
+    memos across calls until they call this.
+    """
+    for memo in (
+        _ms_kernel_type, _ms_eps, _ms_fmax, _ms_es, _sampled_kernel,
+        comp._aperiodic_multisegments,
+    ):
+        memo.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +711,7 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
     def drop(color):
         return 1 + kt.euler_form(curve, cls(color), cls(color))
 
-    def name(z):
-        return comp.format_label(curve, z)
+    name = partial(comp.format_label, curve)
 
     def edge(src, tgt, color):
         return f"{name(src)} -> {name(tgt)} [{cname(color)}]"
@@ -740,21 +758,6 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
 # connectivity
 # ---------------------------------------------------------------------------
 
-def _is_even_ladder(degs: tuple[int, ...]) -> bool:
-    return degs == tuple(range(2 * (len(degs) - 1), -1, -2))
-
-
-def _line_color(curve: WeightData, d: int) -> cat.LineBundle:
-    return cat.LineBundle(curve.normalize([0] * curve.n, l=d))
-
-
-def _step_f(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
-    nxt = f(curve, z, color)
-    if nxt is None:
-        raise AssertionError("descent step vanished unexpectedly")
-    return nxt
-
-
 def connectivity_path(curve: WeightData, z: ComponentLabel) -> list[tuple[str, object]]:
     """An explicit operator walk from ``z`` to the empty label.
 
@@ -770,6 +773,14 @@ def connectivity_path(curve: WeightData, z: ComponentLabel) -> list[tuple[str, o
         raise ValueError(UNSUPPORTED)
     path: list[tuple[str, object]] = []
     cur = z
+
+    def step(op, color):
+        nonlocal cur
+        path.append((op, color))
+        cur = (f if op == "f" else e)(curve, cur, color)
+        if cur is None:
+            raise AssertionError("descent step vanished unexpectedly")
+
     while cur.exceptional:
         m = cur.exceptional[0]
         p = curve.weights[m.i]
@@ -778,33 +789,25 @@ def connectivity_path(curve: WeightData, z: ComponentLabel) -> list[tuple[str, o
         )
         if vertex is None:
             raise AssertionError("aperiodic multisegment with no removable vertex")
-        color = cat.exc_torsion(curve, m.i, vertex, 1)
-        path.append(("f", color))
-        cur = _step_f(curve, cur, color)
-    degs, nu = _grid_parts(curve, cur)
+        step("f", cat.exc_torsion(curve, m.i, vertex, 1))
     for lab in cur.bundle:
         if not isinstance(lab, cat.LineBundle) or any(lab.x.residues):
             raise ValueError(UNSUPPORTED)
-    if degs and not _is_even_ladder(degs):
-        raise ValueError(UNSUPPORTED)
+    degs, nu = _grid_parts(cur)
+    if degs != tuple(range(2 * len(degs) - 2, -1, -2)):
+        raise ValueError(UNSUPPORTED)  # not an even ladder
     while degs:
-        color = _line_color(curve, degs[0] - len(nu))
-        path.append(("f", color))
-        cur = _step_f(curve, cur, color)
-        degs, nu = _grid_parts(curve, cur)
+        step("f", _line_color(curve, degs[0] - len(nu)))
+        degs, nu = _grid_parts(cur)
     lam = cur.ordinary
     if lam:
         k = lam[0]
         mu = comp.conjugate(lam)
         ladder_colors = [2 * (k - j) - mu[k - j] for j in range(1, k + 1)]
         for d in reversed(ladder_colors):
-            color = _line_color(curve, d)
-            path.append(("e", color))
-            cur = e(curve, cur, color)
+            step("e", _line_color(curve, d))
         for top in range(2 * (k - 1), -1, -2):
-            color = _line_color(curve, top)
-            path.append(("f", color))
-            cur = _step_f(curve, cur, color)
+            step("f", _line_color(curve, top))
     if cur != comp.EMPTY:
         raise AssertionError("path did not reach the empty label")
     return path
@@ -847,23 +850,37 @@ def to_dot(graph: CrystalGraph) -> str:
     return "\n".join(lines)
 
 
-def graph_to_json(graph: CrystalGraph) -> dict:
+def graph_json_fields(graph: CrystalGraph) -> dict:
+    """The fields of :func:`graph_to_json`, with ``nodes`` and ``edges`` as
+    one-pass iterators that build each item when it is read.
+
+    Each colour's JSON is built once and shared by its edges.
+    """
     curve = graph.curve
     index = {z: k for k, z in enumerate(graph.nodes)}
+    color_json = cache(cat.label_to_json)
     return {
         "weights": list(curve.weights),
-        "nodes": [comp.label_to_json(curve, z) for z in graph.nodes],
-        "edges": [
+        "nodes": (comp.label_to_json(curve, z) for z in graph.nodes),
+        "edges": (
             {
                 "source": index[src],
                 "target": index[tgt],
-                "color": cat.label_to_json(color),
+                "color": color_json(color),
             }
             for src, tgt, color in graph.edges
-        ],
-        "colors": [cat.label_to_json(color) for color in graph.colors],
+        ),
+        "colors": [color_json(color) for color in graph.colors],
         "complete": graph.complete,
     }
+
+
+def graph_to_json(graph: CrystalGraph) -> dict:
+    """The graph as JSON data, read back by :func:`graph_from_json`."""
+    data = graph_json_fields(graph)
+    data["nodes"] = list(data["nodes"])
+    data["edges"] = list(data["edges"])
+    return data
 
 
 def graph_from_json(data: dict) -> CrystalGraph:

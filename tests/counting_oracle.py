@@ -95,3 +95,37 @@ def count_torsion_labels(weights, a_d, a_m):
                 break
         total += prod
     return total
+
+
+def kostant_partition_count(p, dims):
+    """Kostant partition function of affine sl_p (p >= 2) at ``dims``.
+
+    ``dims`` is a vector in the simple roots alpha_0 .. alpha_{p-1}, and
+    delta = (1, ..., 1).  The positive roots are the real roots n*delta + an
+    arc of r consecutive simple roots (mod p, 1 <= r < p, n >= 0), each of
+    multiplicity 1, and the imaginary roots n*delta (n >= 1), each of
+    multiplicity p - 1.  Counts the ways to write ``dims`` as a sum of
+    positive roots, the p - 1 copies of an imaginary root told apart.
+    """
+    dims = tuple(dims)
+    roots = []
+    for n in range(max(dims) + 1):
+        roots += [(n,) * p] * ((p - 1) if n else 0)
+        for start in range(p):
+            for r in range(1, p):
+                v = [n] * p
+                for k in range(r):
+                    v[(start + k) % p] += 1
+                roots.append(tuple(v))
+    box = list(itertools.product(*(range(d + 1) for d in dims)))
+    ways = dict.fromkeys(box, 0)
+    ways[(0,) * p] = 1
+    for root in roots:
+        if any(a > b for a, b in zip(root, dims)):
+            continue
+        # lexicographic order visits w - root before w: any number of copies
+        for w in box:
+            rest = tuple(a - b for a, b in zip(w, root))
+            if min(rest) >= 0:
+                ways[w] += ways[rest]
+    return ways[dims]

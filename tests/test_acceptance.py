@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 import conftest
-from counting_oracle import count_torsion_labels
+from counting_oracle import count_torsion_labels, kostant_partition_count
 from loopcrystal import catalog as cat
 from loopcrystal import cli
 from loopcrystal import components as comp
@@ -270,6 +270,66 @@ def test_criterion_05_cli_stdout_in_bounded_memory(torsion_graphs):
     assert sink.digest.hexdigest() == CLI_GRAPH_STDOUT_SHA256
     # joining every chunk of the 638 KB graph at once took 5.07 MB
     assert transient < 1_000_000, f"emission peaked at {transient} bytes of heap"
+
+
+def test_criterion_05_cli_graph_streamed_in_bounded_memory(
+    torsion_graphs, monkeypatch
+):
+    # the command's own path from the built graph to stdout, the build and the
+    # check (--verify) left out: neither changes the bytes printed
+    argv = [
+        "crystal", "graph", "--weights", "3,1,1", "--seeds", "empty",
+        "--colors", "S[1,0](1)", "S[1,1](1)", "S[1,2](1)", "S[1,0](2)",
+        "S[1,1](2)", "S[1,2](2)", "--max-delta", "3",
+    ]
+    args = cli.build_parser().parse_args(argv)
+    monkeypatch.setattr(
+        cr, "build_graph", lambda *_: torsion_graphs[(3, 1, 1)]
+    )
+    sink = _HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert args.func(args, {}) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == CLI_GRAPH_STDOUT_SHA256
+    # building the whole graph_to_json tree first peaked at 1.66 MB
+    assert peak < 500_000, f"the command's output peaked at {peak} bytes of heap"
+
+
+def test_torsion_graph_node_census(torsion_graphs):
+    """Every aperiodic multisegment in the window is a node, and no other.
+
+    This census covers the torsion graphs only: their nodes are single
+    multisegments at the first point, so dimension vector by dimension
+    vector they must be exactly the enumerator's list, and as many as the
+    Kostant partition function of affine sl_p counts (the crystal B(infinity)
+    has the character of U^-).  The line graph has no such count.
+    """
+    budget = cr.Budget(max_delta=3)
+    for (p, *_), graph in torsion_graphs.items():
+        curve = graph.curve
+        by_dims = {}
+        for z in graph.nodes:
+            m = z.exceptional[0] if z.exceptional else comp.Multisegment(0, ())
+            by_dims.setdefault(comp.dim_vector(curve, m), set()).add(m)
+
+        def admitted(dims):
+            cls = kt.zero_class(curve)
+            for j, d in enumerate(dims):
+                cls = kt.add(cls, kt.scale(d, kt.class_of_simple(curve, 0, j)))
+            return budget.admits(curve, cls)
+
+        # the window under 3 delta is the box 0 <= d_j <= 3
+        window = [d for d in itertools.product(range(5), repeat=p) if admitted(d)]
+        assert window == list(itertools.product(range(4), repeat=p))
+        assert set(by_dims) <= set(window)
+        for dims in window:
+            want = set(comp.aperiodic_multisegments(curve, 0, dims))
+            assert by_dims.get(dims, set()) == want, (p, dims)
+            assert len(want) == kostant_partition_count(p, dims), (p, dims)
 
 
 def test_criterion_06_expected_dimension_bookkeeping(line_graph, torsion_graphs):

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcrystal import catalog as cat
@@ -675,6 +675,16 @@ json_values = st.recursive(
 )
 
 
+#: (streamed, value) per top-level field: a streamed field is a list that
+#: the payload holds as an iterator over its items
+top_fields = st.dictionaries(
+    st.text(),
+    st.tuples(st.just(True), st.lists(json_values, max_size=6))
+    | st.tuples(st.just(False), json_values),
+    max_size=6,
+)
+
+
 class _CountingStringIO(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -707,6 +717,75 @@ class TestEmit:
         assert text == json.dumps(payload, indent=2) + "\n"
         chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
         assert writes == math.ceil((chunks + 1) / cli._EMIT_BATCH)
+
+    @settings(max_examples=300, deadline=None)
+    @given(top_fields)
+    @example({"empty": (True, [])})
+    @example({"a": (False, 1), "empty": (True, []), "b": (True, [[], {}])})
+    def test_iterator_fields_print_as_lists(self, fields):
+        payload = {k: iter(v) if streamed else v for k, (streamed, v) in fields.items()}
+        listed = {k: v for k, (_, v) in fields.items()}
+        text, _ = emitted(payload)
+        assert text == json.dumps(listed, indent=2) + "\n"
+
+    def test_iterator_items_are_read_as_written(self):
+        seen = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                seen.append(len(made))
+                return super().write(text)
+
+        made = []
+
+        def items():
+            for k in range(3 * cli._EMIT_BATCH):
+                made.append(k)
+                yield k
+
+        with contextlib.redirect_stdout(Recorder()):
+            cli._emit({"items": items()})
+        # the first write comes before the last item is made
+        assert seen[0] < len(made) == 3 * cli._EMIT_BATCH
+        assert len(seen) > 1
+
+
+# ---------------------------------------------------------------------------
+# memo lifetime
+# ---------------------------------------------------------------------------
+
+#: the memos that ``crystal.clear_memos`` empties
+OPERATOR_MEMOS = [
+    cr._ms_kernel_type, cr._ms_eps, cr._ms_fmax, cr._ms_es, cr._sampled_kernel,
+    comp._aperiodic_multisegments,
+]
+
+
+class TestMemoLifetime:
+    def test_each_command_starts_with_empty_memos(self, capsys):
+        run_json(capsys, [
+            "crystal", "graph", "--weights", "2,1,1", "--seeds", "empty",
+            "--colors", "S[1,0](1)", "S[1,1](1)", "--max-delta", "2",
+        ])
+        # the last command's memos stay readable after it
+        assert cr._ms_eps.cache_info().currsize > 0
+        assert comp._aperiodic_multisegments.cache_info().currsize > 0
+        run_json(capsys, ["curve", "info"])
+        assert [m.cache_info().currsize for m in OPERATOR_MEMOS] == [0] * 6
+
+    def test_direct_calls_keep_their_memos(self):
+        cr.clear_memos()
+        curve = WeightData((2, 1, 1))
+        color = cat.exc_torsion(curve, 0, 0, 1)
+        z = comp.component_label(
+            curve, (), (), [comp.multisegment(curve, 0, [(0, 1)])]
+        )
+        cr.f(curve, z, color)
+        before = cr._ms_eps.cache_info()
+        cr.f(curve, z, color)
+        after = cr._ms_eps.cache_info()
+        assert after.currsize == before.currsize > 0
+        assert after.hits > before.hits
 
 
 # ---------------------------------------------------------------------------

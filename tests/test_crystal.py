@@ -7,6 +7,7 @@ and batteries where the combinatorial rules are replayed against the sampling
 oracle on the same inputs.
 """
 
+import functools
 import hashlib
 import itertools
 
@@ -417,9 +418,7 @@ class TestMultisegmentOracleAgreement:
                 assert got == want, (m, v)
 
     def test_one_kernel_sample_per_multisegment(self, monkeypatch):
-        for memo in vars(cr).values():
-            if hasattr(memo, "cache_clear"):
-                memo.cache_clear()
+        cr.clear_memos()
         calls = []
         sample = orc.sample_generic
 
@@ -559,6 +558,12 @@ def torsion_graph(curve, bound, lengths=None):
     return cr.build_graph(curve, [E], colors, cr.Budget(max_delta=bound))
 
 
+@functools.cache
+def complete_torsion_graph():
+    """The (2,1,1) torsion graph under 3 delta, as criterion 05 builds it."""
+    return torsion_graph(W2, 3)
+
+
 class TestBuildGraph:
     def test_no_colors(self):
         g = cr.build_graph(P1, [E], [], cr.Budget())
@@ -678,6 +683,22 @@ class TestVerifyAxioms:
                 f"{comp.format_label(P1, tgt)} [{cat.format_label(P1, color)}]"
             )
             assert cr.verify_axioms(bad) == [want]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_missing_torsion_edge_caught(self, data):
+        g = complete_torsion_graph()
+        assert g.complete
+        k = data.draw(st.integers(0, len(g.edges) - 1))
+        src, tgt, color = g.edges[k]
+        bad = cr.CrystalGraph(
+            W2, g.nodes, g.edges[:k] + g.edges[k + 1:], g.colors, True
+        )
+        want = (
+            f"missing edge {comp.format_label(W2, src)} -> "
+            f"{comp.format_label(W2, tgt)} [{cat.format_label(W2, color)}]"
+        )
+        assert cr.verify_axioms(bad) == [want]
 
     def test_incomplete_graph_has_no_missing_edges(self):
         # a search cut by max_nodes leaves nodes whose edges were never made
@@ -810,6 +831,12 @@ class TestConnectivityPath:
     def test_non_ladder_bundle_refused(self):
         with pytest.raises(ValueError, match="unsupported component family"):
             cr.connectivity_path(P1, gl([3, 0]))
+
+    def test_rank_two_bundle_refused(self):
+        bundle = cat.enumerate_real_bundles(W222, 2)[0]
+        z = comp.component_label(W222, [bundle], (), ())
+        with pytest.raises(ValueError, match="unsupported component family"):
+            cr.connectivity_path(W222, z)
 
     def test_graph_nodes_all_connect(self):
         g = line_graph()
