@@ -64,6 +64,8 @@ def validate(curve: WeightData, label: IndecLabel) -> None:
     elif isinstance(label, OrdTorsion):
         if label.dlen < 1:
             raise ValueError("length must be positive")
+        if label.pt in curve.labels and curve.weights[curve.labels.index(label.pt)] > 1:
+            raise ValueError(f"point {label.pt} is weighted: use S[i,j](l) for its torsion")
     elif isinstance(label, RealBundle):
         if curve.genus() >= 1:
             raise ValueError("real-root bundles are only labelled for genus < 1")

@@ -90,6 +90,13 @@ def load_config(path: str) -> dict:
     data = _load_json_file(path, "config", lambda data: data)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    # type(...) is int: JSON true/false load as bool, a subclass of int
+    for key, kind in (("weights", list), ("lambda", list), ("seed", int), ("trials", int)):
+        if key in data and type(data[key]) is not kind:
+            name = "list" if kind is list else "integer"
+            raise ValueError(f"config field {key!r} must be a JSON {name}")
+    if any(type(w) is not int for w in data.get("weights", ())):
+        raise ValueError("config weights must be JSON integers")
     return data
 
 
@@ -97,7 +104,7 @@ def resolve_curve(args, config: dict) -> WeightData:
     if args.weights is not None:
         weights = _parse_weights_text(args.weights)
     elif "weights" in config:
-        weights = tuple(int(w) for w in config["weights"])
+        weights = tuple(config["weights"])
     else:
         weights = (1, 1, 1)
     labels = None
@@ -115,14 +122,14 @@ def resolve_seed(args, config: dict) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"LOOPCRYSTAL_SEED must be an integer, got {env!r}")
-    return int(config.get("seed", 0))
+    return config.get("seed", 0)
 
 
 def resolve_trials(args, config: dict) -> int:
     if getattr(args, "trials", None) is not None:
         trials = args.trials
     else:
-        trials = int(config.get("trials", orc.DEFAULT_TRIALS))
+        trials = config.get("trials", orc.DEFAULT_TRIALS)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     return trials
@@ -596,7 +603,7 @@ def _p1_suite(seed: int, trials: int) -> list[dict]:
     for size in (1, 2):
         for degs in itertools.combinations_with_replacement(range(-1, 3), size):
             shapes.add(tuple(sorted(degs, reverse=True)))
-    shapes.add((3, 1, 1))  # forces the sampled kernel profile
+    shapes.add((3, 1, 1))  # a kernel outside the special shapes: (3, 1)
     cases = []
     for degs in sorted(shapes, reverse=True):
         z = comp.component_label(

@@ -16,11 +16,10 @@ torsion admits no maps to bundles): length-1 colors through an exact
 bracketing rule, longer serial colors through the randomized oracle module.
 Line-bundle colors act on labels whose bundle part is a multiset of
 c-multiples ``O(d*c)`` with no exceptional torsion present; kernel degrees
-follow closed rules for adjacent stacks (``max - min <= 1``) and spread
-chains (distinct degrees, gaps >= 2), with a sampling fallback on the
-unweighted line, and generic quotients follow an interlacing rule on the
-degrees plus a raise-and-scatter rule on the ordinary partition.  Anything
-else refuses loudly rather than guessing.
+follow one closed rule on the section counts of the kernel (see
+:func:`_kernel_degrees`), and generic quotients follow an interlacing rule
+on the degrees plus a raise-and-scatter rule on the ordinary partition.
+Anything else refuses loudly rather than guessing.
 
 ``build_graph`` closes a seed set under ``e``/``f`` inside a weight budget,
 ``verify_axioms`` replays the structural identities on every node and edge,
@@ -65,9 +64,7 @@ def _dispatch(curve: WeightData, z: ComponentLabel, color) -> str:
     if isinstance(color, cat.ExcTorsion):
         return "exc"
     if isinstance(color, cat.LineBundle):
-        if any(color.x.residues):
-            raise ValueError(UNSUPPORTED)
-        if z.exceptional:
+        if any(color.x.residues) or z.exceptional:
             raise ValueError(UNSUPPORTED)
         for lab in z.bundle:
             if not isinstance(lab, cat.LineBundle) or any(lab.x.residues):
@@ -218,48 +215,51 @@ def _grid_label(
     return comp.component_label(curve, bundle, nu, ())
 
 
-# One entry per sampled shape up to twist (normalised to minimum degree 0),
-# so bounded by the twist classes of the shapes one CLI command (see
+# One entry per shape up to twist (normalised to minimum degree 0), so
+# bounded by the twist classes of the shapes one CLI command (see
 # :func:`clear_memos`) or the direct calls reach.
 @lru_cache(maxsize=None)
-def _sampled_kernel(shape: tuple[int, ...]) -> tuple[int, ...]:
-    h = oracle.p1_sample(shape, seed=f"w0:{shape}")
-    return oracle.p1_kernel_profile(h)[0]
+def _twist_kernel(shape: tuple[int, ...]) -> tuple[int, ...]:
+    def hom(a):
+        return max(
+            sum(max(0, b - a + 1) - (b >= d + 2) * max(0, b - a - 1)
+                for b in shape if b >= d)
+            for d in shape
+        )
+
+    rank = max(sum(d <= b <= d + 1 for b in shape) for d in shape)
+    found = ()
+    a = shape[0]
+    while len(found) < rank:
+        found += (a,) * (hom(a) - hom(a + 1) - len(found))
+        a -= 1
+    return found
 
 
 def _kernel_degrees(curve: WeightData, degs: tuple[int, ...]) -> tuple[int, ...]:
-    """Degree multiset of the generic Higgs kernel on ``O(d1 c) + ... + O(dn c)``,
-    for degrees sorted in descending order.
+    """Degree multiset of the generic Higgs kernel on ``V = O(b1 c) + ... +
+    O(bn c)``, for degrees sorted in descending order.
 
-    Closed shapes: a single summand is its own kernel; adjacent stacks
-    (max - min <= 1) have no nonzero entries in the twist-down matrix, so the
-    kernel is everything; spread chains (distinct degrees, all gaps >= 2) have
-    generic nonzero superdiagonal entries that force every lower summand to
-    zero, leaving exactly the top.  Other shapes are sampled on the unweighted
-    line; on weighted curves they are refused (the sampling model is only
-    justified there, while the closed shapes transfer verbatim in c-units).
-
-    A twist changes nothing: ``Hom(V(k), V(k)(-2)) = Hom(V, V(-2))``, so the
-    kernel of ``degs + k`` is the kernel of ``degs`` shifted by ``k``.  A
-    sampled shape is therefore normalised to minimum degree 0, and one draw of
-    the normalised shape (:func:`oracle.p1_sample`, generic but for a
-    probability of at most deg / (2^61 - 2)) answers its whole twist class.
+    ``dim Hom(O(a), ker)`` is the maximum over the degrees ``d`` of ``V`` of
+    ``sum_{b >= d} max(0, b - a + 1) - sum_{b >= d + 2} max(0, b - a - 1)``,
+    each a lower bound: a Higgs field maps ``V_{>= d}`` into ``V_{>= d +
+    2}(-2)``, as ``Hom(O(b), O(b' - 2)) = 0`` for ``b' < b + 2``.  The rank
+    is the most summands in one window ``[d, d + 1]``; ``hom(a) - hom(a +
+    1)`` counts the summands of degree >= ``a``.  Exactness for a generic
+    field is checked, not proved: the rule equals the sampled
+    :func:`oracle.p1_kernel_profile` on every shape with 1-7 summands and
+    spread <= 10.  A twist shifts the kernel, so the rule runs on the shape
+    moved to minimum degree 0.  Weighted curves answer only rank 1 (spread
+    chains: the top) and rank ``len(V)`` (one summand, adjacent stacks:
+    everything), the shapes whose kernels transfer verbatim in c-units.
     """
-    n = len(degs)
-    if n <= 1:
+    if not degs:
         return degs
-    low = min(degs)
-    if max(degs) - low <= 1:
-        return degs
-    gaps_ok = len(set(degs)) == n and all(
-        degs[k] - degs[k + 1] >= 2 for k in range(n - 1)
-    )
-    if gaps_ok:
-        return (degs[0],)
-    if any(w != 1 for w in curve.weights):
+    low = degs[-1]
+    kernel = tuple(d + low for d in _twist_kernel(tuple(d - low for d in degs)))
+    if curve.p > 1 and len(kernel) not in (1, len(degs)):
         raise ValueError(UNSUPPORTED)
-    shape = tuple(d - low for d in degs)
-    return tuple(d + low for d in _sampled_kernel(shape))
+    return kernel
 
 
 def _decremented(
@@ -303,12 +303,9 @@ def _interlace_min(p_und: tuple[int, ...], a: int) -> tuple[int, ...]:
 def _multiset_minus(whole: tuple[int, ...], part: Iterable[int]) -> list[int]:
     counts = Counter(whole)
     counts.subtract(part)
-    out = []
-    for v, c in counts.items():
-        if c < 0:
-            raise AssertionError("multiset difference went negative")
-        out.extend([v] * c)
-    return out
+    if min(counts.values(), default=0) < 0:
+        raise AssertionError("multiset difference went negative")
+    return list(counts.elements())
 
 
 def _grid_ftilde(curve: WeightData, degs, nu, a: int):
@@ -319,9 +316,7 @@ def _grid_ftilde(curve: WeightData, degs, nu, a: int):
     # the quotient mechanism consumes kernel summands out of the bundle; a
     # saturated kernel with splitting degrees outside the summand multiset
     # (possible for wide numeric shapes) has no combinatorial quotient here
-    avail = Counter(degs)
-    needed = Counter(e[1] for e in participants)
-    if any(count > avail.get(v, 0) for v, count in needed.items()):
+    if Counter(e[1] for e in participants) - Counter(degs):
         raise ValueError(UNSUPPORTED)
     if len(participants) >= 2:
         p_und = tuple(sorted((e[1] for e in participants), reverse=True))
@@ -389,12 +384,8 @@ def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
     for raised in _submultisets(part_counts):
         for scattered in range(ones + 1):
             consumed = a + len(raised) + scattered
-            pre_nu = list(nu)
-            for v in raised:
-                pre_nu.remove(v)
-                pre_nu.append(v - 1)
-            for _ in range(scattered):
-                pre_nu.remove(1)
+            pre_nu = _multiset_minus(nu, raised + (1,) * scattered)
+            pre_nu += [v - 1 for v in raised]
             check((
                 tuple(sorted(degs + (consumed,), reverse=True)),
                 tuple(sorted(pre_nu, reverse=True)),
@@ -406,9 +397,7 @@ def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
     for produced in _submultisets(deg_counts):
         if not produced:
             continue
-        rest = list(degs)
-        for v in produced:
-            rest.remove(v)
+        rest = _multiset_minus(degs, produced)
         tails = [range(a, c + 1) for c in produced]
         for tail in itertools.product(*tails):
             top = sum(produced) + a - sum(tail)
@@ -549,7 +538,7 @@ def clear_memos() -> None:
     memos across calls until they call this.
     """
     for memo in (
-        _ms_kernel_type, _ms_eps, _ms_fmax, _ms_es, _sampled_kernel,
+        _ms_kernel_type, _ms_eps, _ms_fmax, _ms_es, _twist_kernel,
         comp._aperiodic_multisegments,
     ):
         memo.cache_clear()
@@ -837,13 +826,13 @@ def apply_path(
 
 def to_dot(graph: CrystalGraph) -> str:
     curve = graph.curve
+    # each node's label text once, shared by its edges
+    name = cache(partial(comp.format_label, curve))
     lines = ["digraph loopcrystal {", "  rankdir=LR;", "  node [shape=box];"]
-    for z in graph.nodes:
-        lines.append(f'  "{comp.format_label(curve, z)}";')
+    lines += (f'  "{name(z)}";' for z in graph.nodes)
     for src, tgt, color in graph.edges:
         lines.append(
-            f'  "{comp.format_label(curve, src)}" -> '
-            f'"{comp.format_label(curve, tgt)}" '
+            f'  "{name(src)}" -> "{name(tgt)}" '
             f'[label="f[{cat.format_label(curve, color)}]"];'
         )
     lines.append("}")

@@ -89,6 +89,15 @@ class TestClasses:
                 w222, cat.RealBundle(kt.scale(2, kt.structure_class(w222)))
             )
 
+    def test_ordinary_torsion_at_weighted_point_refused(self, w237, p1):
+        w211 = WeightData((2, 1, 1))
+        for curve, pt in [(w237, "0"), (w237, "inf"), (w237, "1"), (w211, "0")]:
+            with pytest.raises(ValueError, match=r"S\[i,j\]\(l\)"):
+                cat.validate(curve, cat.OrdTorsion(pt, 1))
+        # weight-1 points and unmarked names stay ordinary points
+        for curve, pt in [(p1, "0"), (w211, "inf"), (w211, "1"), (w237, "q")]:
+            cat.validate(curve, cat.OrdTorsion(pt, 1))
+
     def test_json_roundtrip(self, w237):
         labels = [
             cat.LineBundle(w237.normalize([1, 2, 3], l=-1)),

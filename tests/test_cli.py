@@ -127,6 +127,27 @@ class TestConfig:
         assert code == 2
         assert "config" in err
 
+    @pytest.mark.parametrize(
+        "fields, command",
+        [
+            ({"weights": 5}, ["curve", "info"]),
+            ({"lambda": 5}, ["curve", "info"]),
+            ({"weights": [2.5, 1, 1]}, ["curve", "info"]),
+            ({"weights": [True, 2, 3]}, ["curve", "info"]),
+            ({"seed": [1]}, ["oracle", "check", "--suite", "p1"]),
+            ({"trials": 2.7}, ["oracle", "check", "--suite", "p1"]),
+        ],
+        ids=["weights-int", "lambda-int", "weight-float", "weight-bool", "seed-list",
+             "trials-float"],
+    )
+    def test_field_of_wrong_type_exits_2(self, capsys, tmp_path, fields, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code, out, err = run(capsys, ["--config", str(cfg)] + command)
+        assert code == 2
+        assert out == ""
+        assert "config" in err
+
     def test_config_seed_used_by_oracle(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"weights": [1, 1, 1], "seed": 9, "trials": 3}))
@@ -195,6 +216,14 @@ class TestSheafCommands:
     def test_ordinary_torsion_is_not_rigid(self, capsys):
         d = run_json(capsys, ["sheaf", "rigid", "T[pt1](1)", "--weights", "1,1,1"])
         assert d["rigid"] is False
+
+    def test_ordinary_torsion_at_weighted_point_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, ["sheaf", "hom", "--weights", "2,3,7", "T[0](1)", "S[1,0]"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "S[i,j](l)" in err
 
     def test_hom_matches_library(self, capsys):
         d = run_json(capsys, ["sheaf", "hom", "O", "O(c)", "--weights", "2,3,7"])
@@ -449,6 +478,20 @@ class TestCrystalGraph:
         assert code == 0
         assert out.startswith("digraph")
         assert 'f[O(' in out
+
+    def test_dot_text_pinned(self, capsys):
+        # the (2,1,1) delta=2 torsion graph's DOT text, byte for byte
+        code, out, _ = run(
+            capsys,
+            [
+                "crystal", "graph", "--weights", "2,1,1", "--seeds", "empty",
+                "--colors", "S[1,0](1)", "S[1,1](1)", "--max-delta", "2", "--dot",
+            ],
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c14d151b070ddc8e4abbba4438b4420a4bef9a3479ff4b963356ad47d84ede7f"
+        )
 
     def test_verify_clean_graph(self, capsys):
         code, out, _ = run(
@@ -756,7 +799,7 @@ class TestEmit:
 
 #: the memos that ``crystal.clear_memos`` empties
 OPERATOR_MEMOS = [
-    cr._ms_kernel_type, cr._ms_eps, cr._ms_fmax, cr._ms_es, cr._sampled_kernel,
+    cr._ms_kernel_type, cr._ms_eps, cr._ms_fmax, cr._ms_es, cr._twist_kernel,
     comp._aperiodic_multisegments,
 ]
 

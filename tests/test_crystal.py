@@ -273,6 +273,17 @@ class TestGridRaising:
                 down = cr.f(P1, z, O(k))
                 assert cr.e(P1, down, O(k)) == z
 
+    def test_wide_spread_raising(self):
+        # single calls that once sampled hundreds of kernels (seconds each)
+        got = cr.e(P1, gl([4, 4, 4, 1, -3]), O(-3))
+        assert comp.format_label(P1, got) == (
+            "(O(-3c) + O(c) + O(2c) + O(2c) + O(2c) + O(3c))"
+        )
+        got = cr.e(P1, gl([4, 4, 3, 3, -1], (1,)), O(-3))
+        assert comp.format_label(P1, got) == (
+            "(O(-1c) + O(2c) + O(2c) + O(2c) + O(2c) + O(3c), nu=(1,))"
+        )
+
     def test_no_preimage_reported(self):
         # full quotients always land at epsilon zero, so a target that still
         # carries a copy of the color has no preimage under f_max
@@ -483,8 +494,8 @@ class TestP1ShapeBattery:
     """Every operator on every nu-free projective-line shape with 1-4
     summands of degree -2..3, for the colours O(a) with |a| <= 2."""
 
-    #: sha256 of :meth:`battery_lines`; the answers of the grid rules and of
-    #: the sampled kernel must not move when the sampling is reorganised
+    #: sha256 of :meth:`battery_lines`, taken when shapes outside the special
+    #: families were sampled; the closed kernel rule must not move it
     BATTERY_SHA256 = "423b23c03a7922f4f0036e547f8653693f8d3a417cf72af00172eaa1e8090060"
 
     @staticmethod
@@ -530,11 +541,57 @@ class TestP1ShapeBattery:
                     degs, k
                 )
 
-    def test_one_sample_per_twist_class(self):
-        cr._sampled_kernel.cache_clear()
-        for degs in [(3, 1, 1), (4, 2, 2), (1, -1, -1)]:
-            assert cr._kernel_degrees(P1, degs) == (degs[0], degs[1])
-        assert cr._sampled_kernel.cache_info().currsize == 1
+    def test_no_higgs_field_drawn(self, monkeypatch):
+        # the kernel is closed: no operator samples a Higgs field on the line
+        def refuse(*args, **kwargs):
+            raise AssertionError("P1 Higgs field sampled")
+
+        monkeypatch.setattr(orc, "p1_sample", refuse)
+        monkeypatch.setattr(orc, "p1_kernel_profile", refuse)
+        cr.clear_memos()
+        digest = hashlib.sha256("\n".join(self.battery_lines()).encode()).hexdigest()
+        assert digest == self.BATTERY_SHA256
+
+
+def sampled_kernel(shape, seed=0):
+    return orc.p1_kernel_profile(orc.p1_sample(shape, seed=seed))[0]
+
+
+class TestP1KernelRule:
+    """The closed kernel rule of ``_kernel_degrees`` against sampled fields."""
+
+    def test_all_small_shapes(self):
+        # every shape with 1-5 summands and spread <= 7, up to twist
+        shapes = [
+            rest + (0,)
+            for n in range(1, 6)
+            for rest in itertools.combinations_with_replacement(range(7, -1, -1), n - 1)
+        ]
+        assert len(shapes) == 495
+        for shape in shapes:
+            assert cr._kernel_degrees(P1, shape) == sampled_kernel(shape), shape
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=8),
+        st.integers(0, 2**32),
+    )
+    def test_random_shapes(self, degs, seed):
+        shape = tuple(sorted(degs, reverse=True))
+        assert cr._kernel_degrees(P1, shape) == sampled_kernel(shape, seed)
+
+    def test_special_shapes(self):
+        assert cr._kernel_degrees(P1, (5,)) == (5,)
+        assert cr._kernel_degrees(P1, (3, 3, 2, 2)) == (3, 3, 2, 2)
+        assert cr._kernel_degrees(P1, (7, 4, 2, -1)) == (7,)
+        for a, b in [(3, 1), (4, 2), (6, 1), (2, -3)]:
+            assert cr._kernel_degrees(P1, (a, b, b)) == (a, 2 * b - a + 2)
+
+    def test_weighted_curves_keep_the_special_shapes(self):
+        assert cr._kernel_degrees(W2, (3, 3, 2)) == (3, 3, 2)
+        assert cr._kernel_degrees(W2, (5, 2, 0)) == (5,)
+        with pytest.raises(ValueError, match=cr.UNSUPPORTED):
+            cr._kernel_degrees(W2, (3, 1, 1))
 
 
 # ---------------------------------------------------------------------------
