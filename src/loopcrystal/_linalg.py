@@ -5,7 +5,11 @@ Matrices are plain lists of row lists.  Every function takes the field as
 ``DEFAULT_PRIME`` used by the oracle's randomized sampling, or ``None`` for
 exact arithmetic over Q (Gram matrix inversion, audit passes of the oracle).
 Integer entries are valid in both fields; over GF(p) results are reduced
-residues, over Q they are ``Fraction`` or ``int``.
+residues.  Over Q the input may also hold rationals (anything with
+``numerator`` and ``denominator``), and the results are integers: row
+reduction is fraction-free (Bareiss), so ranks, kernels and echelon forms
+carry no denominators.  Only :func:`invert_frac` returns a ``Fraction``, for
+an entry of the inverse that is not an integer.
 
 Row reduction mod p is the hot path of the oracle.  A compiled kernel
 (:mod:`loopcrystal._rowreduce`, built from the committed C source when a
@@ -16,7 +20,7 @@ otherwise the pure-Python elimination below, with the same output, is used.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 DEFAULT_PRIME = (1 << 61) - 1  # Mersenne prime 2^61 - 1
 
@@ -31,16 +35,19 @@ except ImportError:  # pragma: no cover
 def rref_mod(rows, p=DEFAULT_PRIME):
     """Reduced row echelon form over GF(p), or over Q when ``p`` is None.
 
-    Returns ``(reduced_rows, pivot_columns)``.  Entries are reduced on input,
-    rows below the rank are zero, and the number of pivots is the rank.
+    Returns ``(reduced_rows, pivot_columns)``.  Rows below the rank are zero,
+    and the number of pivots is the rank.  Over GF(p) entries are reduced on
+    input and every pivot is 1.  Over Q the rows are integers and hold the
+    reduced echelon form up to one common pivot scale: every pivot is the
+    same nonzero integer ``d``, and each pivot column is zero outside its
+    pivot row.
     """
     # the kernel raises TypeError on a matrix without columns
     if _compiled is not None and p is not None and p < (1 << 62) and rows and rows[0]:
         return _compiled.rref_mod(rows, p)
     if p is None:
-        m = [[Fraction(x) for x in r] for r in rows]
-    else:
-        m = [[x % p for x in r] for r in rows]
+        return _rref_fraction_free(rows)
+    m = [[x % p for x in r] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -52,19 +59,51 @@ def rref_mod(rows, p=DEFAULT_PRIME):
         else:
             continue
         m[r], m[piv] = m[piv], m[r]
-        if p is None:
-            inv = 1 / m[r][c]
-            m[r] = row_r = [x * inv for x in m[r]]
-        else:
-            inv = pow(m[r][c], p - 2, p)
-            m[r] = row_r = [x * inv % p for x in m[r]]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = row_r = [x * inv % p for x in m[r]]
         for i in range(nrows):
             f = m[i][c]
             if i != r and f:
-                if p is None:
-                    m[i] = [a - f * b for a, b in zip(m[i], row_r)]
-                else:
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], row_r)]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _rref_fraction_free(rows):
+    """:func:`rref_mod` over Q by fraction-free Gauss-Jordan elimination.
+
+    Each row's denominators are cleared first.  Each step multiplies every
+    other row by the new pivot, subtracts the pivot row, and divides by the
+    previous pivot (Bareiss, *Math. Comp.* 22, 1968).  The division is exact,
+    since every entry is then a minor of the cleared input, and it leaves the
+    earlier pivots equal to the new one.
+    """
+    m = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        m.append([x.numerator * (den // x.denominator) for x in r])
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        d = row_r[c]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(d * a - f * b) // prev for a, b in zip(m[i], row_r)]
+        prev = d
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -80,16 +119,19 @@ def nullspace_mod(rows, ncols, p=DEFAULT_PRIME):
     """Basis of the right kernel of the ``len(rows)`` x ``ncols`` matrix.
 
     The basis is in the standard back-substitution form: one vector per free
-    column, with a 1 in that column.  Empty ``rows`` give the standard basis.
+    column, with a 1 in that column over GF(p), and over Q the common pivot
+    ``d`` of :func:`rref_mod`, which keeps the vector integral.  Empty
+    ``rows`` give the standard basis.
     """
     red, pivots = rref_mod(rows, p)
     pivot_set = set(pivots)
+    d = red[0][pivots[0]] if p is None and pivots else 1
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
         v = [0] * ncols
-        v[fc] = 1
+        v[fc] = d
         for i, pc in enumerate(pivots):
             v[pc] = -red[i][fc] if p is None else -red[i][fc] % p
         basis.append(v)
@@ -97,13 +139,30 @@ def nullspace_mod(rows, ncols, p=DEFAULT_PRIME):
 
 
 def invert_frac(rows):
-    """Exact inverse over Q of a square matrix; raises on singular input."""
+    """Exact inverse over Q of a square matrix; raises on singular or
+    non-square input.
+
+    :func:`rref_mod` turns ``[A | I]`` into ``[d*I | B]``, and the inverse is
+    ``B / d``: an entry that ``d`` divides is an ``int``, any other one a
+    ``Fraction``.
+    """
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     red, pivots = rref_mod(aug, None)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [r[n:] for r in red[:n]]
+    d = red[0][0] if n else 1
+
+    def entry(x):
+        q, rem = divmod(x, d)
+        if not rem:
+            return q
+        from fractions import Fraction
+        return Fraction(x, d)
+
+    return [[entry(x) for x in r[n:]] for r in red]
 
 
 def mat_mul_mod(a, b, p=DEFAULT_PRIME):

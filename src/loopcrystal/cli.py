@@ -48,7 +48,6 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 from pathlib import Path
 
 from . import catalog as cat
@@ -73,17 +72,25 @@ def _parse_weights_text(text: str) -> tuple[int, ...]:
     return ws
 
 
+def _parse_rational(text: str, what: str, inf_ok: bool = False):
+    """``text`` as an exact ``Fraction``, or ``math.inf`` for ``"inf"`` when
+    ``inf_ok``; other text, a zero denominator included, is refused with
+    ``ValueError`` (exit 2)."""
+    if inf_ok and text == "inf":
+        return math.inf
+    from fractions import Fraction
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        alt = " or 'inf'" if inf_ok else ""
+        raise ValueError(f"{what} {text!r} is not rational{alt}") from None
+
+
 def _check_lambda(values) -> tuple[str, ...]:
-    out = []
-    for v in values:
-        s = str(v)
-        if s != "inf":
-            try:
-                Fraction(s)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"marked-point parameter {s!r} is not rational or 'inf'")
-        out.append(s)
-    return tuple(out)
+    out = tuple(map(str, values))
+    for s in out:
+        _parse_rational(s, "marked-point parameter", inf_ok=True)
+    return out
 
 
 def load_config(path: str) -> dict:
@@ -282,7 +289,7 @@ def load_component(curve: WeightData, spec: str) -> comp.ComponentLabel:
 # output helpers
 # ---------------------------------------------------------------------------
 
-#: Encoder chunks joined into one write by ``_emit``.  The indented encoder
+#: Chunks joined into one write by ``_write_batched``.  The indented encoder
 #: yields one small string per token (31,870 for a 197 KB crystal graph), so
 #: joining them all at once costs about 8 bytes of heap per byte of output;
 #: a fixed batch bounds that transient, and keeps the write count small for
@@ -335,7 +342,11 @@ def _emit(payload) -> None:
     ``listed`` is ``payload`` with every top-level iterator read into a list
     (see :func:`_json_chunks`).
     """
-    chunks = itertools.chain(_json_chunks(payload), ["\n"])
+    _write_batched(itertools.chain(_json_chunks(payload), ["\n"]))
+
+
+def _write_batched(chunks: Iterator[str]) -> None:
+    """Write the strings of ``chunks`` to stdout, ``_EMIT_BATCH`` per write."""
     for head in chunks:
         sys.stdout.write(head + "".join(itertools.islice(chunks, _EMIT_BATCH - 1)))
 
@@ -362,7 +373,8 @@ def _fail(message: str) -> None:
 
 
 def _slope_str(value) -> str:
-    return "inf" if value == math.inf else str(Fraction(value))
+    """``kt.slope``'s value as text: ``"inf"`` or the ``Fraction``'s string."""
+    return "inf" if value == math.inf else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +464,8 @@ def cmd_components(args, config: dict) -> int:
         if args.slope_window is not None:
             lo, hi = args.slope_window
             window = (
-                Fraction(lo),
-                math.inf if hi == "inf" else Fraction(hi),
+                _parse_rational(lo, "slope-window lower end"),
+                _parse_rational(hi, "slope-window upper end", inf_ok=True),
             )
         labels = comp.enumerate_components_tubular(
             curve, a, slope_window=window, max_parts=args.max_parts
@@ -528,7 +540,7 @@ def cmd_crystal_graph(args, config: dict) -> int:
             _emit({"violations": violations, "count": len(violations)})
             return 3
     if args.dot:
-        print(cry.to_dot(graph))
+        _write_batched(line + "\n" for line in cry.dot_lines(graph))
     else:
         _emit(cry.graph_json_fields(graph))
     return 0

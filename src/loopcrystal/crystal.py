@@ -567,16 +567,13 @@ class Budget(Record):
     def admits(self, curve: WeightData, a: kt.KClass) -> bool:
         if self.max_rank is not None and a.r > self.max_rank:
             return False
-        if self.max_deg is not None:
-            if abs(kt.degree_d(curve, a)) > self.max_deg * curve.p:
-                return False
-        if self.max_delta is not None:
-            if a.r != 0:
-                return False
-            gap = kt.sub(kt.scale(self.max_delta, kt.delta_class(curve)), a)
-            if not kt.is_positive(curve, gap):
-                return False
-        return True
+        if self.max_deg is not None and abs(kt.degree_d(curve, a)) > self.max_deg * curve.p:
+            return False
+        if self.max_delta is None:
+            return True
+        return a.r == 0 and kt.is_positive(
+            curve, kt.sub(kt.scale(self.max_delta, kt.delta_class(curve)), a)
+        )
 
     def stops_raising(self, curve: WeightData, classes) -> bool:
         """Whether the window ends every walk by the colour ``classes``.
@@ -824,19 +821,24 @@ def apply_path(
 # export
 # ---------------------------------------------------------------------------
 
-def to_dot(graph: CrystalGraph) -> str:
+def dot_lines(graph: CrystalGraph):
+    """The lines of the graph's DOT text, without newlines, one at a time."""
     curve = graph.curve
     # each node's label text once, shared by its edges
     name = cache(partial(comp.format_label, curve))
-    lines = ["digraph loopcrystal {", "  rankdir=LR;", "  node [shape=box];"]
-    lines += (f'  "{name(z)}";' for z in graph.nodes)
+    yield from ("digraph loopcrystal {", "  rankdir=LR;", "  node [shape=box];")
+    for z in graph.nodes:
+        yield f'  "{name(z)}";'
     for src, tgt, color in graph.edges:
-        lines.append(
+        yield (
             f'  "{name(src)}" -> "{name(tgt)}" '
             f'[label="f[{cat.format_label(curve, color)}]"];'
         )
-    lines.append("}")
-    return "\n".join(lines)
+    yield "}"
+
+
+def to_dot(graph: CrystalGraph) -> str:
+    return "\n".join(dot_lines(graph))
 
 
 def graph_json_fields(graph: CrystalGraph) -> dict:

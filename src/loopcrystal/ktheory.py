@@ -13,15 +13,17 @@ spanning set ``{[O(x)] : 0 <= x <= c}`` via
 
     <[O(x)], [O(y)]> = dim S_{y-x} - dim S_{x + omega - y},
 
-then transported to the standard basis by an exact rational base change; the
-resulting Gram matrix is checked to be integral.
+then transported to the standard basis by an exact base change; the
+resulting Gram matrix is checked to be integral.  The base change is
+unimodular, since ``{[O(x)] : 0 <= x <= c}`` is a Z-basis of K_0
+(Geigle-Lenzing 1987), so its inverse and the whole computation stay in the
+integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _linalg
@@ -261,6 +263,7 @@ def slope(curve: WeightData, a: KClass):
         raise ValueError("zero class has no slope")
     if a.r == 0:
         return INFINITE_SLOPE
+    from fractions import Fraction
     return Fraction(degree_d(curve, a), a.r)
 
 
@@ -323,6 +326,7 @@ def hn_types(
     lo, hi = slope_window
     if lo == -math.inf:
         raise ValueError("slope window needs a finite lower bound")
+    from fractions import Fraction
     lo = Fraction(lo)
     hi = hi if hi == math.inf else Fraction(hi)
     p = curve.p

@@ -13,8 +13,8 @@ Two families of models:
   ``V = O(a_1) + ... + O(a_n)`` twisted by ``omega = -2c``, with entry
   ``(k, k')`` a binary form of degree ``a_k - a_{k'} - 2``.
 
-All arithmetic is exact: a large prime field by default (``prime=None``
-switches to rationals for audit runs).
+All arithmetic is exact: a large prime field by default, and for audit runs
+(``prime=None``) Q, computed in the integers by fraction-free elimination.
 """
 
 from __future__ import annotations

@@ -21,8 +21,10 @@ be cross-checked.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Record:
@@ -214,6 +216,7 @@ class WeightData:
 
     def genus(self) -> Fraction:
         """Virtual genus ``1 + ((n-2)p - sum_i p/p_i) / 2``."""
+        from fractions import Fraction
         s = sum(self.p // p_i for p_i in self.weights)
         return 1 + Fraction((self.n - 2) * self.p - s, 2)
 

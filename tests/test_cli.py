@@ -314,6 +314,23 @@ class TestComponentsList:
         )
         assert d["count"] == len(want)
 
+    @pytest.mark.parametrize(
+        "window, bad",
+        [(["1/0", "inf"], "'1/0'"), (["abc", "inf"], "'abc'"), (["inf", "inf"], "'inf'"),
+         (["0", "1/0"], "'1/0'")],
+        ids=["zero-denominator", "not-a-number", "infinite-lower-end", "zero-denominator-hi"],
+    )
+    def test_bad_slope_window_exits_2(self, capsys, window, bad):
+        code, out, err = run(
+            capsys,
+            ["components", "list", "--weights", "2,2,2,2", "--class", "O",
+             "--slope-window", *window],
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{bad} is not rational" in err
+        assert "Traceback" not in err
+
     def test_wild_rank_refused(self, capsys):
         code, _, err = run(
             capsys, ["components", "list", "--class", "O", "--weights", "2,3,7"]

@@ -1,9 +1,11 @@
 """Field-generic linear algebra: GF(p) for a prime ``p`` and Q for ``p=None``.
 
-The compiled row-reduction kernel is compared entry for entry with the
-pure-Python elimination.  When the kernel is not installed, the committed
-``_rowreduce.c`` is compiled into a temporary directory with the C compiler
-that ``sysconfig`` names; the comparison is skipped only without a compiler.
+Results over Q are integers (fraction-free elimination); they are compared
+with a ``Fraction`` reference computed here.  The compiled row-reduction
+kernel is compared entry for entry with the pure-Python elimination.  When
+the kernel is not installed, the committed ``_rowreduce.c`` is compiled into
+a temporary directory with the C compiler that ``sysconfig`` names; the
+comparison is skipped only without a compiler.
 """
 
 import importlib.util
@@ -11,6 +13,7 @@ import shlex
 import shutil
 import subprocess
 import sysconfig
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,15 +48,38 @@ def entries(p):
     return near_multiple | st.integers(-3 * p, 3 * p)
 
 
-def matrices(p, ncols, min_rows=0, max_rows=6):
-    row = st.lists(entries(p), min_size=ncols, max_size=ncols)
+#: rationals with small numerators and denominators, integers included
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def matrices(p, ncols, min_rows=0, max_rows=6, elements=None):
+    row = st.lists(entries(p) if elements is None else elements, min_size=ncols, max_size=ncols)
     return st.lists(row, min_size=min_rows, max_size=max_rows)
 
 
 @st.composite
-def shaped_matrices(draw, p):
+def shaped_matrices(draw, p, elements=None):
     ncols = draw(st.integers(0, 6))
-    return draw(matrices(p, ncols)), ncols
+    return draw(matrices(p, ncols, elements=elements)), ncols
+
+
+def rref_reference(rows):
+    """Reduced row echelon form over Q with unit pivots, in ``Fraction``s,
+    as ``(reduced_rows, pivot_columns)``."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 def rref_with(kernel, rows, p):
@@ -108,11 +134,36 @@ class TestRref:
         rows, _ = data.draw(shaped_matrices(p))
         red, pivots = rref_with(None, rows, p)
         assert pivots == sorted(set(pivots))
+        # every pivot is 1 over GF(p), one common nonzero integer d over Q
+        d = red[0][pivots[0]] if p is None and pivots else 1
+        assert d != 0
         for i, pc in enumerate(pivots):
-            assert [row[pc] for row in red] == [int(k == i) for k in range(len(red))]
+            assert [row[pc] for row in red] == [d * (k == i) for k in range(len(red))]
         assert all(x == 0 for row in red[len(pivots):] for x in row)
         if p is not None:
             assert all(0 <= x < p for row in red for x in row)
+        else:
+            assert all(type(x) is int for row in red for x in row)
+            ref, ref_pivots = rref_reference(rows)
+            assert pivots == ref_pivots
+            assert red == [[d * x for x in row] for row in ref]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rational_input(self, data):
+        rows, _ = data.draw(shaped_matrices(None, RATIONALS))
+        red, pivots = rref_mod(rows, None)
+        ref, ref_pivots = rref_reference(rows)
+        assert pivots == ref_pivots
+        d = red[0][pivots[0]] if pivots else 1
+        assert all(type(x) is int for row in red for x in row)
+        assert red == [[d * x for x in row] for row in ref]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rank_over_q_matches_reference(self, data):
+        rows, _ = data.draw(shaped_matrices(None, RATIONALS | entries(None)))
+        assert rank_mod(rows, None) == len(rref_reference(rows)[1])
 
     def test_empty_inputs(self):
         for p in FIELDS:
@@ -133,6 +184,16 @@ class TestNullspace:
             assert len(v) == ncols
             assert mat_vec_mod(rows, v, p) == [0] * len(rows)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_integral_kernel_basis_over_q(self, data):
+        rows, ncols = data.draw(shaped_matrices(None, RATIONALS))
+        basis = nullspace_mod(rows, ncols, None)
+        assert all(type(x) is int for v in basis for x in v)
+        assert all(mat_vec_mod(rows, v, None) == [0] * len(rows) for v in basis)
+        # independent, and as many as the kernel's dimension: a spanning set
+        assert rank_mod(basis, None) == len(basis) == ncols - rank_mod(rows, None)
+
     @pytest.mark.parametrize("p", FIELDS)
     def test_no_rows_gives_standard_basis(self, p):
         for n in range(5):
@@ -151,13 +212,41 @@ class TestProducts:
         assert mat_mul_mod([], [[1, 2]]) == []
         assert mat_mul_mod([[], []], []) == [[], []]
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_invert_frac(self, data):
+    @staticmethod
+    def check_inverse(data, elements):
         n = data.draw(st.integers(1, 4))
-        a = data.draw(matrices(None, n, min_rows=n, max_rows=n))
+        a = data.draw(matrices(None, n, min_rows=n, max_rows=n, elements=elements))
         if rank_mod(a, None) < n:
             with pytest.raises(ValueError, match="singular"):
                 invert_frac(a)
-        else:
-            assert mat_mul_mod(invert_frac(a), a, None) == identity(n)
+            return
+        inv = invert_frac(a)
+        assert mat_mul_mod(inv, a, None) == identity(n)
+        assert mat_mul_mod(a, inv, None) == identity(n)
+        # integral entries are ints; only the others are Fractions
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for r in inv for x in r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_invert_frac(self, data):
+        self.check_inverse(data, entries(None))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_invert_frac_on_rationals(self, data):
+        self.check_inverse(data, RATIONALS)
+
+    def test_invert_frac_keeps_unimodular_inverse_integral(self):
+        inv = invert_frac([[2, 1], [1, 1]])
+        assert inv == [[1, -1], [-1, 2]]
+        assert all(type(x) is int for r in inv for x in r)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2]], [[1], [2]], [[1, 0], [0]], [[]]], ids=["wide", "tall", "ragged", "1x0"]
+    )
+    def test_invert_frac_refuses_non_square(self, rows):
+        with pytest.raises(ValueError, match="not square"):
+            invert_frac(rows)
+
+    def test_invert_frac_of_empty_matrix(self):
+        assert invert_frac([]) == []

@@ -254,18 +254,50 @@ class TestCopyAndPickle:
             assert repr(copied) == repr(value)
 
 
+#: Builds two small verified graphs (the P1 grid rules, and a (3,1,1)
+#: torsion graph with a serial colour, which the oracle answers) and makes an
+#: audited eps sample, which row-reduces over Q.
+EXACT_RUN = """
+import contextlib, importlib, io, pkgutil, sys
+import loopcrystal
+for info in pkgutil.iter_modules(loopcrystal.__path__):
+    importlib.import_module("loopcrystal." + info.name)
+from loopcrystal import cli, components as comp, oracle
+from loopcrystal.starlattice import WeightData
+for argv in (
+    ["--colors", "O", "O(-1)", "--max-rank", "2", "--max-deg", "2"],
+    ["--weights", "3,1,1", "--colors", "S[1,0](1)", "S[1,1](2)", "--max-delta", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["crystal", "graph", "--seeds", "empty", "--verify", *argv]) == 0
+curve = WeightData((3, 1, 1))
+m = comp.multisegment(curve, 0, [(0, 2), (1, 1)])
+oracle.eps_sample(curve, m, 0, 1, trials=2, audit=True)
+"""
+
+
 class TestImportCost:
-    def test_cli_import_leaves_out_dataclasses_and_inspect(self):
+    @staticmethod
+    def _run(code: str) -> str:
         src = str(Path(loopcrystal.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "import loopcrystal.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-        )
         done = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_cli_import_leaves_out_dataclasses_and_inspect(self):
+        assert self._run(
+            "import loopcrystal.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        ) == "[]"
+
+    def test_exact_arithmetic_leaves_out_fractions(self):
+        # Q is computed in the integers; Fraction is only for rationals
+        # returned to callers (genus, slopes), which this run asks for none of
+        assert self._run(
+            EXACT_RUN + "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+        ) == "[]"
