@@ -11,11 +11,8 @@ reduction is fraction-free (Bareiss), so ranks, kernels and echelon forms
 carry no denominators.  Only :func:`invert_frac` returns a ``Fraction``, for
 an entry of the inverse that is not an integer.
 
-Row reduction mod p is the hot path of the oracle.  A compiled kernel
-(:mod:`loopcrystal._rowreduce`, built from the committed C source when a
-compiler is available) is selected at import time for primes below 2^62;
-otherwise the pure-Python elimination below, with the same output, is used.
-``BACKEND`` reports which one is active.
+Row reduction mod p is the hot path of the oracle.  It is pure Python: one
+Gauss-Jordan loop over GF(p) and one fraction-free loop over Q.
 """
 
 from __future__ import annotations
@@ -24,12 +21,8 @@ import math
 
 DEFAULT_PRIME = (1 << 61) - 1  # Mersenne prime 2^61 - 1
 
-try:  # pragma: no cover - exercised indirectly depending on the build
-    from . import _rowreduce as _compiled
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    _compiled = None
-    BACKEND = "python"
+#: the only backend; ``perfbench/worker.py`` records it in every result
+BACKEND = "python"
 
 
 def rref_mod(rows, p=DEFAULT_PRIME):
@@ -42,9 +35,6 @@ def rref_mod(rows, p=DEFAULT_PRIME):
     same nonzero integer ``d``, and each pivot column is zero outside its
     pivot row.
     """
-    # the kernel raises TypeError on a matrix without columns
-    if _compiled is not None and p is not None and p < (1 << 62) and rows and rows[0]:
-        return _compiled.rref_mod(rows, p)
     if p is None:
         return _rref_fraction_free(rows)
     m = [[x % p for x in r] for r in rows]
@@ -59,7 +49,7 @@ def rref_mod(rows, p=DEFAULT_PRIME):
         else:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
+        inv = pow(m[r][c], -1, p)
         m[r] = row_r = [x * inv % p for x in m[r]]
         for i in range(nrows):
             f = m[i][c]

@@ -55,7 +55,8 @@ IndecLabel = Union[LineBundle, ExcTorsion, OrdTorsion, RealBundle]
 
 def validate(curve: WeightData, label: IndecLabel) -> None:
     if isinstance(label, LineBundle):
-        curve.normalize(label.x.residues, l=label.x.l)
+        if curve.normalize(label.x.residues, l=label.x.l) != label.x:
+            raise ValueError(f"degree {label.x} is not in normal form")
     elif isinstance(label, ExcTorsion):
         if not (0 <= label.i < curve.n) or curve.weights[label.i] == 1:
             raise ValueError("exceptional torsion needs a weighted point")
@@ -207,16 +208,22 @@ def json_fields(data, what: str, **kinds) -> tuple:
 
 
 def label_from_json(data: dict, curve: WeightData) -> IndecLabel:
+    """Inverse of :func:`label_to_json`; other shapes and labels that
+    :func:`validate` refuses raise ``ValueError``."""
     (kind,) = json_fields(data, "sheaf label", kind=str)
     if kind == "line_bundle":
-        return LineBundle(LElement.from_json(data["x"]))
-    if kind == "exc_torsion":
-        return exc_torsion(curve, int(data["i"]) - 1, int(data["j"]), int(data["l"]))
-    if kind == "ord_torsion":
-        return OrdTorsion(str(data["pt"]), int(data["d"]))
-    if kind == "real_bundle":
-        return RealBundle(kt.KClass.from_json(data["a"], curve))
-    raise ValueError(f"unknown label kind: {kind!r}")
+        label = LineBundle(LElement.from_json(data["x"]))
+    elif kind == "exc_torsion":
+        i, j, l = json_fields(data, "torsion label", i=int, j=int, l=int)
+        label = exc_torsion(curve, i - 1, j, l)
+    elif kind == "ord_torsion":
+        label = OrdTorsion(*json_fields(data, "torsion label", pt=str, d=int))
+    elif kind == "real_bundle":
+        label = RealBundle(kt.KClass.from_json(data["a"], curve))
+    else:
+        raise ValueError(f"unknown label kind: {kind!r}")
+    validate(curve, label)
+    return label
 
 
 def format_label(curve: WeightData, label: IndecLabel) -> str:

@@ -706,6 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--slope-window", nargs=2, metavar=("LO", "HI"), default=None,
         help="slope bounds for genus-1 splittings; HI may be 'inf'",
     )
+    # match negative fractions too, e.g. -1/2
+    clist._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     clist.add_argument("--max-parts", type=int, default=4, help="splitting length cap (genus 1)")
 
     crystal = group("crystal", "operators and graphs")

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from . import catalog as cat, ktheory as kt
-from .starlattice import Record, WeightData
+from .starlattice import Record, WeightData, json_ints
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +332,13 @@ def label_from_json(data: dict, curve: WeightData) -> ComponentLabel:
     for item in raw_excs:
         i, raw_segs = cat.json_fields(item, "exceptional part", i=int, segs=list)
         segs = []
-        for j, l, a in raw_segs:
-            segs.extend([(int(j), int(l))] * int(a))
+        for raw in raw_segs:
+            j, l, a = json_ints(raw, "segment")
+            if a < 1:
+                raise ValueError(f"segment {raw} needs a positive multiplicity")
+            segs.extend([(j, l)] * a)
         excs.append(multisegment(curve, i - 1, segs))
-    return component_label(curve, bundle, ordinary, excs)
+    return component_label(curve, bundle, json_ints(ordinary, "partition"), excs)
 
 
 def format_label(curve: WeightData, z: ComponentLabel) -> str:

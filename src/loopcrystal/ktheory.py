@@ -27,7 +27,7 @@ import math
 from typing import Iterable, Sequence
 
 from . import _linalg
-from .starlattice import LElement, Record, WeightData
+from .starlattice import LElement, Record, WeightData, json_ints
 
 INFINITE_SLOPE = math.inf
 
@@ -53,14 +53,16 @@ class KClass(Record):
 
     @staticmethod
     def from_json(data: dict, curve: WeightData) -> "KClass":
+        entries = data.get("m", {})
+        r, d, *_ = json_ints([data["r"], data["d"], *entries.values()], "class entries")
         m = [[0] * (p - 1) for p in curve.weights]
-        for key, v in data.get("m", {}).items():
+        for key, v in entries.items():
             i_s, j_s = key.split(",")
             i, j = int(i_s) - 1, int(j_s)
             if not (0 <= i < curve.n) or not (1 <= j <= curve.weights[i] - 1):
                 raise ValueError(f"invalid simple index {key}")
-            m[i][j - 1] = int(v)
-        return KClass(int(data["r"]), int(data["d"]), tuple(tuple(row) for row in m))
+            m[i][j - 1] = v
+        return KClass(r, d, tuple(tuple(row) for row in m))
 
 
 def zero_class(curve: WeightData) -> KClass:

@@ -91,6 +91,15 @@ class Record:
         return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
 
 
+def json_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple if each one is a JSON integer (not a bool or a
+    float); anything else raises ``ValueError``."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be JSON integers, got {list(values)!r}")
+    return values
+
+
 class LElement(Record):
     """Normal form ``l*c + sum_i residues[i] * x_i`` with ``0 <= residues[i] < p_i``."""
 
@@ -103,7 +112,8 @@ class LElement(Record):
 
     @staticmethod
     def from_json(data: dict) -> "LElement":
-        return LElement(int(data["l"]), tuple(int(r) for r in data["residues"]))
+        l, *residues = json_ints([data["l"], *data["residues"]], "degree coefficients")
+        return LElement(l, tuple(residues))
 
 
 class WeightData:

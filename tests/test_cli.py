@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,14 @@ def write_component(tmp_path, curve, z, name="z.json"):
     path = tmp_path / name
     path.write_text(json.dumps(comp.label_to_json(curve, z)))
     return str(path)
+
+
+def _line_bundle(residues, l=0):
+    return {"kind": "line_bundle", "x": {"l": l, "residues": residues}}
+
+
+def _component(bundle=(), ordinary=(), exceptional=()):
+    return {"bundle": list(bundle), "ordinary": list(ordinary), "exceptional": list(exceptional)}
 
 
 def line_label(curve, *degs):
@@ -315,6 +324,33 @@ class TestComponentsList:
         assert d["count"] == len(want)
 
     @pytest.mark.parametrize(
+        "window, extra, expected",
+        [
+            (["-1/2", "3/2"], [], (Fraction(-1, 2), Fraction(3, 2))),
+            (["-0.5", "3/2"], [], (Fraction(-1, 2), Fraction(3, 2))),
+            (["-1", "3/2"], [], (Fraction(-1), Fraction(3, 2))),
+            (["-1/2", "3/2"], ["--max-parts", "1"], (Fraction(-1, 2), Fraction(3, 2))),
+        ],
+        ids=["negative-fraction", "negative-decimal", "negative-integer", "option-after"],
+    )
+    def test_negative_slope_window_lower_end(self, capsys, window, extra, expected):
+        w = WeightData((2, 2, 2, 2))
+        d = run_json(
+            capsys,
+            ["components", "list", "--weights", "2,2,2,2", "--class", "2*O+delta",
+             "--slope-window", *window, *extra],
+        )
+        want = comp.enumerate_components_tubular(
+            w,
+            kt.add(kt.scale(2, kt.structure_class(w)), kt.delta_class(w)),
+            slope_window=expected,
+            max_parts=int(extra[1]) if extra else 4,
+        )
+        assert [c["display"] for c in d["components"]] == [
+            comp.format_label(w, z) for z in want
+        ]
+
+    @pytest.mark.parametrize(
         "window, bad",
         [(["1/0", "inf"], "'1/0'"), (["abc", "inf"], "'abc'"), (["inf", "inf"], "'inf'"),
          (["0", "1/0"], "'1/0'")],
@@ -425,28 +461,42 @@ class TestCrystalApply:
         assert "usage" in err
 
     @pytest.mark.parametrize(
-        "data",
+        "data, message",
         [
-            {"kind": 3},
-            [],
-            {"bundle": [], "ordinary": []},
-            {"bundle": [{"kind": "hn_leaf"}], "ordinary": [], "exceptional": []},
-            {"bundle": [{"kind": "line_bundle"}], "ordinary": [], "exceptional": []},
-            {"bundle": [], "ordinary": [], "exceptional": [{"i": 7, "segs": []}]},
-            {"bundle": [], "ordinary": [], "exceptional": [{"i": 1, "segs": [5]}]},
+            ({"kind": 3}, "component"),
+            ([], "component"),
+            ({"bundle": [], "ordinary": []}, "component"),
+            ({"bundle": [{"kind": "hn_leaf"}], "ordinary": [], "exceptional": []}, "component"),
+            ({"bundle": [{"kind": "line_bundle"}], "ordinary": [], "exceptional": []}, "component"),
+            ({"bundle": [], "ordinary": [], "exceptional": [{"i": 7, "segs": []}]}, "component"),
+            ({"bundle": [], "ordinary": [], "exceptional": [{"i": 1, "segs": [5]}]}, "component"),
+            (_component(bundle=[_line_bundle([5, 0, 0])]), "not in normal form"),
+            (_component(bundle=[_line_bundle([1, 0])]), "expected 3 coefficients"),
+            (_component(bundle=[_line_bundle([1, 0, 0], l=0.5)]), "JSON integers"),
+            (_component(exceptional=[{"i": 1, "segs": [[0, 1, -2]]}]), "positive multiplicity"),
+            (_component(exceptional=[{"i": 1, "segs": [[0, 1, 0]]}]), "positive multiplicity"),
+            (_component(exceptional=[{"i": 1, "segs": [[0, 1.9, 1]]}]), "JSON integers"),
+            (_component(exceptional=[{"i": 1, "segs": [[0, True, 1]]}]), "JSON integers"),
+            (_component(ordinary=["2"]), "JSON integers"),
+            (_component(bundle=[{"kind": "hn_leaf", "class": {"r": 1.5, "d": 0}}]), "JSON integers"),
         ],
-        ids=["kind", "list", "key", "hn-leaf", "line-bundle", "point", "segment"],
+        ids=["kind", "list", "key", "hn-leaf", "line-bundle", "point", "segment",
+             "residue-range", "residue-count", "float-degree", "negative-multiplicity",
+             "zero-multiplicity", "float-length", "bool-length", "string-part",
+             "float-rank"],
     )
-    def test_malformed_component_file_rejected(self, capsys, tmp_path, data):
+    def test_malformed_component_file_rejected(self, capsys, tmp_path, data, message):
         path = tmp_path / "z.json"
         path.write_text(json.dumps(data))
         code, out, err = run(
             capsys,
-            ["crystal", "apply", "--op", "f", "--color", "O", "--component", str(path)],
+            ["crystal", "apply", "--op", "phi", "--color", "S[1,0](1)", "--component",
+             str(path), "--weights", "2,1,1"],
         )
         assert code == 2
         assert out == ""
-        assert "component" in err
+        assert message in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +513,21 @@ def _one_node_graph(source):
         "colors": [o],
         "complete": True,
     }
+
+
+_segment_color = {"kind": "exc_torsion", "i": 1, "j": 0, "l": 1}
+
+
+def _torsion_graph(color, segs=None):
+    """A (2,1,1) graph on the empty label with ``color``; given ``segs``, also
+    a node with them at the weighted point and a ``color`` edge from it."""
+    nodes = [_component()]
+    edges = []
+    if segs is not None:
+        nodes.append(_component(exceptional=[{"i": 1, "segs": segs}]))
+        edges.append({"source": 1, "target": 0, "color": color})
+    return {"weights": [2, 1, 1], "nodes": nodes, "edges": edges, "colors": [color],
+            "complete": True}
 
 
 class TestCrystalGraph:
@@ -647,8 +712,14 @@ class TestCrystalGraph:
             ([], "crystal graph"),
             (_one_node_graph(5), "edge endpoint 5"),
             (_one_node_graph(-1), "edge endpoint -1"),
+            (_torsion_graph(_line_bundle([5, 0, 0])), "not in normal form"),
+            (_torsion_graph(_segment_color, [[0, 1.9, 1]]), "JSON integers"),
+            (_torsion_graph(_segment_color, [[0, 1, -2]]), "positive multiplicity"),
+            (_torsion_graph({**_segment_color, "l": 1.5}), "torsion label"),
         ],
-        ids=["empty-object", "list", "source-past-end", "negative-source"],
+        ids=["empty-object", "list", "source-past-end", "negative-source",
+             "color-residue-range", "node-float-length", "node-negative-multiplicity",
+             "color-float-length"],
     )
     def test_verify_rejects_malformed_graph(self, capsys, tmp_path, data, message):
         path = tmp_path / "graph.json"

@@ -616,9 +616,10 @@ def torsion_graph(curve, bound, lengths=None):
 
 
 @functools.cache
-def complete_torsion_graph():
-    """The (2,1,1) torsion graph under 3 delta, as criterion 05 builds it."""
-    return torsion_graph(W2, 3)
+def complete_torsion_graph(curve=W2, bound=3):
+    """The torsion graph of the empty seed under ``bound`` delta, as
+    criterion 05 builds it: by default the (2,1,1) graph under 3 delta."""
+    return torsion_graph(curve, bound)
 
 
 class TestBuildGraph:
@@ -672,6 +673,18 @@ class TestBuildGraph:
     def test_seed_outside_budget_rejected(self):
         with pytest.raises(ValueError, match="seed outside the budget"):
             cr.build_graph(P1, [gl([5])], [O(0)], cr.Budget(max_deg=2))
+
+    @pytest.mark.parametrize("curve, bound", [(W2, 3), (W3, 2)], ids=["p2-delta3", "p3-delta2"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_seeds_inside_the_graph_give_the_graph(self, curve, bound, data):
+        # every node lowers to the empty label inside the window, so any
+        # seeds reach the whole graph
+        g = complete_torsion_graph(curve, bound)
+        seeds = data.draw(st.lists(st.sampled_from(g.nodes), min_size=1, max_size=2))
+        h = cr.build_graph(curve, seeds, g.colors, cr.Budget(max_delta=bound))
+        assert (h.nodes, h.edges, h.complete) == (g.nodes, g.edges, True)
+        assert cr.verify_axioms(h) == []
 
     def test_deterministic(self):
         a = line_graph()

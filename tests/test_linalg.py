@@ -1,26 +1,17 @@
 """Field-generic linear algebra: GF(p) for a prime ``p`` and Q for ``p=None``.
 
-Results over Q are integers (fraction-free elimination); they are compared
-with a ``Fraction`` reference computed here.  The compiled row-reduction
-kernel is compared entry for entry with the pure-Python elimination.  When
-the kernel is not installed, the committed ``_rowreduce.c`` is compiled into
-a temporary directory with the C compiler that ``sysconfig`` names; the
-comparison is skipped only without a compiler.
+Results are compared entry for entry with references computed here: a
+unit-pivot Gauss-Jordan elimination that inverts pivots by Fermat over
+GF(p), and one in ``Fraction``s over Q (whose results ``rref_mod`` returns
+as integers, by fraction-free elimination).
 """
 
-import importlib.util
-import shlex
-import shutil
-import subprocess
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcrystal import _linalg
 from loopcrystal._linalg import (
     DEFAULT_PRIME,
     identity,
@@ -32,7 +23,6 @@ from loopcrystal._linalg import (
     rref_mod,
 )
 
-KERNEL_SOURCE = Path(_linalg.__file__).with_name("_rowreduce.c")
 PRIMES = (2, 3, 5, DEFAULT_PRIME)
 FIELDS = (*PRIMES, None)
 
@@ -63,10 +53,16 @@ def shaped_matrices(draw, p, elements=None):
     return draw(matrices(p, ncols, elements=elements)), ncols
 
 
-def rref_reference(rows):
-    """Reduced row echelon form over Q with unit pivots, in ``Fraction``s,
-    as ``(reduced_rows, pivot_columns)``."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def rref_reference(rows, p=None):
+    """Reduced row echelon form with unit pivots, as ``(reduced_rows,
+    pivot_columns)``: over Q in ``Fraction``s, over GF(p) in residues, with
+    each pivot inverted by Fermat's little theorem."""
+    if p is None:
+        m = [[Fraction(x) for x in row] for row in rows]
+        inverse, reduce = (lambda x: 1 / x), (lambda x: x)
+    else:
+        m = [[x % p for x in row] for row in rows]
+        inverse, reduce = (lambda x: pow(x, p - 2, p)), (lambda x: x % p)
     pivots = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -74,56 +70,14 @@ def rref_reference(rows):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
+        inv = inverse(m[r][c])
+        m[r] = [reduce(x * inv) for x in m[r]]
         for i in range(len(m)):
             if i != r:
-                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                m[i] = [reduce(a - f * b) for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
-
-
-def rref_with(kernel, rows, p):
-    """``rref_mod`` with the given compiled kernel, or with None for Python."""
-    saved, _linalg._compiled = _linalg._compiled, kernel
-    try:
-        return rref_mod(rows, p)
-    finally:
-        _linalg._compiled = saved
-
-
-@pytest.fixture(scope="module")
-def kernel(tmp_path_factory):
-    try:
-        from loopcrystal import _rowreduce
-        return _rowreduce
-    except ImportError:
-        pass
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if not cc or shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler to build the row-reduction kernel")
-    out = tmp_path_factory.mktemp("kernel") / (
-        "_rowreduce" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    cmd = [
-        *shlex.split(sysconfig.get_config_var("LDSHARED")),
-        *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
-        "-I", sysconfig.get_paths()["include"],
-        str(KERNEL_SOURCE), "-o", str(out),
-    ]
-    subprocess.run(cmd, check=True, capture_output=True)
-    spec = importlib.util.spec_from_file_location("_rowreduce", out)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestCompiledKernel:
-    @pytest.mark.parametrize("p", PRIMES)
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_same_output_as_python(self, kernel, p, data):
-        rows, _ = data.draw(shaped_matrices(p))
-        assert rref_with(kernel, rows, p) == rref_with(None, rows, p)
 
 
 class TestRref:
@@ -132,7 +86,7 @@ class TestRref:
     @given(data=st.data())
     def test_echelon_form(self, p, data):
         rows, _ = data.draw(shaped_matrices(p))
-        red, pivots = rref_with(None, rows, p)
+        red, pivots = rref_mod(rows, p)
         assert pivots == sorted(set(pivots))
         # every pivot is 1 over GF(p), one common nonzero integer d over Q
         d = red[0][pivots[0]] if p is None and pivots else 1
@@ -147,6 +101,13 @@ class TestRref:
             ref, ref_pivots = rref_reference(rows)
             assert pivots == ref_pivots
             assert red == [[d * x for x in row] for row in ref]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_fermat_reference(self, p, data):
+        rows, _ = data.draw(shaped_matrices(p))
+        assert rref_mod(rows, p) == rref_reference(rows, p)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
