@@ -11,7 +11,11 @@ Two families of models:
 
 * homogeneous-form matrices on the projective line — a Higgs field on
   ``V = O(a_1) + ... + O(a_n)`` twisted by ``omega = -2c``, with entry
-  ``(k, k')`` a binary form of degree ``a_k - a_{k'} - 2``.
+  ``(k, k')`` a binary form of degree ``a_k - a_{k'} - 2``.  Every Hom
+  dimension of this model is the kernel of one block system of form
+  multiplications (:func:`_form_kernel`): the kernel of the field, and the
+  generic quotients ``V / O(a)^s`` through Serre duality, which the tests
+  compare with the grid ``f_max`` of :mod:`loopcrystal.crystal`.
 
 All arithmetic is exact: a large prime field by default, and for audit runs
 (``prime=None``) Q, computed in the integers by fraction-free elimination.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import accumulate
 
 from . import _linalg, ktheory as kt
 from ._linalg import zero_matrix
@@ -515,35 +520,34 @@ def _toeplitz(form, din):
     return out
 
 
+def _form_kernel(src, tgt, forms, prime) -> list:
+    """Basis of the kernel of ``+_j H^0(O(src_j)) -> +_i H^0(O(tgt_i))``,
+    whose block ``(i, j)`` multiplies by the binary form ``forms(i, j)``
+    (``None`` for zero).
+
+    The unknowns are numbered block by block, each in :func:`_toeplitz`
+    order, and zero rows are dropped, so the basis is fixed.
+    """
+    sizes = [max(0, d + 1) for d in src]
+    offs = list(accumulate(sizes, initial=0))
+    rows = []
+    for i, d in enumerate(tgt):
+        block = [[0] * offs[-1] for _ in range(d + 1)]
+        for j, size in enumerate(sizes):
+            form = forms(i, j) if block and size else None
+            if form is not None:
+                for row, tp_row in zip(block, _toeplitz(form, src[j])):
+                    row[offs[j]:offs[j + 1]] = tp_row
+        rows.extend(row for row in block if any(row))
+    return _linalg.nullspace_mod(rows, offs[-1], prime)
+
+
 def _kernel_basis(h: P1Higgs, a: int) -> list:
     """Basis of {h: O(a) -> V with f h = 0}, solved as a linear system."""
-    degs = h.degs
-    sizes = [max(0, ak - a + 1) for ak in degs]
-    total = sum(sizes)
-    if total == 0:
-        return []
-    offs = []
-    acc = 0
-    for s in sizes:
-        offs.append(acc)
-        acc += s
-    rows = []
-    for k, ak in enumerate(degs):
-        out_dim = max(0, ak - a - 1)
-        if out_dim == 0:
-            continue
-        block_rows = [[0] * total for _ in range(out_dim)]
-        for k2, ak2 in enumerate(degs):
-            form = h.f[k][k2]
-            if form is None or sizes[k2] == 0:
-                continue
-            tp = _toeplitz(form, degs[k2] - a)
-            for r in range(out_dim):
-                for c in range(sizes[k2]):
-                    block_rows[r][offs[k2] + c] += tp[r][c]
-        rows.extend(block_rows)
-    rows = [r for r in rows if any(r)]
-    return _linalg.nullspace_mod(rows, total, h.prime)
+    return _form_kernel(
+        [d - a for d in h.degs], [d - a - 2 for d in h.degs],
+        lambda i, j: h.f[i][j], h.prime,
+    )
 
 
 def _generic_matrix_rank(h: P1Higgs) -> int:
@@ -631,42 +635,20 @@ def p1_eps_sample(
     return best
 
 
-def _h1_dim(d: int) -> int:
-    return max(0, -d - 1)
-
-
-def _h1_mult_block(form, d_src: int):
-    """Multiplication by ``form`` on first-cohomology monomial bases.
-
-    Source basis: x^{-i} y^{-(-d_src - i)}, i = 1..(-d_src - 1); target the
-    same for d_tgt = d_src + deg(form); only strictly negative exponents
-    survive.
-    """
-    e = len(form) - 1
-    d_tgt = d_src + e
-    rows = _h1_dim(d_tgt)
-    cols = _h1_dim(d_src)
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(1, cols + 1):
-        for c, coeff in enumerate(form):
-            i_tgt = i - c
-            j_src = -d_src - i
-            j_tgt = j_src - (e - c)
-            if 1 <= i_tgt <= rows and j_tgt >= 1:
-                out[i_tgt - 1][i - 1] += coeff
-    return out
-
-
 def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
     """Class and splitting profile of a generic quotient V / O(a)^s in ker f.
 
     Returns ``(KClass on the unweighted line, (bundle degrees, torsion
     length))`` for the quotient carrying the induced Higgs field.  Requires
     ``s`` at most the number of O(a)-embeddings into ker f.
+
+    ``dim Hom(O(a'), Q)`` for the quotient ``Q`` is ``chi(Q(-a'))`` plus
+    ``h^1(Q(-a'))``, and by Serre duality on the line (Hartshorne,
+    *Algebraic Geometry*, III.7) ``h^1(Q(-a')) = dim Hom(Q, O(a' - 2))``:
+    the maps ``V -> O(a' - 2)`` that vanish on the ``s`` copies of ``O(a)``.
     """
     degs = h.degs
     n = len(degs)
-    line = WeightData((1, 1, 1))
     if s == 0:
         return (
             kt.KClass(n, sum(degs), ((), (), ())),
@@ -677,67 +659,26 @@ def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
         raise ValueError("not enough copies: s exceeds the embedding count")
     basis = _kernel_basis(h, a)
     rng = random.Random(f"p1q:{seed}")
-    sizes = [max(0, ak - a + 1) for ak in degs]
-    offs = []
-    acc = 0
-    for size in sizes:
-        offs.append(acc)
-        acc += size
-    w = []  # w[k][sigma] = coefficient tuple of the (k, sigma) entry
-    for k in range(n):
-        w.append([[0] * sizes[k] for _ in range(s)])
-    for sigma in range(s):
-        combo = [_rand_scalar(rng, h.prime) for _ in basis]
-        for k in range(n):
-            for c in range(sizes[k]):
-                val = sum(
-                    coeff * vec[offs[k] + c] for coeff, vec in zip(combo, basis)
-                )
-                if h.prime is not None:
-                    val %= h.prime
-                w[k][sigma][c] = val
+    # copies[sigma]: a generic combination of the basis, an embedding O(a) -> V
+    entries = _linalg.transpose(basis)
+    copies = [
+        _linalg.mat_vec_mod(entries, [_rand_scalar(rng, h.prime) for _ in basis],
+                            h.prime)
+        for _ in range(s)
+    ]
+    offs = list(accumulate((max(0, ak - a + 1) for ak in degs), initial=0))
+
+    def copy_form(sigma, k):
+        return copies[sigma][offs[k]:offs[k + 1]] or None
 
     cls = kt.KClass(n - s, sum(degs) - s * a, ((), (), ()))
 
     def hom_to_quotient(ap: int) -> int:
-        # Hom(O(ap), Q) via the two-term presentation O(a)^s -> V:
-        # cokernel on global sections plus the kernel of the H^1 comparison.
-        hv = [max(0, ak - ap + 1) for ak in degs]
-        hw = max(0, a - ap + 1)
-        alpha_rows = sum(hv)
-        alpha = [[0] * (s * hw) for _ in range(alpha_rows)]
-        if hw > 0:
-            row_off = 0
-            for k in range(n):
-                if hv[k]:
-                    for sigma in range(s):
-                        if sizes[k]:
-                            tp = _toeplitz(w[k][sigma], a - ap)
-                            for r in range(hv[k]):
-                                for c in range(hw):
-                                    alpha[row_off + r][sigma * hw + c] += tp[r][c]
-                row_off += hv[k]
-        rank_alpha = _linalg.rank_mod([r for r in alpha if any(r)], h.prime)
-        coker = sum(hv) - rank_alpha
-        h1w = _h1_dim(a - ap)
-        beta_cols = s * h1w
-        if beta_cols == 0:
-            return coker
-        beta_rows_total = sum(_h1_dim(ak - ap) for ak in degs)
-        beta = [[0] * beta_cols for _ in range(beta_rows_total)]
-        row_off = 0
-        for k in range(n):
-            rows_k = _h1_dim(degs[k] - ap)
-            if rows_k:
-                for sigma in range(s):
-                    if sizes[k]:
-                        blk = _h1_mult_block(w[k][sigma], a - ap)
-                        for r in range(rows_k):
-                            for c in range(h1w):
-                                beta[row_off + r][sigma * h1w + c] += blk[r][c]
-            row_off += rows_k
-        ker_beta = beta_cols - _linalg.rank_mod([r for r in beta if any(r)], h.prime)
-        return coker + ker_beta
+        chi = sum(ak - ap + 1 for ak in degs) - s * (a - ap + 1)
+        dual = _form_kernel(
+            [ap - 2 - ak for ak in degs], [ap - 2 - a] * s, copy_form, h.prime
+        )
+        return chi + len(dual)
 
     # quotient summand degrees can exceed max(degs): start above the total
     # degree budget and scan down past any possible splitting degree

@@ -483,6 +483,34 @@ class TestGridOracleAgreement:
                 want = orc.p1_eps_sample(degs, a, trials=4, seed=17)
                 assert got == want, (degs, a)
 
+    def test_fmax_matches_quotient_oracle(self):
+        # every answer of the grid f_max on the nu-free shapes with 1-3
+        # summands of degree -2..3 (colours O(a), |a| <= 2, epsilon > 0)
+        # against a generic quotient V / O(a)^epsilon built by the oracle
+        cases = 0
+        for degs in TestP1ShapeBattery.shapes():
+            if len(degs) > 3:
+                continue
+            z = gl(degs)
+            for a in range(-2, 3):
+                s = cr.epsilon(P1, z, O(a))
+                if s == 0:
+                    continue
+                try:
+                    image = cr.f_max(P1, z, O(a))
+                except ValueError as err:
+                    assert str(err) == cr.UNSUPPORTED, (degs, a)
+                    continue
+                h = orc.p1_sample(degs, seed=f"fmax:{degs}")
+                cls, (bundle, torsion) = orc.p1_quotient_invariants(
+                    h, a, s, seed=f"fmax:{degs}:{a}"
+                )
+                got_degs, got_nu = cr._grid_parts(image)
+                assert (got_degs, sum(got_nu)) == (bundle, torsion), (degs, a)
+                assert comp.weight(P1, image) == cls, (degs, a)
+                cases += 1
+        assert cases == 346
+
     def test_numeric_kernel_shape(self):
         # mixed shape: neither adjacent nor a spread chain
         assert cr.epsilon(P1, gl([3, 1, 1]), O(1)) == 2

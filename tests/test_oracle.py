@@ -16,7 +16,7 @@ from loopcrystal import catalog as cat
 from loopcrystal import components as comp
 from loopcrystal import ktheory as kt
 from loopcrystal import oracle as orc
-from loopcrystal._linalg import mat_mul_mod, nullspace_mod, zero_matrix
+from loopcrystal._linalg import mat_mul_mod, nullspace_mod, rank_mod, zero_matrix
 from loopcrystal.starlattice import WeightData
 
 
@@ -403,6 +403,52 @@ class TestP1Profiles:
 
     def test_sample_deterministic(self):
         assert orc.p1_sample((3, 1), seed=8).f == orc.p1_sample((3, 1), seed=8).f
+
+
+@st.composite
+def form_systems(draw):
+    """Source and target degrees, a binary form of degree ``tgt_i - src_j``
+    or ``None`` per block (always ``None`` below degree 0), and a field."""
+    src = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3))
+    tgt = draw(st.lists(st.integers(-2, 4), min_size=1, max_size=3))
+    forms = {}
+    for (i, t), (j, s) in itertools.product(enumerate(tgt), enumerate(src)):
+        coeffs = st.lists(st.integers(-2, 2), min_size=t - s + 1, max_size=t - s + 1)
+        forms[i, j] = draw(st.none() | coeffs) if t >= s else None
+    return src, tgt, forms, draw(st.sampled_from([2, 5, orc.DEFAULT_PRIME, None]))
+
+
+class TestFormKernel:
+    @staticmethod
+    def block_map(src, tgt, forms, prime, vec):
+        """Image of ``vec`` under the block map, by polynomial products."""
+        sizes = [max(0, d + 1) for d in src]
+        parts = [vec[sum(sizes[:j]):sum(sizes[:j + 1])] for j in range(len(src))]
+        image = []
+        for i, t in enumerate(tgt):
+            out = [0] * max(0, t + 1)
+            for j, poly in enumerate(parts):
+                for c, x in enumerate(poly):
+                    for e, y in enumerate(forms[i, j] or ()):
+                        out[c + e] += x * y
+            image.extend(out)
+        return [v % prime for v in image] if prime else image
+
+    @settings(max_examples=200, deadline=None)
+    @given(form_systems())
+    def test_kernel_of_the_block_map(self, system):
+        src, tgt, forms, prime = system
+        basis = orc._form_kernel(src, tgt, lambda i, j: forms[i, j], prime)
+        total = sum(max(0, d + 1) for d in src)
+        columns = [
+            self.block_map(src, tgt, forms, prime, [int(k == c) for k in range(total)])
+            for c in range(total)
+        ]
+        for vec in basis:
+            assert len(vec) == total
+            assert not any(self.block_map(src, tgt, forms, prime, vec))
+        assert rank_mod(basis, prime) == len(basis)
+        assert len(basis) == total - rank_mod(columns, prime)
 
 
 class TestP1QuotientInvariants:
