@@ -50,6 +50,10 @@ ORACLE_TRIALS = 1
 # color vetting and dispatch
 # ---------------------------------------------------------------------------
 
+# One entry per colour vetted in one CLI command (see :func:`clear_memos`), so
+# bounded by its colour list, or by the direct calls made.  A refused colour
+# raises and is not stored.
+@lru_cache(maxsize=None)
 def _check_color(curve: WeightData, color) -> None:
     cat.validate(curve, color)
     if not cat.is_rigid(curve, color):
@@ -538,8 +542,8 @@ def clear_memos() -> None:
     memos across calls until they call this.
     """
     for memo in (
-        _ms_kernel_type, _ms_eps, _ms_fmax, _ms_es, _twist_kernel,
-        comp._aperiodic_multisegments,
+        _check_color, _ms_kernel_type, _ms_eps, _ms_fmax, _ms_es,
+        _twist_kernel, comp._aperiodic_multisegments,
     ):
         memo.cache_clear()
 
@@ -879,6 +883,7 @@ def graph_from_json(data: dict) -> CrystalGraph:
                 raise ValueError(f"edge endpoint {index} is not a node index")
         edges.append((nodes[source], nodes[target], cat.label_from_json(color, curve)))
     colors = tuple(cat.label_from_json(item, curve) for item in raw_colors)
-    return CrystalGraph(
-        curve, nodes, tuple(edges), colors, bool(data.get("complete", True))
+    (complete,) = cat.json_fields(
+        {"complete": True, **data}, "crystal graph", complete=bool
     )
+    return CrystalGraph(curve, nodes, tuple(edges), colors, complete)

@@ -19,13 +19,16 @@ Two families of models:
 
 All arithmetic is exact: a large prime field by default, and for audit runs
 (``prime=None``) Q, computed in the integers by fraction-free elimination.
+Field elements are multiplied, added and reduced only in :mod:`._linalg`: a
+cyclic draw is one matrix-vector product of its seeded coefficients with the
+flat commutant fiber basis, cached per stratum.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from . import _linalg, ktheory as kt
 from ._linalg import zero_matrix
@@ -103,7 +106,8 @@ def build_rep(curve: WeightData, m: Multisegment, prime=DEFAULT_PRIME) -> Cyclic
 
 
 def _intertwiners(p: int, dims, phi, shift: int, prime) -> list:
-    """Basis of the arrow tuples X with ``X_{k+1} phi_k = phi_{k-shift} X_k``.
+    """Basis of the arrow tuples X with ``X_{k+1} phi_k = phi_{k-shift} X_k``,
+    as flat vectors (see :func:`_as_arrows`).
 
     ``X_k`` maps vertex ``k`` to ``k - shift``.  The unknowns are numbered
     vertex by vertex, each ``X_k`` row-major, and there is one equation per
@@ -127,13 +131,16 @@ def _intertwiners(p: int, dims, phi, shift: int, prime) -> list:
                     row[offsets[k] + s * dims[k] + c] -= phi[ks][r][s]
                 if any(row):
                     rows.append(row)
+    return _linalg.nullspace_mod(rows, total, prime)
+
+
+def _as_arrows(p: int, dims, shift: int, vec) -> list:
+    """The arrow tuple whose unknowns, numbered as in :func:`_intertwiners`,
+    are ``vec``."""
+    entries = iter(vec)
     return [
-        [
-            [[vec[offsets[k] + r * dims[k] + c] for c in range(dims[k])]
-             for r in range(dims[(k - shift) % p])]
-            for k in range(p)
-        ]
-        for vec in _linalg.nullspace_mod(rows, total, prime)
+        [list(islice(entries, dims[k])) for _ in range(dims[(k - shift) % p])]
+        for k in range(p)
     ]
 
 
@@ -142,7 +149,11 @@ def commutant_fiber(pair: CyclicPair) -> list:
 
     Returns a list of phibar-tuples (one matrix per vertex each).
     """
-    return _intertwiners(pair.p, pair.dims, pair.phi, 1, pair.prime)
+    p, dims = pair.p, pair.dims
+    return [
+        _as_arrows(p, dims, 1, vec)
+        for vec in _intertwiners(p, dims, pair.phi, 1, pair.prime)
+    ]
 
 
 def _total_matrix(pair: CyclicPair):
@@ -185,10 +196,14 @@ def is_nilpotent(pair: CyclicPair) -> bool:
 # One entry: the trials of a stratum run back to back.
 @lru_cache(maxsize=1)
 def _stratum_model(curve: WeightData, m: Multisegment, prime) -> tuple:
-    """Segment model of ``m`` and its commutant fiber, shared by the trials
-    of a stratum (which run back to back) and never written to."""
+    """Segment model of ``m``, the size of its commutant fiber basis, and
+    that basis as the columns of a matrix, one row per unknown of
+    :func:`_intertwiners`; shared by the trials of a stratum (which run back
+    to back) and never written to."""
     pair = build_rep(curve, m, prime)
-    return pair, commutant_fiber(pair)
+    fiber = _intertwiners(pair.p, pair.dims, pair.phi, 1, prime)
+    unknowns = sum(pair.dims[k - 1] * d for k, d in enumerate(pair.dims))
+    return pair, len(fiber), _linalg.transpose(fiber) or zero_matrix(unknowns, 0)
 
 
 def sample_generic(
@@ -209,21 +224,12 @@ def sample_generic(
     """
     if not is_aperiodic_for(curve, m):
         raise ValueError("periodic input: the fiber breaks nilpotency")
-    pair, fiber = _stratum_model(curve, m, prime)
+    pair, size, columns = _stratum_model(curve, m, prime)
     rng = random.Random(f"cyclic:{seed}")
-    phibar = [
-        zero_matrix(pair.dims[(k - 1) % pair.p], pair.dims[k])
-        for k in range(pair.p)
-    ]
-    for basis_phibar in fiber:
-        coeff = _rand_scalar(rng, prime)
-        for k in range(pair.p):
-            mat = basis_phibar[k]
-            tgt = phibar[k]
-            for r in range(len(mat)):
-                for c in range(len(mat[r])):
-                    v = tgt[r][c] + coeff * mat[r][c]
-                    tgt[r][c] = v % prime if prime is not None else v
+    coeffs = [_rand_scalar(rng, prime) for _ in range(size)]
+    phibar = _as_arrows(
+        pair.p, pair.dims, 1, _linalg.mat_vec_mod(columns, coeffs, prime)
+    )
     return CyclicPair(pair.p, pair.dims, pair.phi, phibar, prime, pair.point)
 
 
@@ -443,19 +449,12 @@ def quotient_type_sample(
     )
     if len(null_c) < s:
         raise ValueError("not enough generic copies of the color in the kernel")
+    heads = _linalg.transpose(_linalg.mat_mul_mod(null_c, kernels[v_head], prime))
     rng = random.Random(f"quot:{seed}")
     orbit_by_vertex = [[] for _ in range(p)]
     for _ in range(s):
         combo = [_rand_scalar(rng, prime) for _ in null_c]
-        amb = [0] * pair.dims[v_head]
-        for coeff, kvec in zip(combo, null_c):
-            for b, val in enumerate(kvec):
-                if val:
-                    for r in range(pair.dims[v_head]):
-                        amb[r] += coeff * val * kernels[v_head][b][r]
-        if prime is not None:
-            amb = [x % prime for x in amb]
-        cur, v = amb, v_head
+        cur, v = _linalg.mat_vec_mod(heads, combo, prime), v_head
         for _ in range(color_l):
             orbit_by_vertex[v].append(cur)
             cur, v = _linalg.mat_vec_mod(pair.phi[v], cur, prime), (v + 1) % p
@@ -566,8 +565,6 @@ def _generic_matrix_rank(h: P1Higgs) -> int:
                     val = 0
                     for coeff in form:
                         val = val * tau + coeff
-                        if h.prime is not None:
-                            val %= h.prime
                     out_row.append(val)
             scalar.append(out_row)
         best = max(best, _linalg.rank_mod(scalar, h.prime))
@@ -680,8 +677,9 @@ def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
         )
         return chi + len(dual)
 
-    # quotient summand degrees can exceed max(degs): start above the total
-    # degree budget and scan down past any possible splitting degree
-    a_hi = sum(abs(d) for d in degs) + abs(a) * s + 1
+    # every line summand of the quotient's bundle part is a quotient of V, so
+    # its degree is at least min(degs); the other n - s - 1 summands and the
+    # torsion leave at most deg Q - (n - s - 1) min(degs) for the top one
+    a_hi = sum(degs) - s * a - (n - s - 1) * min(degs)
     floor = min(degs + (a,)) - 2 * n - 4
     return cls, _splitting_scan(hom_to_quotient, n - s, a_hi, floor, "quotient")

@@ -129,7 +129,7 @@ class WeightData:
     """
 
     def __init__(self, weights: Sequence[int], labels: Sequence[str] | None = None):
-        ws = [int(w) for w in weights]
+        ws = list(json_ints(weights, "weights"))
         if not ws:
             raise ValueError("at least one weight is required")
         if any(w < 1 for w in ws):

@@ -716,10 +716,12 @@ class TestCrystalGraph:
             (_torsion_graph(_segment_color, [[0, 1.9, 1]]), "JSON integers"),
             (_torsion_graph(_segment_color, [[0, 1, -2]]), "positive multiplicity"),
             (_torsion_graph({**_segment_color, "l": 1.5}), "torsion label"),
+            ({**_torsion_graph(_segment_color), "weights": [2.7, 1, 1]}, "JSON integers"),
+            ({**_torsion_graph(_segment_color), "complete": "no"}, "'complete'"),
         ],
         ids=["empty-object", "list", "source-past-end", "negative-source",
              "color-residue-range", "node-float-length", "node-negative-multiplicity",
-             "color-float-length"],
+             "color-float-length", "float-weight", "string-complete"],
     )
     def test_verify_rejects_malformed_graph(self, capsys, tmp_path, data, message):
         path = tmp_path / "graph.json"
@@ -887,8 +889,8 @@ class TestEmit:
 
 #: the memos that ``crystal.clear_memos`` empties
 OPERATOR_MEMOS = [
-    cr._ms_kernel_type, cr._ms_eps, cr._ms_fmax, cr._ms_es, cr._twist_kernel,
-    comp._aperiodic_multisegments,
+    cr._check_color, cr._ms_kernel_type, cr._ms_eps, cr._ms_fmax, cr._ms_es,
+    cr._twist_kernel, comp._aperiodic_multisegments,
 ]
 
 
@@ -902,7 +904,29 @@ class TestMemoLifetime:
         assert cr._ms_eps.cache_info().currsize > 0
         assert comp._aperiodic_multisegments.cache_info().currsize > 0
         run_json(capsys, ["curve", "info"])
-        assert [m.cache_info().currsize for m in OPERATOR_MEMOS] == [0] * 6
+        assert [m.cache_info().currsize for m in OPERATOR_MEMOS] == [0] * 7
+
+    def test_clear_memos_empties_every_memo(self, capsys):
+        # every memo of the two modules, found as perfbench's memo_stats finds
+        # them, so a memo that clear_memos leaves out fails here
+        memos = {
+            name: obj
+            for module in (cr, comp)
+            for name, obj in vars(module).items()
+            if callable(getattr(obj, "cache_info", None))
+        }
+        run_json(capsys, [
+            "crystal", "graph", "--weights", "3,1,1", "--seeds", "empty",
+            "--colors", "S[1,0](1)", "S[1,0](2)", "--max-delta", "1",
+        ])
+        line = cat.LineBundle(P1.normalize([0, 0, 0], l=0))
+        cr.epsilon(P1, comp.component_label(P1, [line], (), ()), line)
+        filled = {name for name, memo in memos.items() if memo.cache_info().currsize}
+        assert filled == set(memos), "fill every memo before clearing it"
+        cr.clear_memos()
+        assert {name: memo.cache_info().currsize for name, memo in memos.items()} == (
+            dict.fromkeys(memos, 0)
+        )
 
     def test_direct_calls_keep_their_memos(self):
         cr.clear_memos()

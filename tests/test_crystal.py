@@ -10,11 +10,13 @@ oracle on the same inputs.
 import functools
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counting_oracle import kostant_partition_count
 from loopcrystal import catalog as cat
 from loopcrystal import components as comp
 from loopcrystal import crystal as cr
@@ -459,6 +461,54 @@ class TestMultisegmentOracleAgreement:
                 assert got.exceptional in ((), (want,)), (m, v)
                 if got.exceptional == ():
                     assert want.is_empty()
+
+
+class TestEpsilonCensus:
+    """How many labels of each dimension vector have each value of epsilon.
+
+    ``f_max`` maps the labels of dimension vector ``d`` with ``epsilon_I =
+    k`` one to one onto the labels of ``d - k b`` with ``epsilon_I = 0``,
+    and ``e_s`` inverts it, where ``b`` is the dimension vector of the
+    colour ``I``.  So the count is ``P(d - k b) - P(d - (k + 1) b)``, with
+    ``P`` the Kostant partition function of affine sl_p (the number of
+    aperiodic multisegments), zero off the positive orthant.  The colours of
+    length 2 and 3 are answered by sampling, and this count is not a sample.
+
+    Limits: a permutation of the epsilon values among the labels of one
+    ``d`` leaves every count unchanged (the battery digests pin those), and
+    the census covers torsion only, since the projective line has infinitely
+    many labels per class.
+    """
+
+    #: the box 0 <= d_j <= top checked at each weight p
+    BOXES = {2: 4, 3: 3, 4: 2}
+
+    def test_counts_match_kostant_differences(self):
+        cases = 0
+        for p, top in self.BOXES.items():
+            curve = WeightData((p, 1, 1))
+
+            def count(d):
+                return kostant_partition_count(p, d) if min(d) >= 0 else 0
+
+            for d in itertools.product(range(top + 1), repeat=p):
+                labels = [
+                    comp.component_label(curve, (), (), [m])
+                    for m in comp.aperiodic_multisegments(curve, 0, d)
+                ]
+                for j, l in itertools.product(range(p), range(1, p)):
+                    b = comp.segment_coverage(p, j, l)
+                    got = Counter(cr.epsilon(curve, z, S(curve, j, l)) for z in labels)
+                    k = 0
+                    while min(d[v] - k * b[v] for v in range(p)) >= 0:
+                        want = count([x - k * y for x, y in zip(d, b)]) - count(
+                            [x - (k + 1) * y for x, y in zip(d, b)]
+                        )
+                        assert got.pop(k, 0) == want, (p, d, j, l, k)
+                        k += 1
+                        cases += 1
+                    assert not got, (p, d, j, l)
+        assert cases == 2574
 
 
 # ---------------------------------------------------------------------------

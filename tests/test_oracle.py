@@ -8,6 +8,7 @@ samplers against the exact serial Hom formulas.
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +176,30 @@ class TestSampleGeneric:
         a = orc.sample_generic(W3, ms(W3, (0, 2), (1, 1)), seed=5)
         b = orc.sample_generic(W3, ms(W3, (0, 2), (1, 1)), seed=5)
         assert a.phibar == b.phibar
+
+    @pytest.mark.parametrize("prime", [orc.DEFAULT_PRIME, None], ids=["gf", "q"])
+    def test_draw_is_the_seeded_fiber_combination(self, prime):
+        # phibar is sum_b coeff_b * fiber[b], the coefficients drawn in basis
+        # order from the seed: this pins every draw, not only its repetition
+        draws = 0
+        for p, curve in CURVES.items():
+            for m in aperiodic_battery(curve, 5):
+                fiber = orc.commutant_fiber(orc.build_rep(curve, m, prime))
+                for seed in (0, 1):
+                    rng = random.Random(f"cyclic:{seed}")
+                    coeffs = [orc._rand_scalar(rng, prime) for _ in fiber]
+                    pair = orc.sample_generic(curve, m, seed=seed, prime=prime)
+                    want = [
+                        [[sum(a * basis[k][r][c] for a, basis in zip(coeffs, fiber))
+                          for c in range(pair.dims[k])]
+                         for r in range(pair.dims[k - 1])]
+                        for k in range(p)
+                    ]
+                    if prime is not None:
+                        want = [[[x % prime for x in row] for row in mat] for mat in want]
+                    assert pair.phibar == want, (m, seed)
+                    draws += 1
+        assert draws == 1290
 
 
 def _total_length(curve_m):
