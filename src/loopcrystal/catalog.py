@@ -27,7 +27,7 @@ from . import ktheory as kt
 from .starlattice import LElement, Record, WeightData
 
 
-class LineBundle(Record):
+class LineBundle(Record, shared=True):
     __slots__ = ("x",)
     x: LElement
 

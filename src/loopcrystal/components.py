@@ -247,9 +247,7 @@ def component_label(
     if isinstance(bundle, HNTree):
         bpart: BundlePart = bundle
     else:
-        bpart = tuple(
-            sorted(bundle, key=lambda lab: repr(lab))
-        )
+        bpart = tuple(sorted(bundle, key=repr))
         for lab in bpart:
             if not isinstance(lab, (cat.LineBundle, cat.RealBundle)):
                 raise ValueError("bundle part takes rank > 0 labels only")
@@ -466,7 +464,7 @@ def enumerate_components_finite(
     for x in _line_bundle_candidates(curve, min_degree, deg_cap):
         lab = cat.LineBundle(x)
         summands.append((lab, cat.class_of(curve, lab)))
-    summands.sort(key=lambda pair: repr(pair[0]))
+    summands.sort(key=repr)
     results = []
 
     def dfs(start: int, remaining: kt.KClass, chosen: list):
@@ -491,8 +489,7 @@ def enumerate_components_finite(
             dfs(k, kt.sub(remaining, cls), chosen + [lab])
 
     dfs(0, a, [])
-    uniq = sorted(set(results), key=lambda z: repr(z))
-    return uniq
+    return sorted(set(results), key=repr)
 
 
 # ---------------------------------------------------------------------------
@@ -528,4 +525,4 @@ def enumerate_components_tubular(
             out.append(
                 ComponentLabel(leaves, t.ordinary, t.exceptional)
             )
-    return sorted(out, key=lambda z: repr(z))
+    return sorted(out, key=repr)

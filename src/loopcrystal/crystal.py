@@ -245,12 +245,19 @@ def _kernel_degrees(curve: WeightData, degs: tuple[int, ...]) -> tuple[int, ...]
     O(bn c)``, for degrees sorted in descending order.
 
     ``dim Hom(O(a), ker)`` is the maximum over the degrees ``d`` of ``V`` of
-    ``sum_{b >= d} max(0, b - a + 1) - sum_{b >= d + 2} max(0, b - a - 1)``,
-    each a lower bound: a Higgs field maps ``V_{>= d}`` into ``V_{>= d +
-    2}(-2)``, as ``Hom(O(b), O(b' - 2)) = 0`` for ``b' < b + 2``.  The rank
-    is the most summands in one window ``[d, d + 1]``; ``hom(a) - hom(a +
-    1)`` counts the summands of degree >= ``a``.  Exactness for a generic
-    field is checked, not proved: the rule equals the sampled
+    ``sum_{b >= d} max(0, b - a + 1) - sum_{b >= d + 2} max(0, b - a - 1)``.
+
+    Lemma: each term bounds ``dim Hom(O(a), ker θ)`` from below for every
+    Higgs field θ, not only a generic one.  θ maps ``V_{>= d}`` into
+    ``V_{>= d + 2}(-2)``, as ``Hom(O(b), O(b' - 2)) = 0`` for ``b' < b + 2``,
+    so ``Hom(O(a), ker θ)`` holds the kernel of ``Hom(O(a), V_{>= d}) ->
+    Hom(O(a), V_{>= d + 2}(-2))``, whose dimensions are the two sums.  A
+    generic field has the least kernel, so a field that attains the bound at
+    every ``a`` is a proof of the rule for its shape.
+
+    The rank is the most summands in one window ``[d, d + 1]``; ``hom(a) -
+    hom(a + 1)`` counts the summands of degree >= ``a``.  Exactness for a
+    generic field is checked, not proved: the rule equals the sampled
     :func:`oracle.p1_kernel_profile` on every shape with 1-7 summands and
     spread <= 10.  A twist shifts the kernel, so the rule runs on the shape
     moved to minimum degree 0.  Weighted curves answer only rank 1 (spread

