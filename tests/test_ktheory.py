@@ -1,5 +1,6 @@
 """Lattice arithmetic, Euler form, twists, slopes, HN types."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopcrystal import ktheory as kt
+from loopcrystal import components as comp, ktheory as kt
 from loopcrystal.starlattice import WeightData
 
 
@@ -350,3 +351,42 @@ class TestHNTypes:
             kt.hn_types(
                 p1, kt.structure_class(p1), slope_window=(-math.inf, 0)
             )
+
+
+class TestHNTypesPin:
+    """The lists themselves, not only their properties: ``hn_types`` and
+    ``enumerate_components_tubular`` on the four tubular weight sequences,
+    for seven classes, four slope windows and three part limits."""
+
+    #: sha256 of :meth:`pin_lines`, taken before ``hn_types`` built its
+    #: candidates through ``from_vector`` and ``degree_d``
+    PIN_SHA256 = "d98efee669cae9f9f7cfe7dc81b44629e4990ef7047147ec9472438586201ee6"
+
+    @staticmethod
+    def pin_lines() -> list[str]:
+        windows = [(-1, 1), (-1, 2), (0, math.inf), (Fraction(-1, 2), Fraction(3, 2))]
+        lines = []
+        for ws in [(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)]:
+            curve = WeightData(ws)
+            o, dl = kt.structure_class(curve), kt.delta_class(curve)
+            alpha = kt.class_of_simple(curve, 0, 1)
+            two_o_dl = kt.add(kt.scale(2, o), dl)
+            classes = [o, kt.add(o, dl), kt.scale(2, o), two_o_dl,
+                       kt.add(o, alpha), kt.sub(two_o_dl, alpha)]
+            for a, window, max_parts in itertools.product(classes, windows, (1, 2, 4)):
+                types = kt.hn_types(curve, a, window, max_parts)
+                lines.append(
+                    f"{ws} {kt.to_vector(a)} {window} {max_parts}: "
+                    f"{[[kt.to_vector(c) for c in parts] for parts in types]}"
+                )
+                lines.extend(
+                    comp.format_label(curve, z)
+                    for z in comp.enumerate_components_tubular(curve, a, window, max_parts)
+                )
+        return lines
+
+    def test_pinned_lists(self):
+        lines = self.pin_lines()
+        assert len(lines) == 3381
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PIN_SHA256
