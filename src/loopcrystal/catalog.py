@@ -21,7 +21,6 @@ combinatorially determined here and raise ``unsupported pair``.
 from __future__ import annotations
 
 import itertools
-from typing import Union
 
 from . import ktheory as kt
 from .starlattice import LElement, Record, WeightData
@@ -50,7 +49,7 @@ class RealBundle(Record):
     a: kt.KClass
 
 
-IndecLabel = Union[LineBundle, ExcTorsion, OrdTorsion, RealBundle]
+IndecLabel = LineBundle | ExcTorsion | OrdTorsion | RealBundle
 
 
 def validate(curve: WeightData, label: IndecLabel) -> None:

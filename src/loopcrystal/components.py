@@ -18,8 +18,8 @@ Multisegments are stored sparsely as multiplicities over segments ``[j; l)``
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable, Union
 
 from . import catalog as cat, ktheory as kt
 from .starlattice import Record, WeightData, json_ints
@@ -224,7 +224,7 @@ class HNTree(Record):
     leaves: tuple[HNLeaf, ...]
 
 
-BundlePart = Union[tuple, HNTree]
+BundlePart = tuple | HNTree
 
 
 class ComponentLabel(Record):
@@ -456,6 +456,12 @@ def enumerate_components_finite(
             raise ValueError(
                 "unsupported family: rank >= 2 decompositions on a star with "
                 ">= 3 weighted points need real_bundle_box for root search"
+            )
+        if real_bundle_box < 2:
+            # the box also caps the rank searched: a smaller one finds no
+            # summand of rank >= 2, the undercount the refusal above prevents
+            raise ValueError(
+                f"real_bundle_box must be at least 2, got {real_bundle_box}"
             )
         for rb in cat.enumerate_real_bundles(curve, real_bundle_box):
             if rb.a.r >= 2:

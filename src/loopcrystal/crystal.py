@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
+from collections.abc import Iterable
 from functools import cache, lru_cache, partial
-from typing import Iterable, Optional
 
 from . import _linalg, catalog as cat, components as comp, ktheory as kt, oracle
 from .components import ComponentLabel, HNTree, Multisegment
@@ -527,7 +527,7 @@ def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
     return _grid_label(curve, degs, nu)
 
 
-def f(curve: WeightData, z: ComponentLabel, color) -> Optional[ComponentLabel]:
+def f(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel | None:
     """Single lowering step; ``None`` encodes the crystal zero (at epsilon 0)."""
     s = epsilon(curve, z, color)
     if s == 0:
@@ -542,7 +542,8 @@ def e(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
 
 
 def clear_memos() -> None:
-    """Empty the operator memos and the multisegment enumerator memo.
+    """Empty the operator memos, the multisegment enumerator memo and the
+    oracle's one-entry stratum model cache.
 
     ``cli.main`` calls this before each command, so every command starts
     with empty memos, in one process or many.  Direct callers keep their
@@ -550,7 +551,7 @@ def clear_memos() -> None:
     """
     for memo in (
         _check_color, _ms_kernel_type, _ms_eps, _ms_fmax, _ms_es,
-        _twist_kernel, comp._aperiodic_multisegments,
+        _twist_kernel, comp._aperiodic_multisegments, oracle._stratum_model,
     ):
         memo.cache_clear()
 

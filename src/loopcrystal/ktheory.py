@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import _linalg
 from .starlattice import LElement, Record, WeightData, json_ints
@@ -314,10 +314,13 @@ def hn_types(
     torsion part through degree conservation); ``hi`` may be ``math.inf``.
     The per-point torsion coordinates of rank >= 1 parts are constrained
     componentwise between ``min(0, m_a)`` and ``max(0, m_a)``.  Rank > 0 input
-    without a window raises, since the unconstrained family is infinite.
+    without a window raises, since the unconstrained family is infinite, and
+    so do ``max_parts < 1`` and an empty window, which admit no sequence.
     """
     if not is_positive(curve, a) or a == zero_class(curve):
         raise ValueError("input must be a nonzero positive class")
+    if max_parts < 1:
+        raise ValueError(f"max_parts must be at least 1, got {max_parts}")
     if a.r == 0:
         return [(a,)]
     if slope_window is None:
@@ -328,29 +331,24 @@ def hn_types(
     lo, hi = slope_window
     if lo == -math.inf:
         raise ValueError("slope window needs a finite lower bound")
+    if lo > hi:
+        raise ValueError(f"empty slope window: {lo} > {hi}")
     from fractions import Fraction
     lo = Fraction(lo)
     hi = hi if hi == math.inf else Fraction(hi)
     p = curve.p
-    flat_idx = _flat_index(curve)
-    mwin = [(min(0, v), max(0, v)) for row in a.m for v in row]
+    # each torsion coordinate vector with the degree it adds to a part
+    combos = [
+        (combo, degree_d(curve, from_vector(curve, [0, 0, *combo])))
+        for combo in itertools.product(
+            *[range(min(0, v), max(0, v) + 1) for row in a.m for v in row]
+        )
+    ]
     results: set[tuple[KClass, ...]] = set()
 
-    def pack(combo: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        m, pos = [], 0
-        for q in curve.weights:
-            m.append(tuple(combo[pos : pos + q - 1]))
-            pos += q - 1
-        return tuple(m)
-
-    def rank_part_candidates(rem: KClass, prev_slope) -> Iterable[KClass]:
+    def rank_part_candidates(rem: KClass, prev_slope) -> Iterator[KClass]:
         for r in range(1, rem.r + 1):
-            for combo in itertools.product(
-                *[range(lo_m, hi_m + 1) for lo_m, hi_m in mwin]
-            ):
-                frac = sum(
-                    c * (p // curve.weights[i]) for c, (i, _) in zip(combo, flat_idx)
-                )
+            for combo, frac in combos:
                 # slope bounds -> degree-coordinate bounds for this part; the
                 # remainder's parts all have slope >= lo, which caps d above.
                 deg_cap = degree_d(curve, rem) - lo * (rem.r - r)
@@ -360,7 +358,7 @@ def hn_types(
                 d_lo = math.ceil(Fraction(lo * r - frac, p))
                 d_hi = math.floor(Fraction(hi_deg - frac, p))
                 for d in range(d_lo, d_hi + 1):
-                    cand = KClass(r, d, pack(combo))
+                    cand = from_vector(curve, [r, d, *combo])
                     sl = slope(curve, cand)
                     if lo <= sl and (hi == math.inf or sl <= hi) and sl < prev_slope:
                         yield cand
@@ -380,12 +378,11 @@ def hn_types(
     extend(a, math.inf, ())
     # optional leading rank-0 part, bounded by degree conservation
     deg_budget = degree_d(curve, a) - lo * a.r
-    for combo in itertools.product(*[range(lo_m, hi_m + 1) for lo_m, hi_m in mwin]):
-        frac = sum(c * (p // curve.weights[i]) for c, (i, _) in zip(combo, flat_idx))
+    for combo, frac in combos:
         if Fraction(deg_budget - frac, p) < 0:
             continue
         for d in range(0, math.floor(Fraction(deg_budget - frac, p)) + 1):
-            t = KClass(0, d, pack(combo))
+            t = from_vector(curve, [0, d, *combo])
             if t == zero_class(curve) or not is_positive(curve, t):
                 continue
             rest = sub(a, t)
@@ -393,11 +390,3 @@ def hn_types(
                 extend(rest, INFINITE_SLOPE, (t,))
 
     return sorted(results, key=lambda seq: (len(seq), [to_vector(c) for c in seq]))
-
-
-def _flat_index(curve: WeightData) -> list[tuple[int, int]]:
-    out = []
-    for i, p in enumerate(curve.weights):
-        for j in range(1, p):
-            out.append((i, j))
-    return out

@@ -19,9 +19,11 @@ Two families of models:
 
 All arithmetic is exact: a large prime field by default, and for audit runs
 (``prime=None``) Q, computed in the integers by fraction-free elimination.
-Field elements are multiplied, added and reduced only in :mod:`._linalg`: a
+Field elements are multiplied, added and reduced in :mod:`._linalg`: a
 cyclic draw is one matrix-vector product of its seeded coefficients with the
-flat commutant fiber basis, cached per stratum.
+flat commutant fiber basis, cached per stratum.  The one exception is
+:func:`_generic_matrix_rank`, which evaluates the forms at a point with its
+own Horner loop and leaves the reduction to ``rank_mod``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _rand_scalar(rng, prime):
 # cyclic pairs
 # ---------------------------------------------------------------------------
 
-class CyclicPair(Record, frozen=False):
+class CyclicPair(Record):
     """Arrow data of a cyclic-quiver pair.
 
     ``phi[k]`` maps vertex ``k`` to ``k+1`` (shape dims[k+1] x dims[k]);
@@ -475,7 +477,7 @@ def quotient_type_sample(
 # projective-line Higgs fields
 # ---------------------------------------------------------------------------
 
-class P1Higgs(Record, frozen=False):
+class P1Higgs(Record):
     """Splitting degrees and a matrix of binary forms of degree a_k - a_k' - 2.
 
     Forms are coefficient tuples (c_0, ..., c_D) for c_0 x^D + ... + c_D y^D;

@@ -21,8 +21,9 @@ be cross-checked.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
 
+TYPE_CHECKING = False  # type checkers read this as true; ``typing`` stays unloaded
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -38,11 +39,11 @@ class Record:
     - ``__eq__`` holds only between instances of the same class, field by
       field, and ``__hash__`` is the hash of the field tuple;
     - ``repr`` is ``Name(f=..., g=...)``, which callers sort by;
-    - fields refuse assignment with ``AttributeError``, unless the class is
-      declared with ``frozen=False``, which makes it mutable and unhashable;
+    - fields refuse assignment with ``AttributeError``, so a changed value
+      is a new instance;
     - instances pickle and deep-copy as ``Name(*fields)``.
 
-    A frozen class declared with ``shared=True`` hands out one instance per
+    A class declared with ``shared=True`` hands out one instance per
     value: its generated ``__new__`` looks the fields up, each with its type
     (so ``0`` and ``False`` stay apart), in a table of the class and fills
     the slots of a new instance only on a miss; it has no ``__init__``.
@@ -58,10 +59,8 @@ class Record:
     __slots__ = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, frozen: bool = True, shared: bool = False, **kwargs):
+    def __init_subclass__(cls, shared: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
-        if shared and not frozen:
-            raise TypeError("a shared record must be frozen")
         names = cls.__slots__
         params = ", ".join(
             f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names
@@ -69,7 +68,7 @@ class Record:
         namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
         namespace.update((f"_set_{n}", vars(cls)[n].__set__) for n in names)
         # The slots are filled through their descriptors, which the refusing
-        # __setattr__ of a frozen class does not see.
+        # __setattr__ does not see.
         stores = [f"    _set_{n}(self, {n})" for n in names]
         if shared:
             namespace.update(_table={}, _new=object.__new__)
@@ -106,10 +105,6 @@ class Record:
             function.__qualname__ = f"{cls.__qualname__}.{method}"
             setattr(cls, method,
                     staticmethod(function) if method == "__new__" else function)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -21,6 +21,7 @@ from loopcrystal import cli
 from loopcrystal import components as comp
 from loopcrystal import crystal as cr
 from loopcrystal import ktheory as kt
+from loopcrystal import oracle as orc
 from loopcrystal.starlattice import WeightData
 
 
@@ -365,6 +366,35 @@ class TestComponentsList:
         assert code == 2
         assert out == ""
         assert f"{bad} is not rational" in err
+        assert "Traceback" not in err
+
+    TUBULAR = ["--weights", "2,2,2,2", "--class", "2*O", "--slope-window", "-1", "1"]
+    FINITE = ["--weights", "2,2,2", "--class", "2*O + delta"]
+
+    def test_listings_beside_the_refusals(self, capsys):
+        assert run_json(capsys, ["components", "list", *self.TUBULAR])["count"] == 10
+        assert run_json(
+            capsys, ["components", "list", *self.FINITE, "--real-bundle-box", "2"]
+        )["count"] == 12
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (TUBULAR + ["--max-parts", "0"], "max_parts must be at least 1"),
+            (TUBULAR + ["--max-parts", "-1"], "max_parts must be at least 1"),
+            (["--weights", "2,2,2,2", "--class", "O", "--slope-window", "1", "0"],
+             "empty slope window"),
+            (FINITE + ["--real-bundle-box", "0"], "real_bundle_box must be at least 2"),
+            (FINITE + ["--real-bundle-box", "1"], "real_bundle_box must be at least 2"),
+        ],
+        ids=["no-parts", "negative-parts", "empty-window", "box-0", "box-1"],
+    )
+    def test_inputs_that_admit_nothing_exit_2(self, capsys, argv, refused):
+        # each of these listed nothing, or fewer labels than the listings
+        # above, with exit 0
+        code, out, err = run(capsys, ["components", "list", *argv])
+        assert (code, out) == (2, "")
+        assert refused in err
         assert "Traceback" not in err
 
     def test_wild_rank_refused(self, capsys):
@@ -890,7 +920,7 @@ class TestEmit:
 #: the memos that ``crystal.clear_memos`` empties
 OPERATOR_MEMOS = [
     cr._check_color, cr._ms_kernel_type, cr._ms_eps, cr._ms_fmax, cr._ms_es,
-    cr._twist_kernel, comp._aperiodic_multisegments,
+    cr._twist_kernel, comp._aperiodic_multisegments, orc._stratum_model,
 ]
 
 
@@ -904,14 +934,14 @@ class TestMemoLifetime:
         assert cr._ms_eps.cache_info().currsize > 0
         assert comp._aperiodic_multisegments.cache_info().currsize > 0
         run_json(capsys, ["curve", "info"])
-        assert [m.cache_info().currsize for m in OPERATOR_MEMOS] == [0] * 7
+        assert [m.cache_info().currsize for m in OPERATOR_MEMOS] == [0] * 8
 
     def test_clear_memos_empties_every_memo(self, capsys):
-        # every memo of the two modules, found as perfbench's memo_stats finds
-        # them, so a memo that clear_memos leaves out fails here
+        # every memo of the three modules, found as perfbench's memo_stats
+        # finds them, so a memo that clear_memos leaves out fails here
         memos = {
             name: obj
-            for module in (cr, comp)
+            for module in (cr, comp, orc)
             for name, obj in vars(module).items()
             if callable(getattr(obj, "cache_info", None))
         }

@@ -279,6 +279,10 @@ class TestFiniteEnumeration:
             comp.enumerate_components_finite(w222, a)
         labs = comp.enumerate_components_finite(w222, a, real_bundle_box=2)
         assert labs
+        # a box below 2 searches only rank 1, so it would find no rank-2 summand
+        for box in (-1, 0, 1):
+            with pytest.raises(ValueError, match="real_bundle_box must be at least 2"):
+                comp.enumerate_components_finite(w222, a, real_bundle_box=box)
         for z in labs:
             assert comp.weight(w222, z) == a
 

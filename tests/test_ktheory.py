@@ -352,6 +352,18 @@ class TestHNTypes:
                 p1, kt.structure_class(p1), slope_window=(-math.inf, 0)
             )
 
+    @pytest.mark.parametrize("max_parts", [0, -1])
+    def test_no_parts_refused(self, w2222, max_parts):
+        # refused instead of answered with []; the rank-0 shortcut too
+        for a in (kt.scale(2, kt.structure_class(w2222)), kt.delta_class(w2222)):
+            with pytest.raises(ValueError, match="max_parts must be at least 1"):
+                kt.hn_types(w2222, a, slope_window=(-1, 1), max_parts=max_parts)
+
+    @pytest.mark.parametrize("window", [(1, 0), (Fraction(1, 2), Fraction(1, 3))])
+    def test_empty_window_refused(self, w2222, window):
+        with pytest.raises(ValueError, match="empty slope window"):
+            kt.hn_types(w2222, kt.structure_class(w2222), slope_window=window)
+
 
 class TestHNTypesPin:
     """The lists themselves, not only their properties: ``hn_types`` and

@@ -275,7 +275,9 @@ class TestRecoverType:
     def test_dims_given_as_list(self):
         m = ms(W3, (0, 2), (1, 1))
         pair = orc.build_rep(W3, m)
-        pair.dims = list(pair.dims)
+        pair = orc.CyclicPair(
+            pair.p, list(pair.dims), pair.phi, pair.phibar, pair.prime, pair.point
+        )
         assert orc.recover_type(pair) == m
 
     def test_invertible_cycle_rejected_with_warm_memo(self):

@@ -74,7 +74,7 @@ class TestSlots:
 
 
 # The dataclass declarations the records replaced: fields in order, with a
-# default as (name, value).  CyclicPair and P1Higgs were not frozen.
+# default as (name, value).
 DECLARED = {
     LElement: ["l", "residues"],
     cat.LineBundle: ["x"],
@@ -93,7 +93,6 @@ DECLARED = {
                      ("point", 0)],
     orc.P1Higgs: ["degs", "f", ("prime", orc.DEFAULT_PRIME)],
 }
-MUTABLE = {orc.CyclicPair, orc.P1Higgs}
 RECORDS = sorted(DECLARED, key=lambda cls: cls.__name__)
 
 
@@ -105,7 +104,7 @@ def twin(cls):
         for name in DECLARED[cls]
     ]
     return dataclasses.make_dataclass(
-        cls.__name__, fields, frozen=cls not in MUTABLE, slots=True
+        cls.__name__, fields, frozen=True, slots=True
     )
 
 
@@ -144,11 +143,7 @@ class TestDataclassParity:
         assert (cls(*a) != cls(*b)) == (ref(*a) != ref(*b))
         assert cls(*a) != ref(*a)
         assert cls(**dict(zip(cls.__slots__, a))) == cls(*a)
-        if cls in MUTABLE:
-            with pytest.raises(TypeError):
-                hash(cls(*a))
-        else:
-            assert hash(cls(*a)) == hash(ref(*a))
+        assert hash(cls(*a)) == hash(ref(*a))
 
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
     def test_defaults_match_the_twin(self, cls):
@@ -166,10 +161,7 @@ class TestDataclassParity:
         assert not cat.LineBundle(x) == cat.RealBundle(x)
         assert cat.ExcTorsion(0, 0, 1) != kt.KClass(0, 0, 1)
 
-    @pytest.mark.parametrize(
-        "value", [x for x in one_of_each() if type(x) not in MUTABLE],
-        ids=lambda x: type(x).__name__,
-    )
+    @pytest.mark.parametrize("value", one_of_each(), ids=lambda x: type(x).__name__)
     def test_frozen_fields_refuse_assignment(self, value):
         name = type(value).__slots__[0]
         before = getattr(value, name)
@@ -180,19 +172,6 @@ class TestDataclassParity:
         with pytest.raises(AttributeError):
             value.extra = 0
         assert getattr(value, name) is before
-
-    def test_cyclic_pair_is_mutable_and_unhashable(self):
-        m = comp.multisegment(W311, 0, [(0, 2)])
-        pair = orc.build_rep(W311, m)
-        pair.dims = (9,)
-        assert pair.dims == (9,)
-        higgs = orc.p1_sample((1, -1))
-        higgs.prime = None
-        assert higgs.prime is None
-        # unhashable even when every field is
-        for value in (orc.CyclicPair(2, (1, 1), (), ()), orc.P1Higgs((0,), ())):
-            with pytest.raises(TypeError):
-                hash(value)
 
 
 weights = st.lists(st.integers(1, 5), min_size=1, max_size=5)
@@ -258,6 +237,12 @@ class TestSharedRecords:
         assert cat.LineBundle(0) is not cat.LineBundle(False)
         assert cat.LineBundle(0) == cat.LineBundle(False)
 
+    def test_frozen_keyword_is_refused(self):
+        # every record is frozen; there is no mutable mode left to ask for
+        with pytest.raises(TypeError):
+            class Loose(Record, frozen=False):
+                __slots__ = ("a",)
+
     def test_other_records_are_not_shared(self):
         m = comp.multisegment(W311, 0, [(0, 2)])
         for build in (
@@ -267,11 +252,6 @@ class TestSharedRecords:
         ):
             assert build() == build()
             assert build() is not build()
-
-    def test_shared_needs_frozen(self):
-        with pytest.raises(TypeError, match="frozen"):
-            class Loose(Record, frozen=False, shared=True):
-                __slots__ = ("a",)
 
 
 class TestSharedMemory:
@@ -351,12 +331,12 @@ oracle.eps_sample(curve, m, 0, 1, trials=2, audit=True)
 
 class TestImportCost:
     @staticmethod
-    def _run(code: str) -> str:
+    def _run(code: str, *flags: str) -> str:
         src = str(Path(loopcrystal.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, *flags, "-c", code],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
@@ -366,6 +346,15 @@ class TestImportCost:
         assert self._run(
             "import loopcrystal.cli, sys; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        ) == "[]"
+
+    def test_cli_import_without_site_leaves_out_typing(self):
+        # -S: no site hook preloads a module, so each one listed here would
+        # be loaded by the package itself
+        assert self._run(
+            "import loopcrystal.cli, sys; print(sorted("
+            "{'typing', 'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))",
+            "-S",
         ) == "[]"
 
     def test_exact_arithmetic_leaves_out_fractions(self):
