@@ -530,6 +530,69 @@ class TestCrystalApply:
 
 
 # ---------------------------------------------------------------------------
+# outputs that read the Euler form
+# ---------------------------------------------------------------------------
+
+class TestEulerFormPin:
+    """The stdout of commands whose output depends on ``kt.euler_form``: the
+    real-root search and ``expected_dim`` of ``components list``, ``class
+    euler`` over a grid of classes, and ``phi`` for both colour families."""
+
+    #: sha256 of each command's stdout, taken while the Euler form was still
+    #: read off a Gram matrix built from section counts
+    PIN_SHA256 = {
+        "finite": "c847391996db85d466a0e2204785fb9825f02bc70ab292b0c40a5b80c8c8de5b",
+        "tubular": "3d8496083617389b9fe2a694cb4c06b040ac0898fd5d52a5ed1c130560fddcde",
+        "torsion": "a3c72137fdd7e6ed12252d38c996d221e73dd68ebb36bbe7044b8826325fb614",
+        "euler": "822f3dd32261c426abaf4c05de81616ead58ff8d613ca2b304e556e595de2f56",
+        "phi-grid": "70c0df556b98d02312affb89b02c72cfd5bcaf20769398de401b1d0061b0ff72",
+        "phi-exc": "f3f70ceeaa7b720b9a7f5c41cd96d6f174dcd22a3178eba29f379baf22b06753",
+    }
+
+    EULER_CLASSES = ["O", "delta", "S[1,0]", "S[1,1]", "S[2,1]", "S[2,2]",
+                     "S[3,0]", "S[3,6]", "2*O - delta + S[3,3] - S[2,1]"]
+
+    def stdout(self, capsys, argvs):
+        outs = []
+        for argv in argvs:
+            code, out, err = run(capsys, argv)
+            assert code == 0, err
+            outs.append(out)
+        return "".join(outs)
+
+    def test_pinned_stdout(self, capsys, tmp_path):
+        w311 = WeightData((3, 1, 1))
+        grid = [write_component(tmp_path, P1, z, f"grid{k}.json") for k, z in enumerate(
+            [line_label(P1, 0, 0), line_label(P1, -1, 2),
+             comp.component_label(P1, [], (2, 1), ())]
+        )]
+        exc = [write_component(tmp_path, w311, z, f"exc{k}.json") for k, z in enumerate(
+            [comp.component_label(w311, [], (), [comp.multisegment(w311, 0, segs)])
+             for segs in ([(0, 1)], [(1, 2), (2, 1)], [(0, 3), (2, 2)])]
+        )]
+        commands = {
+            "finite": [["components", "list", "--weights", "2,2,2",
+                        "--class", "2*O + delta", "--real-bundle-box", "2"]],
+            "tubular": [["components", "list", "--weights", "2,2,2,2",
+                         "--class", "2*O", "--slope-window", "-1", "1"]],
+            "torsion": [["components", "list", "--weights", "3,1,1", "--class", "2*delta"]],
+            "euler": [["class", "euler", "--weights", "2,3,7", a, b]
+                      for a in self.EULER_CLASSES for b in self.EULER_CLASSES],
+            "phi-grid": [["crystal", "apply", "--op", "phi", "--color", color,
+                          "--component", path]
+                         for path in grid for color in ("O", "O(-1)", "O(2)")],
+            "phi-exc": [["crystal", "apply", "--op", "phi", "--weights", "3,1,1",
+                         "--color", color, "--component", path]
+                        for path in exc for color in ("S[1,0]", "S[1,1]", "S[1,2](1)")],
+        }
+        digests = {
+            name: hashlib.sha256(self.stdout(capsys, argvs).encode()).hexdigest()
+            for name, argvs in commands.items()
+        }
+        assert digests == self.PIN_SHA256
+
+
+# ---------------------------------------------------------------------------
 # crystal graph / verify
 # ---------------------------------------------------------------------------
 
