@@ -3,13 +3,12 @@
 Matrices are plain lists of row lists.  Every function takes the field as
 ``p``: a prime for GF(p), by default the 61-bit Mersenne prime
 ``DEFAULT_PRIME`` used by the oracle's randomized sampling, or ``None`` for
-exact arithmetic over Q (Gram matrix inversion, audit passes of the oracle).
-Integer entries are valid in both fields; over GF(p) results are reduced
-residues.  Over Q the input may also hold rationals (anything with
-``numerator`` and ``denominator``), and the results are integers: row
-reduction is fraction-free (Bareiss), so ranks, kernels and echelon forms
-carry no denominators.  Only :func:`invert_frac` returns a ``Fraction``, for
-an entry of the inverse that is not an integer.
+exact arithmetic over Q (the audit passes of the oracle).  Integer entries
+are valid in both fields; over GF(p) results are reduced residues.  Over Q
+the input may also hold rationals (anything with ``numerator`` and
+``denominator``), and the results are integers: row reduction is
+fraction-free (Bareiss), so ranks, kernels and echelon forms carry no
+denominators, and no function returns a ``Fraction``.
 
 Row reduction mod p is the hot path of the oracle.  It is pure Python: one
 Gauss-Jordan loop over GF(p) and one fraction-free loop over Q.
@@ -126,33 +125,6 @@ def nullspace_mod(rows, ncols, p=DEFAULT_PRIME):
             v[pc] = -red[i][fc] if p is None else -red[i][fc] % p
         basis.append(v)
     return basis
-
-
-def invert_frac(rows):
-    """Exact inverse over Q of a square matrix; raises on singular or
-    non-square input.
-
-    :func:`rref_mod` turns ``[A | I]`` into ``[d*I | B]``, and the inverse is
-    ``B / d``: an entry that ``d`` divides is an ``int``, any other one a
-    ``Fraction``.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref_mod(aug, None)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    d = red[0][0] if n else 1
-
-    def entry(x):
-        q, rem = divmod(x, d)
-        if not rem:
-            return q
-        from fractions import Fraction
-        return Fraction(x, d)
-
-    return [[entry(x) for x in r[n:]] for r in red]
 
 
 def mat_mul_mod(a, b, p=DEFAULT_PRIME):

@@ -453,9 +453,7 @@ def cmd_components(args, config: dict) -> int:
     curve = resolve_curve(args, config)
     a = parse_kclass(curve, args.klass)
     g = curve.genus()
-    if a.r == 0:
-        labels = comp.enumerate_torsion_components(curve, a)
-    elif g < 1:
+    if g < 1:
         labels = comp.enumerate_components_finite(
             curve, a, min_degree=args.min_degree, real_bundle_box=args.real_bundle_box
         )
@@ -470,6 +468,8 @@ def cmd_components(args, config: dict) -> int:
         labels = comp.enumerate_components_tubular(
             curve, a, slope_window=window, max_parts=args.max_parts
         )
+    elif a.r == 0:
+        labels = comp.enumerate_torsion_components(curve, a)
     else:
         raise ValueError(
             "unsupported family: no component enumeration for rank > 0 beyond genus 1"

@@ -186,6 +186,9 @@ def _aperiodic_multisegments(
         if idx == len(seg_list):
             return
         seg = seg_list[idx]
+        if seg[1] > sum(remaining):
+            # seg_list is sorted by length, so no later segment fits either
+            return
         cov = coverages[seg]
         max_mult = min(
             (remaining[v] // cov[v] for v in range(p) if cov[v] > 0),
@@ -443,12 +446,21 @@ def enumerate_components_finite(
     weight sequences with at least three weighted points, rank >= 2 summands
     can be genuinely indecomposable; pass ``real_bundle_box`` to include
     real-root bundles from a bounded coordinate search, otherwise such inputs
-    are refused rather than silently undercounted.
+    are refused rather than silently undercounted.  A rank-0 class lists its
+    torsion labels, after the same checks.
     """
     if curve.genus() >= 1:
         raise ValueError("wrong regime: genus must be < 1")
     if not kt.is_positive(curve, a):
         raise ValueError("class is not positive")
+    if real_bundle_box is not None and real_bundle_box < 2:
+        # the box also caps the rank searched: a smaller one finds no
+        # summand of rank >= 2, the undercount the refusal below prevents
+        raise ValueError(
+            f"real_bundle_box must be at least 2, got {real_bundle_box}"
+        )
+    if a.r == 0:
+        return enumerate_torsion_components(curve, a)
     n_weighted = sum(1 for p in curve.weights if p > 1)
     summands: list[tuple[object, kt.KClass]] = []
     if a.r >= 2 and n_weighted >= 3:
@@ -456,12 +468,6 @@ def enumerate_components_finite(
             raise ValueError(
                 "unsupported family: rank >= 2 decompositions on a star with "
                 ">= 3 weighted points need real_bundle_box for root search"
-            )
-        if real_bundle_box < 2:
-            # the box also caps the rank searched: a smaller one finds no
-            # summand of rank >= 2, the undercount the refusal above prevents
-            raise ValueError(
-                f"real_bundle_box must be at least 2, got {real_bundle_box}"
             )
         for rb in cat.enumerate_real_bundles(curve, real_bundle_box):
             if rb.a.r >= 2:
@@ -517,6 +523,8 @@ def enumerate_components_tubular(
     if curve.genus() != 1:
         raise ValueError("wrong regime: genus must be 1")
     if a.r == 0:
+        # hn_types is not reached, yet its options must still admit a type
+        kt.check_hn_options(slope_window, max_parts)
         return enumerate_torsion_components(curve, a)
     out = []
     for parts in kt.hn_types(curve, a, slope_window, max_parts):

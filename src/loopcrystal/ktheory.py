@@ -8,16 +8,21 @@ where ``delta`` is the class of an ordinary point sheaf and ``alpha_{i,j}``
 the class of the exceptional simple ``S_{i,j}``.  The class of the zeroth
 simple is dependent: ``[S_{i,0}] = delta - sum_j alpha_{i,j}``.
 
-The Euler form is assembled once per weight sequence from the line-bundle
-spanning set ``{[O(x)] : 0 <= x <= c}`` via
+The Euler form ``<a, b> = dim Hom - dim Ext^1`` is bilinear, and on this
+basis it has the closed form of Geigle-Lenzing (1987):
+
+    <[O], [O]> = <[O], delta> = 1,          <delta, [O]> = -1,
+    <alpha_{i,j}, alpha_{i,j}> = 1,         <alpha_{i,j}, alpha_{i,j-1}> = -1,
+    <alpha_{i,1}, [O]> = -1,
+
+and 0 on every other pair of basis vectors: delta pairs to 0 with itself
+and with every alpha, and simples at different points are orthogonal.  On
+line bundles it agrees with the section counts
 
     <[O(x)], [O(y)]> = dim S_{y-x} - dim S_{x + omega - y},
 
-then transported to the standard basis by an exact base change; the
-resulting Gram matrix is checked to be integral.  The base change is
-unimodular, since ``{[O(x)] : 0 <= x <= c}`` is a Z-basis of K_0
-(Geigle-Lenzing 1987), so its inverse and the whole computation stay in the
-integers.
+which ``tests/test_ktheory.py`` checks on the Z-basis
+``{[O(x)] : 0 <= x <= c}`` of K_0.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 
-from . import _linalg
 from .starlattice import LElement, Record, WeightData, json_ints
 
 INFINITE_SLOPE = math.inf
@@ -170,63 +174,15 @@ def class_of_ordinary_torsion(curve: WeightData, length: int) -> KClass:
 # Euler form
 # ---------------------------------------------------------------------------
 
-# One Gram matrix per weight sequence, so it holds one entry per curve in use.
-_euler_cache: dict[tuple[int, ...], list[list[int]]] = {}
-
-
-def _spanning_elements(curve: WeightData) -> list[LElement]:
-    """The line-bundle exponents ``0 <= x <= c``: 0, c, and l_i x_i."""
-    out = [curve.zero(), curve.c()]
-    for i, p in enumerate(curve.weights):
-        for l_i in range(1, p):
-            coeffs = [0] * curve.n
-            coeffs[i] = l_i
-            out.append(curve.normalize(coeffs))
-    return out
-
-def euler_matrix(curve: WeightData) -> list[list[int]]:
-    """Gram matrix of the Euler form on the standard basis (cached)."""
-    key = curve.weights
-    cached = _euler_cache.get(key)
-    if cached is not None:
-        return cached
-    span = _spanning_elements(curve)
-    omega = curve.omega()
-    dim = lattice_rank(curve)
-    if len(span) != dim:
-        raise AssertionError("spanning set size mismatch")
-    gram_span = [
-        [
-            curve.dim_sections(curve.sub(y, x))
-            - curve.dim_sections(curve.sub(curve.add(x, omega), y))
-            for y in span
-        ]
-        for x in span
-    ]
-    # Base change: columns of T are the standard coordinates of [O(x)].
-    t_cols = [to_vector(class_of_line_bundle(curve, x)) for x in span]
-    t = [[t_cols[c][r] for c in range(dim)] for r in range(dim)]
-    t_inv = _linalg.invert_frac(t)
-    g = _linalg.mat_mul_mod(
-        _linalg.mat_mul_mod(_linalg.transpose(t_inv), gram_span, None), t_inv, None
-    )
-    out = []
-    for row in g:
-        int_row = []
-        for v in row:
-            if v.denominator != 1:
-                raise AssertionError("Euler form is not integral on the basis")
-            int_row.append(int(v))
-        out.append(int_row)
-    _euler_cache[key] = out
-    return out
-
-
 def euler_form(curve: WeightData, a: KClass, b: KClass) -> int:
-    """The Euler pairing ``<a, b> = sum hom - sum ext`` on classes."""
-    g = euler_matrix(curve)
-    va, vb = to_vector(a), to_vector(b)
-    return sum(va[i] * g[i][j] * vb[j] for i in range(len(va)) for j in range(len(vb)))
+    """The Euler pairing ``<a, b> = sum hom - sum ext`` on classes, in the
+    closed form of the module docstring."""
+    val = a.r * (b.r + b.d) - a.d * b.r
+    for ra, rb in zip(a.m, b.m):
+        # alpha_{i,j} pairs 1 with itself and -1 with the basis vector before
+        # it: alpha_{i,j-1}, or [O] for j = 1
+        val += sum(x * (y - z) for x, y, z in zip(ra, rb, (b.r, *rb)))
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +256,20 @@ def twist_class(curve: WeightData, a: KClass, x: LElement) -> KClass:
 # Harder-Narasimhan types (tubular weight sequences)
 # ---------------------------------------------------------------------------
 
+def check_hn_options(slope_window: tuple | None, max_parts: int) -> None:
+    """Refuse the :func:`hn_types` options that admit no sequence, whatever
+    the class: ``max_parts < 1``, a window without a finite lower bound, and
+    an empty window.  ``None`` leaves the slopes unbounded."""
+    if max_parts < 1:
+        raise ValueError(f"max_parts must be at least 1, got {max_parts}")
+    if slope_window is not None:
+        lo, hi = slope_window
+        if lo == -math.inf:
+            raise ValueError("slope window needs a finite lower bound")
+        if lo > hi:
+            raise ValueError(f"empty slope window: {lo} > {hi}")
+
+
 def hn_types(
     curve: WeightData,
     a: KClass,
@@ -319,8 +289,7 @@ def hn_types(
     """
     if not is_positive(curve, a) or a == zero_class(curve):
         raise ValueError("input must be a nonzero positive class")
-    if max_parts < 1:
-        raise ValueError(f"max_parts must be at least 1, got {max_parts}")
+    check_hn_options(slope_window, max_parts)
     if a.r == 0:
         return [(a,)]
     if slope_window is None:
@@ -329,10 +298,6 @@ def hn_types(
             "pass slope_window=(lo, hi) with finite lo"
         )
     lo, hi = slope_window
-    if lo == -math.inf:
-        raise ValueError("slope window needs a finite lower bound")
-    if lo > hi:
-        raise ValueError(f"empty slope window: {lo} > {hi}")
     from fractions import Fraction
     lo = Fraction(lo)
     hi = hi if hi == math.inf else Fraction(hi)

@@ -386,12 +386,22 @@ class TestComponentsList:
              "empty slope window"),
             (FINITE + ["--real-bundle-box", "0"], "real_bundle_box must be at least 2"),
             (FINITE + ["--real-bundle-box", "1"], "real_bundle_box must be at least 2"),
+            (["--weights", "2,2,2,2", "--class", "delta", "--max-parts", "0"],
+             "max_parts must be at least 1"),
+            (["--weights", "2,2,2,2", "--class", "delta", "--slope-window", "1", "0"],
+             "empty slope window"),
+            (["--weights", "2,2,2", "--class", "delta", "--real-bundle-box", "1"],
+             "real_bundle_box must be at least 2"),
+            (["--weights", "2,2,2", "--class", "O", "--real-bundle-box", "1"],
+             "real_bundle_box must be at least 2"),
         ],
-        ids=["no-parts", "negative-parts", "empty-window", "box-0", "box-1"],
+        ids=["no-parts", "negative-parts", "empty-window", "box-0", "box-1",
+             "rank-0-no-parts", "rank-0-empty-window", "rank-0-box-1", "rank-1-box-1"],
     )
     def test_inputs_that_admit_nothing_exit_2(self, capsys, argv, refused):
         # each of these listed nothing, or fewer labels than the listings
-        # above, with exit 0
+        # above, with exit 0; the rank-0 ones listed the torsion labels as if
+        # the option had not been given
         code, out, err = run(capsys, ["components", "list", *argv])
         assert (code, out) == (2, "")
         assert refused in err

@@ -37,6 +37,25 @@ def random_element(curve, rng, span=4):
     return curve.normalize(coeffs, l=rng.randint(-span, span))
 
 
+#: weight sequences the Euler form is checked on: P^1, a finite, the four
+#: tubular and a wild one
+REFERENCE_CURVES = tuple(
+    WeightData(ws)
+    for ws in [(1, 1, 1), (2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 6), (2, 4, 4), (2, 3, 7)]
+)
+
+
+def line_bundle_basis(curve):
+    """The exponents ``0 <= x <= c``: 0, c, and ``l x_i`` for ``0 < l < p_i``."""
+    out = [curve.zero(), curve.c()]
+    for i, p in enumerate(curve.weights):
+        for l in range(1, p):
+            coeffs = [0] * curve.n
+            coeffs[i] = l
+            out.append(curve.normalize(coeffs))
+    return out
+
+
 def random_class(curve, rng, span=5):
     v = [rng.randint(-span, span) for _ in range(kt.lattice_rank(curve))]
     return kt.from_vector(curve, v)
@@ -118,25 +137,26 @@ class TestEulerForm:
             assert kt.euler_form(curve, dl, o) == -1
             assert kt.euler_form(curve, dl, dl) == 0
 
-    def test_simple_pairings(self, w237):
+    def test_simple_pairings(self):
         # Hom/Ext of exceptional simples: End is one-dimensional, the only
         # extension is onto the next head down, and S_{i,1} maps out of O.
-        for i, p in enumerate(w237.weights):
-            if p == 1:
-                continue
-            for j in range(1, p):
-                a = kt.class_of_simple(w237, i, j)
-                assert kt.euler_form(w237, a, a) == 1
-                for k in range(1, p):
-                    expected = 1 if k == j else (-1 if k == j - 1 else 0)
-                    b = kt.class_of_simple(w237, i, k)
-                    assert kt.euler_form(w237, a, b) == expected
-                o = kt.structure_class(w237)
-                assert kt.euler_form(w237, a, o) == (-1 if j == 1 else 0)
-                assert kt.euler_form(w237, o, a) == 0
-                dl = kt.delta_class(w237)
-                assert kt.euler_form(w237, a, dl) == 0
-                assert kt.euler_form(w237, dl, a) == 0
+        for curve in REFERENCE_CURVES:
+            o = kt.structure_class(curve)
+            dl = kt.delta_class(curve)
+            for i, p in enumerate(curve.weights):
+                if p == 1:
+                    continue
+                for j in range(1, p):
+                    a = kt.class_of_simple(curve, i, j)
+                    assert kt.euler_form(curve, a, a) == 1
+                    for k in range(1, p):
+                        expected = 1 if k == j else (-1 if k == j - 1 else 0)
+                        b = kt.class_of_simple(curve, i, k)
+                        assert kt.euler_form(curve, a, b) == expected
+                    assert kt.euler_form(curve, a, o) == (-1 if j == 1 else 0)
+                    assert kt.euler_form(curve, o, a) == 0
+                    assert kt.euler_form(curve, a, dl) == 0
+                    assert kt.euler_form(curve, dl, a) == 0
 
     def test_cross_point_simples_orthogonal(self, w237):
         a = kt.class_of_simple(w237, 0, 1)
@@ -144,15 +164,20 @@ class TestEulerForm:
         assert kt.euler_form(w237, a, b) == 0
         assert kt.euler_form(w237, b, a) == 0
 
-    def test_line_bundle_pairing_matches_section_counts(self, w237, w222):
-        # <[O(x)], [O(y)]> = dim S_{y-x} - dim S_{x+w-y} for arbitrary x, y,
-        # not only the spanning exponents used to build the Gram matrix.
+    def test_line_bundle_pairing_matches_section_counts(self):
+        # <[O(x)], [O(y)]> = dim S_{y-x} - dim S_{x+w-y}: on every pair of the
+        # Z-basis {O(x) : 0 <= x <= c}, which fixes the whole bilinear form,
+        # and on random pairs of exponents besides.
         rng = random.Random(7)
-        for curve in (w237, w222):
+        for curve in REFERENCE_CURVES:
             omega = curve.omega()
-            for _ in range(40):
-                x = random_element(curve, rng, span=3)
-                y = random_element(curve, rng, span=3)
+            randoms = [
+                (random_element(curve, rng, span=3), random_element(curve, rng, span=3))
+                for _ in range(40)
+            ]
+            basis = line_bundle_basis(curve)
+            assert len(basis) == kt.lattice_rank(curve)
+            for x, y in [*itertools.product(basis, repeat=2), *randoms]:
                 lhs = kt.euler_form(
                     curve,
                     kt.class_of_line_bundle(curve, x),
@@ -173,9 +198,6 @@ class TestEulerForm:
             assert kt.euler_form(w237, a, kt.add(b, c)) == kt.euler_form(
                 w237, a, b
             ) + kt.euler_form(w237, a, c)
-
-    def test_matrix_cached(self, w222):
-        assert kt.euler_matrix(w222) is kt.euler_matrix(w222)
 
 
 class TestDegreeSlopePositivity:

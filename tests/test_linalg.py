@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from loopcrystal._linalg import (
     DEFAULT_PRIME,
     identity,
-    invert_frac,
     mat_mul_mod,
     mat_vec_mod,
     nullspace_mod,
@@ -172,42 +171,3 @@ class TestProducts:
     def test_empty_factors(self):
         assert mat_mul_mod([], [[1, 2]]) == []
         assert mat_mul_mod([[], []], []) == [[], []]
-
-    @staticmethod
-    def check_inverse(data, elements):
-        n = data.draw(st.integers(1, 4))
-        a = data.draw(matrices(None, n, min_rows=n, max_rows=n, elements=elements))
-        if rank_mod(a, None) < n:
-            with pytest.raises(ValueError, match="singular"):
-                invert_frac(a)
-            return
-        inv = invert_frac(a)
-        assert mat_mul_mod(inv, a, None) == identity(n)
-        assert mat_mul_mod(a, inv, None) == identity(n)
-        # integral entries are ints; only the others are Fractions
-        assert all(type(x) is (int if x.denominator == 1 else Fraction) for r in inv for x in r)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_invert_frac(self, data):
-        self.check_inverse(data, entries(None))
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_invert_frac_on_rationals(self, data):
-        self.check_inverse(data, RATIONALS)
-
-    def test_invert_frac_keeps_unimodular_inverse_integral(self):
-        inv = invert_frac([[2, 1], [1, 1]])
-        assert inv == [[1, -1], [-1, 2]]
-        assert all(type(x) is int for r in inv for x in r)
-
-    @pytest.mark.parametrize(
-        "rows", [[[1, 2]], [[1], [2]], [[1, 0], [0]], [[]]], ids=["wide", "tall", "ragged", "1x0"]
-    )
-    def test_invert_frac_refuses_non_square(self, rows):
-        with pytest.raises(ValueError, match="not square"):
-            invert_frac(rows)
-
-    def test_invert_frac_of_empty_matrix(self):
-        assert invert_frac([]) == []
