@@ -201,6 +201,20 @@ class TestSampleGeneric:
                     draws += 1
         assert draws == 1290
 
+    #: sha256 of the GF(p) draws of the battery above, one ``repr(phibar)``
+    #: line per draw; a new fiber basis must leave every draw unchanged
+    DRAWS_SHA256 = "ae14af7519236f28cdd77b227915bab2b9ebb724d87b562bcb1cc0f79eb17204"
+
+    def test_draw_pin(self):
+        lines = [
+            repr(orc.sample_generic(curve, m, seed=seed).phibar)
+            for curve in CURVES.values()
+            for m in aperiodic_battery(curve, 5)
+            for seed in (0, 1)
+        ]
+        assert len(lines) == 1290
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DRAWS_SHA256
+
 
 def _total_length(curve_m):
     return sum(l for _, l in curve_m[1].segments())
