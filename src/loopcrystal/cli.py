@@ -449,25 +449,34 @@ def cmd_sheaf(args, config: dict) -> int:
     return 0
 
 
+#: the regime whose enumerator alone reads each option of ``components list``
+_OPTION_REGIME = {
+    "min_degree": "finite", "real_bundle_box": "finite",
+    "slope_window": "tubular", "max_parts": "tubular",
+}
+
+
 def cmd_components(args, config: dict) -> int:
     curve = resolve_curve(args, config)
     a = parse_kclass(curve, args.klass)
     g = curve.genus()
-    if g < 1:
-        labels = comp.enumerate_components_finite(
-            curve, a, min_degree=args.min_degree, real_bundle_box=args.real_bundle_box
-        )
-    elif g == 1:
-        window = None
+    regime = "finite" if g < 1 else ("tubular" if g == 1 else "wild")
+    given = {k: getattr(args, k) for k in _OPTION_REGIME if getattr(args, k) is not None}
+    for name in given:
+        if _OPTION_REGIME[name] != regime:
+            raise ValueError(
+                f"--{name.replace('_', '-')} applies to {_OPTION_REGIME[name]} weights only"
+            )
+    if regime == "finite":
+        labels = comp.enumerate_components_finite(curve, a, **given)
+    elif regime == "tubular":
         if args.slope_window is not None:
             lo, hi = args.slope_window
-            window = (
+            given["slope_window"] = (
                 _parse_rational(lo, "slope-window lower end"),
                 _parse_rational(hi, "slope-window upper end", inf_ok=True),
             )
-        labels = comp.enumerate_components_tubular(
-            curve, a, slope_window=window, max_parts=args.max_parts
-        )
+        labels = comp.enumerate_components_tubular(curve, a, **given)
     elif a.r == 0:
         labels = comp.enumerate_torsion_components(curve, a)
     else:
@@ -697,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     comps = group("components", "irreducible-component listings")
     clist = command(comps, "list", cmd_components, "labels of a positive class")
     clist.add_argument("--class", dest="klass", required=True, help="class expression")
-    clist.add_argument("--min-degree", type=int, default=0, help="line-bundle degree floor (genus < 1)")
+    clist.add_argument("--min-degree", type=int, help="line-bundle degree floor (genus < 1)")
     clist.add_argument(
         "--real-bundle-box", type=int, default=None,
         help="coordinate box for rank >= 2 bundle summands (genus < 1)",
@@ -708,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # match negative fractions too, e.g. -1/2
     clist._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-    clist.add_argument("--max-parts", type=int, default=4, help="splitting length cap (genus 1)")
+    clist.add_argument("--max-parts", type=int, help="splitting length cap (genus 1)")
 
     crystal = group("crystal", "operators and graphs")
     apply_p = command(crystal, "apply", cmd_crystal_apply, "apply one operator to a component label")

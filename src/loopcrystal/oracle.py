@@ -19,9 +19,10 @@ Two families of models:
 
 All arithmetic is exact: a large prime field by default, and for audit runs
 (``prime=None``) Q, computed in the integers by fraction-free elimination.
-Field elements are multiplied, added and reduced in :mod:`._linalg`: a
-cyclic draw is one matrix-vector product of its seeded coefficients with the
-flat commutant fiber basis, cached per stratum.  The one exception is
+Field elements are multiplied, added and reduced in :mod:`._linalg`.  A
+cyclic draw needs no arithmetic: the commutant fiber has a closed basis of
+0/1 arrows with disjoint supports (:func:`_intertwiners`), so the seeded
+coefficients are written into their entries.  The one exception is
 :func:`_generic_matrix_rank`, which evaluates the forms at a point with its
 own Horner loop and leaves the reduction to ``rank_mod``.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from . import _linalg, ktheory as kt
 from ._linalg import zero_matrix
@@ -77,14 +78,13 @@ class CyclicPair(Record):
         return sum(self.dims)
 
 
-def _segment_arrows(p: int, segments) -> tuple[tuple[int, ...], list]:
-    """Dimension vector and forward arrows of a direct sum of serial modules.
-
-    The t-th composition factor S_{j-t} of a segment [j; l) sits at vertex
-    ``(t - j) % p`` and ``phi`` maps it to the next factor by a unit entry.
+def _segment_slots(p: int, segments) -> tuple[tuple[int, ...], list]:
+    """Dimension vector of a direct sum of serial modules, and per segment the
+    ``(vertex, index within the vertex)`` slot of each composition factor:
+    the t-th factor S_{j-t} of a segment [j; l) sits at vertex ``(t - j) % p``.
     """
     dims = [0] * p
-    slots = []  # per segment: (vertex, index within the vertex) of each factor
+    slots = []
     for j, l in segments:
         seg_slots = []
         for t in range(l):
@@ -92,70 +92,68 @@ def _segment_arrows(p: int, segments) -> tuple[tuple[int, ...], list]:
             seg_slots.append((v, dims[v]))
             dims[v] += 1
         slots.append(seg_slots)
+    return tuple(dims), slots
+
+
+def build_rep(curve: WeightData, m: Multisegment, prime=DEFAULT_PRIME) -> CyclicPair:
+    """Direct sum of segment shift representations, ``phi`` moving each
+    composition factor to the next by a unit entry; reverse arrows zero."""
+    p = curve.weights[m.i]
+    dims, slots = _segment_slots(p, m.segments())
     phi = [zero_matrix(dims[(k + 1) % p], dims[k]) for k in range(p)]
     for seg_slots in slots:
         for (v, idx), (_, idx2) in zip(seg_slots, seg_slots[1:]):
             phi[v][idx2][idx] = 1
-    return tuple(dims), phi
+    return CyclicPair(p, dims, phi, _fill(p, dims, [], []), prime, m.i)
 
 
-def build_rep(curve: WeightData, m: Multisegment, prime=DEFAULT_PRIME) -> CyclicPair:
-    """Direct sum of segment shift representations; reverse arrows zero."""
-    p = curve.weights[m.i]
-    dims, phi = _segment_arrows(p, m.segments())
+def _intertwiners(p: int, segments, shift: int) -> tuple[tuple[int, ...], list]:
+    """Dimension vector of the segment model of ``segments`` and a basis of
+    the arrow tuples X with ``X_{k+1} phi_k = phi_{k-shift} X_k`` on it.
+
+    X maps the model to its shift (``X_k``: vertex ``k`` to ``k - shift``).
+    A map out of a segment ``A = [j_A; l_A)`` is fixed by the image of its
+    head, a combination of the factors ``u`` (counted from the head) of each
+    ``B = [j_B; l_B)`` with ``l_B - l_A <= u < l_B`` and ``u = j_B - j_A -
+    shift (mod p)``.  Each ``(A, B, u)`` gives the element sending factor
+    ``t`` of A to factor ``u + t`` of B, as its unit entries ``(k, r, c)``:
+    ``X_k[r][c] = 1``, with disjoint supports.  Sorted by last entry, this
+    is the echelon nullspace basis of the commutation equations (each reads
+    ``x_a = x_b`` or ``x_a = 0``), unknowns numbered as ``(k, r, c)``.
+    """
+    dims, slots = _segment_slots(p, segments)
+    basis = []
+    for (j_a, l_a), a in zip(segments, slots):
+        for (j_b, l_b), b in zip(segments, slots):
+            for u in range(max(l_b - l_a, 0), l_b):
+                if (u - j_b + j_a + shift) % p == 0:
+                    basis.append([
+                        (k, b[u + t][1], c) for t, (k, c) in enumerate(a[:l_b - u])
+                    ])
+    basis.sort(key=max)
+    return dims, basis
+
+
+def _fill(p: int, dims, basis, coeffs) -> list:
+    """The reverse arrows ``sum_b coeffs[b] * basis[b]`` (shift 1), for a basis
+    with disjoint supports."""
     phibar = [zero_matrix(dims[(k - 1) % p], dims[k]) for k in range(p)]
-    return CyclicPair(p, dims, phi, phibar, prime, m.i)
+    for coeff, entries in zip(coeffs, basis):
+        for k, r, c in entries:
+            phibar[k][r][c] = coeff
+    return phibar
 
 
-def _intertwiners(p: int, dims, phi, shift: int, prime) -> list:
-    """Basis of the arrow tuples X with ``X_{k+1} phi_k = phi_{k-shift} X_k``,
-    as flat vectors (see :func:`_as_arrows`).
+def commutant_fiber(curve: WeightData, m: Multisegment) -> list:
+    """Basis of the linear space of reverse arrows commuting with the phi of
+    ``build_rep(curve, m)``.
 
-    ``X_k`` maps vertex ``k`` to ``k - shift``.  The unknowns are numbered
-    vertex by vertex, each ``X_k`` row-major, and there is one equation per
-    entry of each side, so the basis (and every draw from it) is fixed.
+    Returns a list of phibar-tuples (one matrix per vertex each), with 0/1
+    entries over every field.
     """
-    offsets, total = [], 0
-    for k in range(p):
-        offsets.append(total)
-        total += dims[(k - shift) % p] * dims[k]
-    if total == 0:
-        return []
-    rows = []
-    for k in range(p):
-        kp, ks = (k + 1) % p, (k - shift) % p
-        for r in range(dims[(kp - shift) % p]):
-            for c in range(dims[k]):
-                row = [0] * total
-                for s in range(dims[kp]):
-                    row[offsets[kp] + r * dims[kp] + s] += phi[k][s][c]
-                for s in range(dims[ks]):
-                    row[offsets[k] + s * dims[k] + c] -= phi[ks][r][s]
-                if any(row):
-                    rows.append(row)
-    return _linalg.nullspace_mod(rows, total, prime)
-
-
-def _as_arrows(p: int, dims, shift: int, vec) -> list:
-    """The arrow tuple whose unknowns, numbered as in :func:`_intertwiners`,
-    are ``vec``."""
-    entries = iter(vec)
-    return [
-        [list(islice(entries, dims[k])) for _ in range(dims[(k - shift) % p])]
-        for k in range(p)
-    ]
-
-
-def commutant_fiber(pair: CyclicPair) -> list:
-    """Basis of the linear space of reverse arrows commuting with phi.
-
-    Returns a list of phibar-tuples (one matrix per vertex each).
-    """
-    p, dims = pair.p, pair.dims
-    return [
-        _as_arrows(p, dims, 1, vec)
-        for vec in _intertwiners(p, dims, pair.phi, 1, pair.prime)
-    ]
+    p = curve.weights[m.i]
+    dims, basis = _intertwiners(p, m.segments(), 1)
+    return [_fill(p, dims, [entries], [1]) for entries in basis]
 
 
 def _total_matrix(pair: CyclicPair):
@@ -197,15 +195,12 @@ def is_nilpotent(pair: CyclicPair) -> bool:
 
 # One entry: the trials of a stratum run back to back.
 @lru_cache(maxsize=1)
-def _stratum_model(curve: WeightData, m: Multisegment, prime) -> tuple:
-    """Segment model of ``m``, the size of its commutant fiber basis, and
-    that basis as the columns of a matrix, one row per unknown of
-    :func:`_intertwiners`; shared by the trials of a stratum (which run back
-    to back) and never written to."""
-    pair = build_rep(curve, m, prime)
-    fiber = _intertwiners(pair.p, pair.dims, pair.phi, 1, prime)
-    unknowns = sum(pair.dims[k - 1] * d for k, d in enumerate(pair.dims))
-    return pair, len(fiber), _linalg.transpose(fiber) or zero_matrix(unknowns, 0)
+def _stratum_model(curve: WeightData, m: Multisegment) -> tuple:
+    """Segment model of ``m`` and its commutant fiber basis, which hold over
+    every field (see :func:`_intertwiners`); shared by the trials of a stratum
+    (which run back to back) and never written to."""
+    pair = build_rep(curve, m)
+    return pair, _intertwiners(pair.p, m.segments(), 1)[1]
 
 
 def sample_generic(
@@ -226,12 +221,10 @@ def sample_generic(
     """
     if not is_aperiodic_for(curve, m):
         raise ValueError("periodic input: the fiber breaks nilpotency")
-    pair, size, columns = _stratum_model(curve, m, prime)
+    pair, basis = _stratum_model(curve, m)
     rng = random.Random(f"cyclic:{seed}")
-    coeffs = [_rand_scalar(rng, prime) for _ in range(size)]
-    phibar = _as_arrows(
-        pair.p, pair.dims, 1, _linalg.mat_vec_mod(columns, coeffs, prime)
-    )
+    coeffs = [_rand_scalar(rng, prime) for _ in basis]
+    phibar = _fill(pair.p, pair.dims, basis, coeffs)
     return CyclicPair(pair.p, pair.dims, pair.phi, phibar, prime, pair.point)
 
 
@@ -309,19 +302,19 @@ def recover_type(pair: CyclicPair) -> Multisegment:
     return _read_type(p, pair.dims, r, pair.point)
 
 
-def serial_selfext_dim(p: int, j: int, l: int, prime=DEFAULT_PRIME) -> int:
+def serial_selfext_dim(p: int, j: int, l: int) -> int:
     """dim Ext^1(S, S) for the serial module S = [j; l) on the p-cycle.
 
-    End(S) is the nullspace of the intertwiner system
-    ``tau_{k+1} phi_k = phi_k tau_k``; since the path algebra is hereditary,
-    dim Ext^1 = dim End - chi(dim, dim) with chi the arrow Euler form.
-    ``p = 1`` gives the Jordan loop of an ordinary point, where the system is
+    End(S) is the space of intertwiners ``tau_{k+1} phi_k = phi_k tau_k``
+    (:func:`_intertwiners` at shift 0); since the path algebra is
+    hereditary, dim Ext^1 = dim End - chi(dim, dim) with chi the arrow Euler
+    form.  ``p = 1`` gives the Jordan loop of an ordinary point, where End is
     the plain commutant.
     """
     if l < 1:
         raise ValueError("length must be positive")
-    dims, phi = _segment_arrows(p, [(j, l)])
-    end_dim = len(_intertwiners(p, dims, phi, 0, prime))
+    dims, basis = _intertwiners(p, [(j, l)], 0)
+    end_dim = len(basis)
     chi = sum(d * d for d in dims) - sum(
         dims[k] * dims[(k + 1) % p] for k in range(p)
     )

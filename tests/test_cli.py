@@ -407,6 +407,46 @@ class TestComponentsList:
         assert refused in err
         assert "Traceback" not in err
 
+    def assert_refused(self, capsys, argv, option, owner):
+        # each option refused this way exited 0 and was ignored, because only
+        # its own regime's enumerator reads it
+        code, out, err = run(capsys, ["components", "list", *argv])
+        assert (code, out) == (2, "")
+        assert f"{option} applies to {owner} weights only" in err
+        assert "Traceback" not in err
+
+    def test_tubular_options_refused_on_finite_weights(self, capsys):
+        argv = ["--weights", "2,2,2", "--class", "O"]
+        self.assert_refused(capsys, argv + ["--max-parts", "0"], "--max-parts", "tubular")
+        self.assert_refused(
+            capsys, argv + ["--slope-window", "1", "0"], "--slope-window", "tubular"
+        )
+        # the regime's own floor reaches its enumerator
+        w = WeightData((2, 2, 2))
+        a = kt.add(kt.structure_class(w), kt.delta_class(w))
+        d = run_json(
+            capsys, ["components", "list", "--weights", "2,2,2", "--class", "O + delta",
+                     "--min-degree", "-1"],
+        )
+        want = comp.enumerate_components_finite(w, a, min_degree=-1)
+        assert [c["display"] for c in d["components"]] == [
+            comp.format_label(w, z) for z in want
+        ]
+        assert len(want) > len(comp.enumerate_components_finite(w, a))
+
+    def test_finite_options_refused_on_tubular_weights(self, capsys):
+        argv = ["--weights", "2,2,2,2", "--class", "O"]
+        self.assert_refused(
+            capsys, argv + ["--real-bundle-box", "0"], "--real-bundle-box", "finite"
+        )
+        self.assert_refused(capsys, argv + ["--min-degree", "5"], "--min-degree", "finite")
+
+    def test_every_option_refused_on_wild_weights(self, capsys):
+        argv = ["--weights", "2,3,7", "--class", "delta"]
+        self.assert_refused(capsys, argv + ["--max-parts", "0"], "--max-parts", "tubular")
+        self.assert_refused(capsys, argv + ["--min-degree", "3"], "--min-degree", "finite")
+        assert run_json(capsys, ["components", "list", *argv])["count"] > 0
+
     def test_wild_rank_refused(self, capsys):
         code, _, err = run(
             capsys, ["components", "list", "--class", "O", "--weights", "2,3,7"]
