@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import importlib
 import itertools
 import os
@@ -276,6 +277,54 @@ class TestSharedMemory:
         ]
         assert len(labels) == 258
         assert sorted(alive, key=repr) == sorted(wanted, key=repr)
+
+
+#: sha256 of the newline-joined reprs of ``component_label`` on every P1
+#: shape: 1-4 line bundles of degree -2..3 in every order, with 0-3 points.
+P1_LABELS_SHA256 = "840092b7397c3822651c0520011a68a015e993d56f88ecd6a7c74deb74084a80"
+
+#: ``normalize`` on (2,1,1) of inputs that are not plain nonnegative ints:
+#: name -> ((coeffs, l), the int input of equal value, repr of the result).
+NORMALIZE_PINS = {
+    "negative": (([-3, 0, 0], 0), ([-3, 0, 0], 0), "LElement(l=-2, residues=(1, 0, 0))"),
+    "negative-l": (([0, -1, 0], -1), ([0, -1, 0], -1),
+                   "LElement(l=-2, residues=(0, 0, 0))"),
+    "bool-l": (([0, 0, 0], False), ([0, 0, 0], 0), "LElement(l=0, residues=(0, 0, 0))"),
+    "bool-coeff": (([True, 0, 0], 0), ([1, 0, 0], 0), "LElement(l=0, residues=(1, 0, 0))"),
+    "bool-both": (([True, 0, 0], True), ([1, 0, 0], 1),
+                  "LElement(l=1, residues=(1, 0, 0))"),
+    "float": (([1.5, 0, 0], 0), ([1, 0, 0], 0), "LElement(l=0.0, residues=(1.5, 0, 0))"),
+    "integral-float": (([2.0, 0, 0], 0), ([2, 0, 0], 0),
+                       "LElement(l=1.0, residues=(0.0, 0, 0))"),
+}
+
+
+class TestLabelPins:
+    def test_p1_label_reprs(self):
+        p1 = WeightData((1, 1, 1))
+        reprs = [
+            repr(comp.component_label(
+                p1, [cat.LineBundle(p1.normalize([0, 0, 0], l=d)) for d in shape],
+                (1,) * points,
+            ))
+            for n in range(1, 5)
+            for shape in itertools.product(range(-2, 4), repeat=n)
+            for points in range(4)
+        ]
+        assert len(reprs) == 6216
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == P1_LABELS_SHA256
+
+    @pytest.mark.parametrize("name", NORMALIZE_PINS)
+    @pytest.mark.parametrize("plain_first", [False, True])
+    def test_normalize_reprs(self, name, plain_first):
+        # checked before and after the curve has seen the int input
+        odd, plain, shown = NORMALIZE_PINS[name]
+        curve = WeightData((2, 1, 1))
+        if plain_first:
+            curve.normalize(*plain)
+        assert repr(curve.normalize(*odd)) == shown
+        curve.normalize(*plain)
+        assert repr(curve.normalize(*odd)) == shown
 
 
 class TestCopyAndPickle:
