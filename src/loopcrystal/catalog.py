@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 
 from . import ktheory as kt
-from .starlattice import LElement, Record, WeightData
+from .starlattice import LElement, Record, Shared, WeightData
 
 
-class LineBundle(Record, shared=True):
+class LineBundle(Record, Shared):
     __slots__ = ("x",)
     x: LElement
 

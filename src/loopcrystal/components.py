@@ -158,8 +158,8 @@ def _aperiodic_multisegments(
 ) -> tuple[Multisegment, ...]:
     """Memo behind ``aperiodic_multisegments``, keyed on ``(curve, i, dims)``.
 
-    The inversion search ``crystal._ms_es`` asks for the same dimension
-    vector once per target, and many targets share it.  The memo is
+    The inversion tables ``crystal._ms_inverse`` of many colors and copy
+    counts ask for the same dimension vector.  The memo is
     unbounded, yet its size is bounded by the work it serves: one entry per
     distinct dimension vector that a budgeted graph build (``max_delta``,
     ``max_nodes``), a torsion-class enumeration or an oracle battery reaches.
@@ -246,7 +246,9 @@ def component_label(
     ordinary: Iterable[int] = (),
     exceptional: Iterable[Multisegment] = (),
 ) -> ComponentLabel:
-    """Canonicalize: sort the bundle multiset, the partition, the points."""
+    """Canonicalize: sort the bundle multiset by ``repr``, the partition, the
+    points.  Partition parts must be ints (bools and floats are refused with
+    ``ValueError``, as in the JSON reader)."""
     if isinstance(bundle, HNTree):
         bpart: BundlePart = bundle
     else:
@@ -254,10 +256,12 @@ def component_label(
         for lab in bpart:
             if not isinstance(lab, (cat.LineBundle, cat.RealBundle)):
                 raise ValueError("bundle part takes rank > 0 labels only")
-    nu = tuple(sorted((int(v) for v in ordinary), reverse=True))
-    if any(v < 1 for v in nu):
+    nu = tuple(sorted(json_ints(ordinary, "partition"), reverse=True))
+    if nu and nu[-1] < 1:
         raise ValueError("partition parts must be positive")
     excs = [m for m in exceptional if not m.is_empty()]
+    if not excs:
+        return ComponentLabel(bpart, nu, ())
     seen = set()
     for m in excs:
         if m.i in seen:
@@ -339,7 +343,7 @@ def label_from_json(data: dict, curve: WeightData) -> ComponentLabel:
                 raise ValueError(f"segment {raw} needs a positive multiplicity")
             segs.extend([(j, l)] * a)
         excs.append(multisegment(curve, i - 1, segs))
-    return component_label(curve, bundle, json_ints(ordinary, "partition"), excs)
+    return component_label(curve, bundle, ordinary, excs)
 
 
 def format_label(curve: WeightData, z: ComponentLabel) -> str:

@@ -175,28 +175,36 @@ def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Mult
     )
 
 
-# One entry per target, color and copy count visited in one CLI command
-# (bounded as above).
+# The inversion table of one raised dimension vector: the ``f_max`` of each
+# candidate with ``epsilon = s``, mapped to that candidate, or to ``None``
+# when two candidates share it.  One entry per dimension vector, color and
+# copy count visited in one CLI command (bounded as above), so the
+# candidates of a dimension vector are walked once, not once per target.
 @lru_cache(maxsize=None)
+def _ms_inverse(
+    curve: WeightData, i: int, dims: tuple[int, ...], j: int, l: int, s: int
+) -> dict[Multisegment, Multisegment | None]:
+    table = {}
+    for cand in comp.aperiodic_multisegments(curve, i, dims):
+        if _ms_eps(curve, cand, j, l) == s:
+            fmax = _ms_fmax(curve, cand, j, l, s)
+            table[fmax] = None if fmax in table else cand
+    return table
+
+
 def _ms_es(
     curve: WeightData, target: Multisegment, i: int, j: int, l: int, s: int
 ) -> Multisegment:
     if s == 0:
         return target
-    dims = list(comp.dim_vector(curve, target))
     cov = comp.segment_coverage(curve.weights[i], j, l)
-    dims = tuple(d + s * c for d, c in zip(dims, cov))
-    hits = []
-    for cand in comp.aperiodic_multisegments(curve, i, dims):
-        if _ms_eps(curve, cand, j, l) != s:
-            continue
-        if _ms_fmax(curve, cand, j, l, s) == target:
-            hits.append(cand)
-    if not hits:
+    dims = tuple(d + s * c for d, c in zip(comp.dim_vector(curve, target), cov))
+    table = _ms_inverse(curve, i, dims, j, l, s)
+    if target not in table:
         raise ValueError("no preimage found")
-    if len(hits) > 1:
+    if table[target] is None:
         raise ValueError("ambiguous preimage")
-    return hits[0]
+    return table[target]
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +558,7 @@ def clear_memos() -> None:
     memos across calls until they call this.
     """
     for memo in (
-        _check_color, _ms_kernel_type, _ms_eps, _ms_fmax, _ms_es,
+        _check_color, _ms_kernel_type, _ms_eps, _ms_fmax, _ms_inverse,
         _twist_kernel, comp._aperiodic_multisegments, oracle._stratum_model,
     ):
         memo.cache_clear()

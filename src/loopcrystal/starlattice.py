@@ -28,6 +28,23 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
+class Shared:
+    """Mixin of the shared records: the hash and repr of each instance,
+    computed once when its value is first made.
+
+    It sits outside :class:`Record`, so a record's ``__slots__`` still name
+    only its fields.
+    """
+
+    __slots__ = ("_hash", "_repr")
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return self._repr
+
+
 class Record:
     """Base of the package's value classes: slotted records compared by value.
 
@@ -43,23 +60,24 @@ class Record:
       is a new instance;
     - instances pickle and deep-copy as ``Name(*fields)``.
 
-    A class declared with ``shared=True`` hands out one instance per
-    value: its generated ``__new__`` looks the fields up, each with its type
-    (so ``0`` and ``False`` stay apart), in a table of the class and fills
-    the slots of a new instance only on a miss; it has no ``__init__``.
-    Pickle and deepcopy go through ``__new__`` and so return the shared
-    instance.  Equality and hashing stay by value, so no caller may rely on
-    identity.  A table keeps one entry per value a run reaches, for the life
-    of the process.  ``LElement`` and ``catalog.LineBundle`` are shared: on
-    perfbench's p1-queries each table holds 6 entries after set-up and 13
-    after the job, where 7,040 and 9,896 unshared ``LineBundle`` objects
-    were alive; torsion-graph reaches 2 ``LElement`` values.
+    A class that also derives from :class:`Shared` hands out one instance
+    per value: its generated ``__new__`` looks the fields up, each with its
+    type (so ``0`` and ``False`` stay apart), in a table of the class, and
+    only on a miss fills a new instance, its hash and its repr text, which
+    ``Shared`` then returns: one slot read (the class gets ``__new__`` and
+    ``__eq__`` only).  Pickle and deepcopy return the shared instance.
+    Equality and hashing stay by value, so no caller may rely on identity.
+    A table keeps one entry per value a run reaches, for the life of the
+    process: on perfbench's p1-queries the ``LElement`` and
+    ``catalog.LineBundle`` tables hold 6 entries after set-up and 13 after
+    the job, where 7,040 and 9,896 unshared ``LineBundle`` objects were
+    alive; torsion-graph reaches 2 ``LElement`` values.
     """
 
     __slots__ = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, shared: bool = False, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = cls.__slots__
         params = ", ".join(
@@ -70,37 +88,48 @@ class Record:
         # The slots are filled through their descriptors, which the refusing
         # __setattr__ does not see.
         stores = [f"    _set_{n}(self, {n})" for n in names]
-        if shared:
-            namespace.update(_table={}, _new=object.__new__)
+        mine = "".join(f"self.{n}," for n in names)
+        theirs = "".join(f"other.{n}," for n in names)
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        text = f'f"{{self.__class__.__qualname__}}({shown})"'
+        if issubclass(cls, Shared):
+            namespace.update(
+                _table={}, _new=object.__new__,
+                _set_hash=Shared._hash.__set__, _set_repr=Shared._repr.__set__,
+            )
             key = "".join(f"type({n}), {n}," for n in names)
+            made = ["__new__"]
             create = [
                 f"def __new__(cls, {params}):",
                 f"    key = ({key})",
                 "    self = _table.get(key)",
                 "    if self is None:",
-                "        self = _table[key] = _new(cls)",
+                "        self = _new(cls)",
                 *[f"    {line}" for line in stores],
+                f"        _set_hash(self, hash(({mine})))",
+                f"        _set_repr(self, {text})",
+                "        _table[key] = self",
                 "    return self",
             ]
         else:
-            create = [f"def __init__(self, {params}):", *stores]
-        mine = "".join(f"self.{n}," for n in names)
-        theirs = "".join(f"other.{n}," for n in names)
-        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+            made = ["__init__", "__repr__", "__hash__"]
+            create = [
+                f"def __init__(self, {params}):",
+                *stores,
+                "def __repr__(self):",
+                f"    return {text}",
+                "def __hash__(self):",
+                f"    return hash(({mine}))",
+            ]
         source = "\n".join([
             *create,
-            "def __repr__(self):",
-            f'    return f"{{self.__class__.__qualname__}}({shown})"',
             "def __eq__(self, other):",
             "    if other.__class__ is self.__class__:",
             f"        return ({mine}) == ({theirs})",
             "    return NotImplemented",
-            "def __hash__(self):",
-            f"    return hash(({mine}))",
         ])
         exec(source, namespace)
-        made = "__new__" if shared else "__init__"
-        for method in (made, "__repr__", "__eq__", "__hash__"):
+        for method in (*made, "__eq__"):
             function = namespace[method]
             function.__qualname__ = f"{cls.__qualname__}.{method}"
             setattr(cls, method,
@@ -125,7 +154,7 @@ def json_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
-class LElement(Record, shared=True):
+class LElement(Record, Shared):
     """Normal form ``l*c + sum_i residues[i] * x_i`` with ``0 <= residues[i] < p_i``."""
 
     __slots__ = ("l", "residues")
@@ -182,6 +211,8 @@ class WeightData:
         self.labels: tuple[str, ...] = fixed[: min(3, self.n)] + extra
         if len(set(self.labels)) != self.n:
             raise ValueError("point labels must be pairwise distinct")
+        self._hash = hash((self.weights, self.labels))
+        self._normal_forms: dict[tuple[int, ...], LElement] = {}
 
     # -- basic elements -----------------------------------------------------
 
@@ -209,7 +240,22 @@ class WeightData:
 
         Equal classes return one shared :class:`LElement`; elements still
         compare and hash by value, so no caller may rely on identity.
+
+        A table of the curve maps each input ``(l, *coeffs)`` of exact ints
+        seen before to its element, one lookup; other inputs (bools,
+        floats) take the loop and stay out.  One entry per distinct input:
+        6 after perfbench's set-up, 14 after p1-queries.
         """
+        key = (l, *coeffs)
+        for a in key:
+            if type(a) is not int:
+                return self._reduce(coeffs, l)
+        elem = self._normal_forms.get(key)
+        if elem is None:
+            elem = self._normal_forms[key] = self._reduce(coeffs, l)
+        return elem
+
+    def _reduce(self, coeffs: Sequence[int], l: int) -> LElement:
         if len(coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
         residues = []
@@ -321,4 +367,4 @@ class WeightData:
         )
 
     def __hash__(self):
-        return hash((self.weights, self.labels))
+        return self._hash

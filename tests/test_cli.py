@@ -1032,7 +1032,7 @@ class TestEmit:
 
 #: the memos that ``crystal.clear_memos`` empties
 OPERATOR_MEMOS = [
-    cr._check_color, cr._ms_kernel_type, cr._ms_eps, cr._ms_fmax, cr._ms_es,
+    cr._check_color, cr._ms_kernel_type, cr._ms_eps, cr._ms_fmax, cr._ms_inverse,
     cr._twist_kernel, comp._aperiodic_multisegments, orc._stratum_model,
 ]
 

@@ -148,6 +148,15 @@ class TestLabelsAndWeights:
         with pytest.raises(ValueError):
             comp.component_label(w211, [cat.OrdTorsion("q", 1)])
 
+    @pytest.mark.parametrize(
+        "ordinary", [[1.7, True, "2"], [2.0], [True], ["1"]],
+        ids=["mixed", "float", "bool", "str"],
+    )
+    def test_partition_parts_must_be_ints(self, p1, ordinary):
+        # they were truncated by int(): [1.7, True, "2"] became (2, 1, 1)
+        with pytest.raises(ValueError, match="must be JSON integers"):
+            comp.component_label(p1, (), ordinary)
+
     def test_json_roundtrip(self, w211):
         z = comp.component_label(
             w211,

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import hashlib
 import importlib
+import importlib.util
 import itertools
 import os
 import pickle
@@ -23,7 +24,7 @@ from loopcrystal import components as comp
 from loopcrystal import crystal as cr
 from loopcrystal import ktheory as kt
 from loopcrystal import oracle as orc
-from loopcrystal.starlattice import LElement, Record, WeightData
+from loopcrystal.starlattice import LElement, Record, Shared, WeightData
 
 W311 = WeightData((3, 1, 1))
 W2222 = WeightData((2, 2, 2, 2))
@@ -277,6 +278,71 @@ class TestSharedMemory:
         ]
         assert len(labels) == 258
         assert sorted(alive, key=repr) == sorted(wanted, key=repr)
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded as a fresh module of its own."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCachedHashAndRepr:
+    """A shared record's hash and repr are made once, with the instance; a
+    curve's hash once, with the curve; a curve's normal forms once per
+    input."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [W311.c(), W311.omega(), cat.LineBundle(W311.c()), cat.LineBundle(False)],
+        ids=["c", "omega", "LineBundle", "LineBundle-False"],
+    )
+    def test_shared_hash_and_repr_are_stored(self, value):
+        assert repr(value) is repr(value)
+        fields = tuple(getattr(value, name) for name in type(value).__slots__)
+        assert hash(value) == hash(fields)
+
+    def test_shared_classes_use_the_mixin_methods(self):
+        for cls in (LElement, cat.LineBundle):
+            assert issubclass(cls, Shared)
+            assert cls.__repr__ is Shared.__repr__
+            assert cls.__hash__ is Shared.__hash__
+
+    @pytest.mark.parametrize(
+        "curve",
+        [W311, W2222, WeightData((2, 3, 7), ["0", "inf", "1"]), WeightData((1, 1, 1, 1), ["q"])],
+        ids=["311", "2222", "237-labelled", "1111-labelled"],
+    )
+    def test_curve_hash(self, curve):
+        assert hash(curve) == hash((curve.weights, curve.labels))
+        assert hash(curve) == hash(WeightData(curve.weights, curve.labels))
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights, st.data())
+    def test_normalize_returns_the_loop_result(self, ws, data):
+        # no floats: the LElement table keys residues without their entries'
+        # types, so an element made here from floats could become the shared
+        # instance that NORMALIZE_PINS print
+        curve = WeightData(ws)
+        entry = st.one_of(st.integers(-20, 20), st.booleans())
+        coeffs = data.draw(st.lists(entry, min_size=curve.n, max_size=curve.n))
+        l = data.draw(entry)
+        first = curve.normalize(coeffs, l)
+        assert curve.normalize(coeffs, l) is first
+        assert first is curve._reduce(coeffs, l)
+
+    def test_normal_form_table_bound(self):
+        # the inputs of the three workloads: torsion-graph builds its curves
+        # inside the CLI, oracle-battery builds multisegments only, and
+        # p1-queries asks for O(d), -2 <= d <= 3, on one curve
+        bench = perfbench_workloads()
+        bench.torsion_argvs("full")
+        curves = {bench.P1} | {curve for curve, _, _ in bench.battery_items(1, 420)}
+        bench.p1_queries(2000)
+        assert len(curves) == 4
+        assert sum(len(curve._normal_forms) for curve in curves) <= 6
 
 
 #: sha256 of the newline-joined reprs of ``component_label`` on every P1
