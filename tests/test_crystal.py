@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perfbench_workloads
 from counting_oracle import kostant_partition_count
 from loopcrystal import catalog as cat
 from loopcrystal import components as comp
@@ -324,6 +325,38 @@ class TestGridAnswerOrRefuse:
         drop = kt.sub(comp.weight(P1, z), comp.weight(P1, value))
         want = {"f": cls, "e": kt.scale(-1, cls), "f_max": kt.scale(s, cls)}[op]
         assert drop == want, (op, comp.format_label(P1, z), a)
+
+
+#: sha256 of the newline-joined answers to perfbench's ``p1_queries(2000)``:
+#: each answer's repr, or ``"<class>: <message>"`` for a raise.
+P1_QUERIES_SHA256 = "0662f779f245ccd84a6cf8696e859d45bffec97915af6a342f79fc6e8acb6e60"
+
+#: the raises among those answers, by operator and text
+P1_QUERIES_RAISES = {
+    ("e", "ValueError: no preimage found"): 16,
+    ("e", "ValueError: unsupported component family"): 15,
+    ("e", "ValueError: ambiguous preimage"): 9,
+    ("f", "ValueError: unsupported component family"): 11,
+    ("f", "ValueError: ambiguous preimage"): 5,
+    ("f_max", "ValueError: unsupported component family"): 3,
+}
+
+
+class TestP1QueriesPin:
+    def test_answers_and_raises(self):
+        bench = perfbench_workloads()
+        cr.clear_memos()
+        answers, raises = [], Counter()
+        for op, z, color in bench.p1_queries(2000):
+            try:
+                answer = repr(getattr(cr, op)(bench.P1, z, color))
+            except ValueError as err:
+                answer = f"{type(err).__name__}: {err}"
+                raises[op, answer] += 1
+            answers.append(answer)
+        assert raises == P1_QUERIES_RAISES
+        digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+        assert digest == P1_QUERIES_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import dataclasses
 import gc
 import hashlib
 import importlib
-import importlib.util
 import itertools
 import os
 import pickle
@@ -19,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopcrystal
+from conftest import perfbench_workloads
 from loopcrystal import catalog as cat
 from loopcrystal import components as comp
 from loopcrystal import crystal as cr
@@ -278,15 +278,6 @@ class TestSharedMemory:
         ]
         assert len(labels) == 258
         assert sorted(alive, key=repr) == sorted(wanted, key=repr)
-
-
-def perfbench_workloads():
-    """``perfbench/workloads.py``, loaded as a fresh module of its own."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestCachedHashAndRepr:
