@@ -71,10 +71,9 @@ def validate(curve: WeightData, label: IndecLabel) -> None:
             raise ValueError("real-root bundles are only labelled for genus < 1")
         if label.a.r < 1:
             raise ValueError("real-root bundle must have positive rank")
+        # a class of rank >= 1 is positive (kt.is_positive)
         if kt.euler_form(curve, label.a, label.a) != 1:
             raise ValueError("class is not a real root")
-        if not kt.is_positive(curve, label.a):
-            raise ValueError("class is not positive")
     else:
         raise TypeError(f"not an indecomposable label: {label!r}")
 
@@ -241,22 +240,18 @@ def format_label(curve: WeightData, label: IndecLabel) -> str:
 # real-root bundle enumeration (genus < 1)
 # ---------------------------------------------------------------------------
 
-def enumerate_real_bundles(
-    curve: WeightData, coord_bound: int, max_rank: int | None = None
-) -> list[RealBundle]:
+def enumerate_real_bundles(curve: WeightData, coord_bound: int) -> list[RealBundle]:
     """Positive real roots with rank >= 1 inside the coordinate box.
 
-    Searches |d| <= coord_bound and torsion coordinates in the same box; only
-    meaningful for genus < 1 where each such root carries a unique
-    indecomposable bundle.
+    Searches ranks 1..coord_bound, |d| <= coord_bound and torsion
+    coordinates in the same box; only meaningful for genus < 1 where each
+    such root carries a unique indecomposable bundle.
     """
     if curve.genus() >= 1:
         raise ValueError("real-root bundles are only labelled for genus < 1")
-    if max_rank is None:
-        max_rank = coord_bound
     found = []
     n_m = kt.lattice_rank(curve) - 2
-    for r in range(1, max_rank + 1):
+    for r in range(1, coord_bound + 1):
         for d in range(-coord_bound, coord_bound + 1):
             for combo in itertools.product(
                 range(-coord_bound, coord_bound + 1), repeat=n_m

@@ -67,8 +67,6 @@ def _parse_weights_text(text: str) -> tuple[int, ...]:
         ws = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"weights must be a comma-separated integer list, got {text!r}")
-    if not ws:
-        raise ValueError("empty weight list")
     return ws
 
 

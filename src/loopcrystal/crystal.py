@@ -157,8 +157,6 @@ def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Mult
     if l == 1:
         segments = m.segments()
         removed = set(_bracket(p, segments, j))
-        if len(removed) != s:
-            raise AssertionError("bracketing count changed between calls")
         kept = []
         for idx, (head, length) in enumerate(segments):
             if idx in removed:
@@ -195,8 +193,6 @@ def _ms_inverse(
 def _ms_es(
     curve: WeightData, target: Multisegment, i: int, j: int, l: int, s: int
 ) -> Multisegment:
-    if s == 0:
-        return target
     cov = comp.segment_coverage(curve.weights[i], j, l)
     dims = tuple(d + s * c for d, c in zip(comp.dim_vector(curve, target), cov))
     table = _ms_inverse(curve, i, dims, j, l, s)
@@ -376,27 +372,14 @@ def _submultisets(counts: Counter):
         yield tuple(sorted(out, reverse=True))
 
 
-def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
-    """All states one generic-quotient step above ``(degs, nu)``.
+def _step_candidates(degs, nu, a: int):
+    """States that one generic-quotient step may take to ``(degs, nu)``.
 
-    Candidates are generated from the two quotient mechanisms read backwards
-    (re-insert a consumed summand and un-raise/un-scatter the partition, or
-    un-interlace a sub-multiset of the degrees) and each is verified by
-    replaying the forward step, so over-generation is harmless.
+    The two quotient mechanisms read backwards: re-insert a consumed summand
+    and un-raise/un-scatter the partition, or un-interlace a sub-multiset of
+    the degrees.  :func:`_grid_es` replays the forward step on each, so
+    over-generation is harmless.
     """
-    out = set()
-    skipped = False
-
-    def check(cand):
-        nonlocal skipped
-        try:
-            if _grid_ftilde(curve, cand[0], cand[1], a) == (degs, nu):
-                out.add(cand)
-        except ValueError as err:
-            if str(err) != UNSUPPORTED:
-                raise
-            skipped = True
-
     # reversed single-consumption: some parts were raised, some 1s scattered
     part_counts = Counter(v for v in nu if v >= 2)
     ones = sum(1 for v in nu if v == 1)
@@ -405,15 +388,14 @@ def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
             consumed = a + len(raised) + scattered
             pre_nu = _multiset_minus(nu, raised + (1,) * scattered)
             pre_nu += [v - 1 for v in raised]
-            check((
+            yield (
                 tuple(sorted(degs + (consumed,), reverse=True)),
                 tuple(sorted(pre_nu, reverse=True)),
-            ))
+            )
     # reversed interlacing: a sub-multiset of the degrees was produced from
     # one more participant; participant degrees are pinned between the color
     # and the produced degrees
-    deg_counts = Counter(degs)
-    for produced in _submultisets(deg_counts):
+    for produced in _submultisets(Counter(degs)):
         if not produced:
             continue
         rest = _multiset_minus(degs, produced)
@@ -425,39 +407,35 @@ def _ftilde_preimages(curve: WeightData, degs, nu, a: int):
                 continue
             if _interlace_min(parts, a) != produced:
                 continue
-            check((tuple(sorted(rest + list(parts), reverse=True)), nu))
-    return tuple(sorted(out)), skipped
+            yield tuple(sorted(rest + list(parts), reverse=True)), nu
 
 
 def _grid_es(curve: WeightData, degs_p, nu_p, a: int, s: int):
-    if s == 0:
-        return degs_p, nu_p
+    """The state with ``epsilon = s`` whose ``f_max`` is ``(degs_p, nu_p)``:
+    step ``k`` keeps the candidates with epsilon ``k`` that one quotient step
+    takes into the frontier of step ``k - 1``."""
+    if _grid_eps(curve, degs_p, nu_p, a):
+        raise ValueError("no preimage found")  # f_max always lands at epsilon 0
     frontier = {(degs_p, nu_p)}
     skipped = False
     for step in range(1, s + 1):
         grown = set()
-        for degs, nu in frontier:
-            cands, missed = _ftilde_preimages(curve, degs, nu, a)
-            skipped = skipped or missed
-            for cand in cands:
+        for target in frontier:
+            for degs, nu in _step_candidates(*target, a):
                 try:
-                    if _grid_eps(curve, cand[0], cand[1], a) == step:
-                        grown.add(cand)
+                    if (_grid_ftilde(curve, degs, nu, a) == target
+                            and _grid_eps(curve, degs, nu, a) == step):
+                        grown.add((degs, nu))
                 except ValueError as err:
                     if str(err) != UNSUPPORTED:
                         raise
                     skipped = True
         frontier = grown
-    hits = sorted(
-        w for w in frontier if _grid_fmax(curve, w[0], w[1], a) == (degs_p, nu_p)
-    )
-    if not hits:
-        if skipped:
-            raise ValueError(UNSUPPORTED)
-        raise ValueError("no preimage found")
-    if len(hits) > 1:
+    if not frontier:
+        raise ValueError(UNSUPPORTED if skipped else "no preimage found")
+    if len(frontier) > 1:
         raise ValueError("ambiguous preimage")
-    return hits[0]
+    return frontier.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +498,9 @@ def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
 
     Found by inversion search over candidates of the shifted class; zero or
     multiple matches raise ("no preimage found" / "ambiguous preimage" — both
-    would signal a rule bug, never expected behavior).
+    would signal a rule bug, never expected behavior).  Both families refuse
+    a target with ``epsilon > 0`` ("no preimage found"): ``f_max`` always
+    lands at epsilon 0.
     """
     if s < 0:
         raise ValueError("negative copy count")
@@ -763,8 +743,6 @@ def connectivity_path(curve: WeightData, z: ComponentLabel) -> list[tuple[str, o
     descend it with colors ``O(2(m-1)c)``.  Each entry is ``("f"|"e", color)``
     and replays through the public operators.
     """
-    if isinstance(z.bundle, HNTree):
-        raise ValueError(UNSUPPORTED)
     path: list[tuple[str, object]] = []
     cur = z
 
@@ -784,9 +762,7 @@ def connectivity_path(curve: WeightData, z: ComponentLabel) -> list[tuple[str, o
         if vertex is None:
             raise AssertionError("aperiodic multisegment with no removable vertex")
         step("f", cat.exc_torsion(curve, m.i, vertex, 1))
-    for lab in cur.bundle:
-        if not isinstance(lab, cat.LineBundle) or any(lab.x.residues):
-            raise ValueError(UNSUPPORTED)
+    _dispatch(curve, cur, _line_color(curve, 0))
     degs, nu = _grid_parts(cur)
     if degs != tuple(range(2 * len(degs) - 2, -1, -2)):
         raise ValueError(UNSUPPORTED)  # not an even ladder

@@ -336,7 +336,7 @@ def hn_types(
             return
         for cand in rank_part_candidates(rem, prev_slope):
             rest = sub(rem, cand)
-            if rest.r < 0 or (rest != zero_class(curve) and rest.r == 0):
+            if rest != zero_class(curve) and rest.r == 0:
                 continue
             extend(rest, slope(curve, cand), acc + (cand,))
 
@@ -344,14 +344,10 @@ def hn_types(
     # optional leading rank-0 part, bounded by degree conservation
     deg_budget = degree_d(curve, a) - lo * a.r
     for combo, frac in combos:
-        if Fraction(deg_budget - frac, p) < 0:
-            continue
         for d in range(0, math.floor(Fraction(deg_budget - frac, p)) + 1):
             t = from_vector(curve, [0, d, *combo])
             if t == zero_class(curve) or not is_positive(curve, t):
                 continue
-            rest = sub(a, t)
-            if rest.r > 0:
-                extend(rest, INFINITE_SLOPE, (t,))
+            extend(sub(a, t), INFINITE_SLOPE, (t,))
 
     return sorted(results, key=lambda seq: (len(seq), [to_vector(c) for c in seq]))

@@ -241,15 +241,15 @@ class WeightData:
         Equal classes return one shared :class:`LElement`; elements still
         compare and hash by value, so no caller may rely on identity.
 
-        A table of the curve maps each input ``(l, *coeffs)`` of exact ints
-        seen before to its element, one lookup; other inputs (bools,
-        floats) take the loop and stay out.  One entry per distinct input:
-        6 after perfbench's set-up, 14 after p1-queries.
+        Entries that are not ints (bools count as ints) raise
+        ``ValueError``.  A table of the curve maps each input ``(l,
+        *coeffs)`` seen before to its element, one lookup.  One entry per
+        distinct input: 6 after perfbench's set-up, 14 after p1-queries.
         """
         key = (l, *coeffs)
         for a in key:
-            if type(a) is not int:
-                return self._reduce(coeffs, l)
+            if not isinstance(a, int):
+                raise ValueError(f"normal form needs int coefficients, got {a!r}")
         elem = self._normal_forms.get(key)
         if elem is None:
             elem = self._normal_forms[key] = self._reduce(coeffs, l)

@@ -89,6 +89,26 @@ class TestClasses:
                 w222, cat.RealBundle(kt.scale(2, kt.structure_class(w222)))
             )
 
+    @pytest.mark.parametrize(
+        "weights, label, error, message",
+        [
+            ((2, 3, 7), cat.ExcTorsion(0, 0, 0), ValueError, "length must be positive"),
+            ((2, 3, 7), cat.OrdTorsion("q", 0), ValueError, "length must be positive"),
+            ((2, 2, 2), cat.RealBundle(kt.zero_class(WeightData((2, 2, 2)))),
+             ValueError, "positive rank"),
+            ((2, 2, 2), cat.RealBundle(kt.scale(-1, kt.structure_class(WeightData((2, 2, 2))))),
+             ValueError, "positive rank"),
+            ((2, 3, 7), "O", TypeError, "not an indecomposable label"),
+            ((2, 3, 7), kt.structure_class(WeightData((2, 3, 7))), TypeError,
+             "not an indecomposable label"),
+        ],
+        ids=["exc-length", "ord-length", "real-rank-0", "real-rank-negative", "text",
+             "class"],
+    )
+    def test_validate_refusals(self, weights, label, error, message):
+        with pytest.raises(error, match=message):
+            cat.validate(WeightData(weights), label)
+
     def test_ordinary_torsion_at_weighted_point_refused(self, w237, p1):
         w211 = WeightData((2, 1, 1))
         for curve, pt in [(w237, "0"), (w237, "inf"), (w237, "1"), (w211, "0")]:
@@ -303,7 +323,7 @@ class TestTwisting:
 
 class TestRealBundleEnumeration:
     def test_box_search_on_222(self, w222):
-        roots = cat.enumerate_real_bundles(w222, coord_bound=1, max_rank=2)
+        roots = cat.enumerate_real_bundles(w222, coord_bound=2)
         classes = {rb.a for rb in roots}
         assert kt.structure_class(w222) in classes
         assert kt.class_of_line_bundle(w222, w222.x(0)) in classes

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -146,9 +147,10 @@ class TestConfig:
             ({"weights": [True, 2, 3]}, ["curve", "info"]),
             ({"seed": [1]}, ["oracle", "check", "--suite", "p1"]),
             ({"trials": 2.7}, ["oracle", "check", "--suite", "p1"]),
+            ([2, 1, 1], ["curve", "info"]),
         ],
         ids=["weights-int", "lambda-int", "weight-float", "weight-bool", "seed-list",
-             "trials-float"],
+             "trials-float", "array"],
     )
     def test_field_of_wrong_type_exits_2(self, capsys, tmp_path, fields, command):
         cfg = tmp_path / "cfg.json"
@@ -260,6 +262,18 @@ class TestSheafCommands:
         rb = cat.enumerate_real_bundles(w222, 2)[0]
         text = "E(" + ",".join(str(v) for v in kt.to_vector(rb.a)) + ")"
         assert cli.parse_sheaf_label(w222, text) == rb
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("S[1,0,2](2)", "give the length once"),
+            ("T[q,2](2)", "give the length once"),
+            ("E(1,x)", "coordinate vector must be integers"),
+        ],
+    )
+    def test_malformed_label_refused(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.parse_sheaf_label(W237, text)
 
     def test_out_of_range_point_rejected(self, capsys):
         code, _, err = run(capsys, ["sheaf", "rigid", "S[9,0]", "--weights", "2,3,7"])

@@ -149,6 +149,19 @@ class TestLabelsAndWeights:
             comp.component_label(w211, [cat.OrdTorsion("q", 1)])
 
     @pytest.mark.parametrize(
+        "exceptional, message",
+        [
+            ([comp.Multisegment(0, (((0, 1), 1),)), comp.Multisegment(0, (((1, 1), 1),))],
+             "at most one multisegment per point"),
+            ([comp.Multisegment(1, (((0, 1), 1),))], "multisegments live at weighted points"),
+        ],
+        ids=["two-at-one-point", "weight-1-point"],
+    )
+    def test_multisegment_placement_refused(self, w211, exceptional, message):
+        with pytest.raises(ValueError, match=message):
+            comp.component_label(w211, (), (), exceptional)
+
+    @pytest.mark.parametrize(
         "ordinary", [[1.7, True, "2"], [2.0], [True], ["1"]],
         ids=["mixed", "float", "bool", "str"],
     )

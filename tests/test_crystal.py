@@ -287,13 +287,28 @@ class TestGridRaising:
             "(O(-1c) + O(2c) + O(2c) + O(2c) + O(2c) + O(3c), nu=(1,))"
         )
 
+    def test_negative_copy_count_refused(self):
+        with pytest.raises(ValueError, match="negative copy count"):
+            cr.e_s(P1, gl([0]), O(0), -1)
+
     def test_no_preimage_reported(self):
         # full quotients always land at epsilon zero, so a target that still
         # carries a copy of the color has no preimage under f_max
-        z = gl([0])
-        assert cr.epsilon(P1, z, O(0)) == 1
-        with pytest.raises(ValueError, match="no preimage found"):
-            cr.e_s(P1, z, O(0), 1)
+        targets = [
+            (gl(degs, (1,) * points), O(a))
+            for n in range(1, 4)
+            for degs in itertools.combinations_with_replacement(range(-1, 3), n)
+            for points in range(3)
+            for a in (-1, 0, 1)
+        ]
+        targets = [(z, color) for z, color in targets if cr.epsilon(P1, z, color) > 0]
+        assert len(targets) == 234
+        targets.append((tl(W2, (0, 2)), S(W2, 1)))
+        assert cr.epsilon(W2, *targets[-1]) == 1
+        for (z, color), s in itertools.product(targets, (1, 2)):
+            curve = W2 if z.exceptional else P1
+            with pytest.raises(ValueError, match="no preimage found"):
+                cr.e_s(curve, z, color, s)
 
 
 p1_labels = st.builds(
@@ -405,6 +420,18 @@ class TestMultisegmentQuotients:
 
     def test_epsilon_zero_vanishes(self):
         assert cr.f(W2, tl(W2, (0, 2)), S(W2, 0)) is None
+
+    def test_shared_image_is_ambiguous(self, monkeypatch):
+        # (0,3)+(1,1) and (1,4) both have epsilon 1 at vertex 0; give both
+        # one image
+        target = ms(W2, (1, 3))
+        cr.clear_memos()
+        monkeypatch.setattr(cr, "_ms_fmax", lambda curve, m, j, l, s: target)
+        try:
+            with pytest.raises(ValueError, match="ambiguous preimage"):
+                cr.e_s(W2, tl(W2, (1, 3)), S(W2, 0), 1)
+        finally:
+            cr._ms_inverse.cache_clear()
 
     def test_raising_from_empty(self):
         assert cr.e(W2, E, S(W2, 0)) == tl(W2, (0, 1))
@@ -1012,6 +1039,26 @@ class TestConnectivityPath:
     def test_non_ladder_bundle_refused(self):
         with pytest.raises(ValueError, match="unsupported component family"):
             cr.connectivity_path(P1, gl([3, 0]))
+
+    def test_hn_tree_label_refused(self):
+        tub = WeightData((2, 2, 2, 2))
+        z = comp.ComponentLabel(
+            comp.HNTree((comp.HNLeaf(kt.structure_class(tub)),)), (), ()
+        )
+        with pytest.raises(ValueError, match="unsupported component family"):
+            cr.connectivity_path(tub, z)
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ([("squash", O(0))], "unknown operator 'squash'"),
+            ([("f", O(1))], "path applies f where epsilon is zero"),
+        ],
+        ids=["unknown-op", "f-at-epsilon-0"],
+    )
+    def test_apply_path_refusals(self, path, message):
+        with pytest.raises(ValueError, match=message):
+            cr.apply_path(P1, E, path)
 
     def test_rank_two_bundle_refused(self):
         bundle = cat.enumerate_real_bundles(W222, 2)[0]

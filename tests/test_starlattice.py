@@ -35,6 +35,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightData([2, 2, 2, 2, 2], labels=["q", "q"])
 
+    def test_empty_weights_rejected(self):
+        with pytest.raises(ValueError, match="at least one weight"):
+            WeightData([])
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             WeightData([2, 0, 2])

@@ -313,9 +313,7 @@ class TestCachedHashAndRepr:
     @settings(max_examples=200, deadline=None)
     @given(weights, st.data())
     def test_normalize_returns_the_loop_result(self, ws, data):
-        # no floats: the LElement table keys residues without their entries'
-        # types, so an element made here from floats could become the shared
-        # instance that NORMALIZE_PINS print
+        # floats are refused (NORMALIZE_PINS)
         curve = WeightData(ws)
         entry = st.one_of(st.integers(-20, 20), st.booleans())
         coeffs = data.draw(st.lists(entry, min_size=curve.n, max_size=curve.n))
@@ -341,7 +339,8 @@ class TestCachedHashAndRepr:
 P1_LABELS_SHA256 = "840092b7397c3822651c0520011a68a015e993d56f88ecd6a7c74deb74084a80"
 
 #: ``normalize`` on (2,1,1) of inputs that are not plain nonnegative ints:
-#: name -> ((coeffs, l), the int input of equal value, repr of the result).
+#: name -> ((coeffs, l), the int input of equal value, repr of the result,
+#: or ``"<class>: <message>"`` of the refusal).
 NORMALIZE_PINS = {
     "negative": (([-3, 0, 0], 0), ([-3, 0, 0], 0), "LElement(l=-2, residues=(1, 0, 0))"),
     "negative-l": (([0, -1, 0], -1), ([0, -1, 0], -1),
@@ -350,9 +349,10 @@ NORMALIZE_PINS = {
     "bool-coeff": (([True, 0, 0], 0), ([1, 0, 0], 0), "LElement(l=0, residues=(1, 0, 0))"),
     "bool-both": (([True, 0, 0], True), ([1, 0, 0], 1),
                   "LElement(l=1, residues=(1, 0, 0))"),
-    "float": (([1.5, 0, 0], 0), ([1, 0, 0], 0), "LElement(l=0.0, residues=(1.5, 0, 0))"),
+    "float": (([1.5, 0, 0], 0), ([1, 0, 0], 0),
+              "ValueError: normal form needs int coefficients, got 1.5"),
     "integral-float": (([2.0, 0, 0], 0), ([2, 0, 0], 0),
-                       "LElement(l=1.0, residues=(0.0, 0, 0))"),
+                       "ValueError: normal form needs int coefficients, got 2.0"),
 }
 
 
@@ -377,11 +377,18 @@ class TestLabelPins:
         # checked before and after the curve has seen the int input
         odd, plain, shown = NORMALIZE_PINS[name]
         curve = WeightData((2, 1, 1))
+
+        def answer():
+            try:
+                return repr(curve.normalize(*odd))
+            except ValueError as err:
+                return f"{type(err).__name__}: {err}"
+
         if plain_first:
             curve.normalize(*plain)
-        assert repr(curve.normalize(*odd)) == shown
+        assert answer() == shown
         curve.normalize(*plain)
-        assert repr(curve.normalize(*odd)) == shown
+        assert answer() == shown
 
 
 class TestCopyAndPickle:
