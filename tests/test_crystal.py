@@ -30,6 +30,7 @@ P1 = WeightData((1, 1, 1))
 W2 = WeightData((2, 1, 1))
 W3 = WeightData((3, 1, 1))
 W222 = WeightData((2, 2, 2))
+TUB = WeightData((2, 2, 2, 2))
 
 
 def lb(curve, k):
@@ -97,6 +98,52 @@ class TestDispatch:
         )
         with pytest.raises(ValueError, match="unsupported component family"):
             cr.epsilon(tub, z, lb(tub, 0))
+
+    #: every public operator, called as ``op(curve, z, color)``
+    OPERATORS = {
+        "epsilon": cr.epsilon,
+        "phi": cr.phi,
+        "hom_into_kernel": cr.hom_into_kernel,
+        "f_max": cr.f_max,
+        "e_s0": lambda curve, z, color: cr.e_s(curve, z, color, 0),
+        "e_s1": lambda curve, z, color: cr.e_s(curve, z, color, 1),
+        "f": cr.f,
+        "e": cr.e,
+    }
+
+    #: each refused ``(curve, label, colour)`` with the text of its refusal
+    REFUSALS = {
+        "non-rigid": lambda: (W2, E, cat.OrdTorsion(0, 1), "non-rigid operator index"),
+        "overlong-serial": lambda: (W2, E, cat.ExcTorsion(0, 0, 2), "non-rigid operator index"),
+        "real-bundle": lambda: (
+            W222, E, cat.enumerate_real_bundles(W222, 2)[0], "unsupported component family"
+        ),
+        "line-on-torsion": lambda: (
+            W2, tl(W2, (0, 1)), lb(W2, 0), "unsupported component family"
+        ),
+        "fractional-line": lambda: (
+            W2, E, cat.LineBundle(W2.x(0)), "unsupported component family"
+        ),
+        "hn-tree": lambda: (
+            TUB,
+            comp.ComponentLabel(comp.HNTree((comp.HNLeaf(kt.structure_class(TUB)),)), (), ()),
+            lb(TUB, 0),
+            "unsupported component family",
+        ),
+        "residue-summand": lambda: (
+            W2,
+            comp.component_label(W2, [cat.LineBundle(W2.x(0))], (), ()),
+            lb(W2, 0),
+            "unsupported component family",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_every_operator_refuses(self, op, case):
+        curve, z, color, message = self.REFUSALS[case]()
+        with pytest.raises(ValueError, match=message):
+            self.OPERATORS[op](curve, z, color)
 
     def test_exceptional_color_ignores_bundle_part(self):
         z = comp.component_label(W2, [lb(W2, 0)], (1,), [ms(W2, (0, 2))])
@@ -689,6 +736,38 @@ class TestP1ShapeBattery:
         cr.clear_memos()
         digest = hashlib.sha256("\n".join(self.battery_lines()).encode()).hexdigest()
         assert digest == self.BATTERY_SHA256
+
+
+class TestHomIntoKernelPin:
+    """``hom_into_kernel`` on the shapes of :class:`TestP1ShapeBattery` and
+    on every multisegment of total at most 4 on (2,1,1) and (3,1,1), under
+    each colour of length 1 and 2 there."""
+
+    HOM_SHA256 = "411600f8a861a9c9eb71cdeafd8aa60c0683caad0fad6d06b49dc4f39dde1c09"
+
+    @staticmethod
+    def lines():
+        lines = []
+        for degs in TestP1ShapeBattery.shapes():
+            for a in range(-2, 3):
+                lines.append(f"{degs} {a} {cr.hom_into_kernel(P1, gl(degs), O(a))}")
+        for curve in (W2, W3):
+            p = curve.weights[0]
+            for dims in itertools.product(range(5), repeat=p):
+                if sum(dims) > 4:
+                    continue
+                for m in comp.aperiodic_multisegments(curve, 0, dims):
+                    z = comp.component_label(curve, (), (), [m])
+                    for j, l in itertools.product(range(p), range(1, min(p, 3))):
+                        got = cr.hom_into_kernel(curve, z, S(curve, j, l))
+                        lines.append(f"{p} {m.pairs} {j} {l} {got}")
+        return lines
+
+    def test_digest(self):
+        cr.clear_memos()
+        lines = self.lines()
+        assert len(lines) == 1595
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.HOM_SHA256
 
 
 def sampled_kernel(shape, seed=0):
