@@ -84,13 +84,6 @@ def _parse_rational(text: str, what: str, inf_ok: bool = False):
         raise ValueError(f"{what} {text!r} is not rational{alt}") from None
 
 
-def _check_lambda(values) -> tuple[str, ...]:
-    out = tuple(map(str, values))
-    for s in out:
-        _parse_rational(s, "marked-point parameter", inf_ok=True)
-    return out
-
-
 def load_config(path: str) -> dict:
     data = _load_json_file(path, "config", lambda data: data)
     if not isinstance(data, dict):
@@ -112,10 +105,17 @@ def resolve_curve(args, config: dict) -> WeightData:
         weights = tuple(config["weights"])
     else:
         weights = (1, 1, 1)
-    labels = None
-    if "lambda" in config:
-        labels = _check_lambda(config["lambda"])
-    return WeightData(weights, labels)
+    if "lambda" not in config:
+        return WeightData(weights)
+    curve = WeightData(weights, config["lambda"])
+    # distinct labels may still name one point: "1" and "2/2", "0" and "0.0"
+    seen = {}
+    for label in curve.labels:
+        point = _parse_rational(label, "marked-point parameter", inf_ok=True)
+        if point in seen:
+            raise ValueError(f"marked points {seen[point]!r} and {label!r} coincide")
+        seen[point] = label
+    return curve
 
 
 def resolve_seed(args, config: dict) -> int:

@@ -10,9 +10,10 @@ on :class:`~loopcrystal.components.ComponentLabel` values:
 * ``f``, ``e`` — the single-step operators derived from the two above;
 * ``phi(Z, I) = epsilon(Z, I) + <[I], wt(Z)>`` through the Euler form.
 
-Two color families carry computable rules.  Exceptional-torsion colors act on
-the multisegment at their point (bundle and ordinary parts are inert since
-torsion admits no maps to bundles): length-1 colors through an exact
+Two color families carry computable rules, and :func:`_dispatch` is the one
+place that picks a family and returns its rules.  Exceptional-torsion colors
+act on the multisegment at their point (bundle and ordinary parts are inert
+since torsion admits no maps to bundles): length-1 colors through an exact
 bracketing rule, longer serial colors through the randomized oracle module.
 Line-bundle colors act on labels whose bundle part is a multiset of
 c-multiples ``O(d*c)`` with no exceptional torsion present; kernel degrees
@@ -60,20 +61,21 @@ def _check_color(curve: WeightData, color) -> None:
         raise ValueError(NON_RIGID)
 
 
-def _dispatch(curve: WeightData, z: ComponentLabel, color) -> str:
-    """Which rule family applies: ``"exc"`` or ``"grid"``; raises otherwise."""
+def _dispatch(curve: WeightData, z: ComponentLabel, color):
+    """The rules ``(eps, fmax, es, hom)`` of the colour's family, each taking
+    ``(curve, z, color)``, plus the copy count for ``fmax`` and ``es``."""
     _check_color(curve, color)
     if isinstance(z.bundle, HNTree):
         raise ValueError(UNSUPPORTED)
     if isinstance(color, cat.ExcTorsion):
-        return "exc"
+        return _exc_eps, _exc_fmax, _exc_es, _exc_hom
     if isinstance(color, cat.LineBundle):
         if any(color.x.residues) or z.exceptional:
             raise ValueError(UNSUPPORTED)
         for lab in z.bundle:
             if not isinstance(lab, cat.LineBundle) or any(lab.x.residues):
                 raise ValueError(UNSUPPORTED)
-        return "grid"
+        return _grid_eps, _grid_fmax, _grid_es, _grid_hom
     raise ValueError(UNSUPPORTED)
 
 
@@ -190,17 +192,35 @@ def _ms_inverse(
     return table
 
 
-def _ms_es(
-    curve: WeightData, target: Multisegment, i: int, j: int, l: int, s: int
-) -> Multisegment:
-    cov = comp.segment_coverage(curve.weights[i], j, l)
+def _exc_eps(curve: WeightData, z: ComponentLabel, color) -> int:
+    return _ms_eps(curve, _ms_at(z, color.i), color.j, color.l)
+
+
+def _exc_fmax(curve: WeightData, z: ComponentLabel, color, s: int) -> ComponentLabel:
+    m = _ms_fmax(curve, _ms_at(z, color.i), color.j, color.l, s)
+    return _with_ms(curve, z, m)
+
+
+def _exc_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
+    target = _ms_at(zp, color.i)
+    cov = comp.segment_coverage(curve.weights[color.i], color.j, color.l)
     dims = tuple(d + s * c for d, c in zip(comp.dim_vector(curve, target), cov))
-    table = _ms_inverse(curve, i, dims, j, l, s)
+    table = _ms_inverse(curve, color.i, dims, color.j, color.l, s)
     if target not in table:
         raise ValueError("no preimage found")
     if table[target] is None:
         raise ValueError("ambiguous preimage")
-    return table[target]
+    return _with_ms(curve, zp, table[target])
+
+
+def _exc_hom(curve: WeightData, z: ComponentLabel, color) -> int:
+    m = _ms_at(z, color.i)
+    if m.is_empty():
+        return 0
+    return sum(
+        mult * cat.hom_dim(curve, color, cat.ExcTorsion(color.i, head, length))
+        for (head, length), mult in _ms_kernel_type(curve, m).pairs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +228,7 @@ def _ms_es(
 # ---------------------------------------------------------------------------
 
 def _grid_parts(z: ComponentLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    degs = tuple(sorted((lab.x.l for lab in z.bundle), reverse=True))
-    return degs, z.ordinary
+    return tuple(sorted((lab.x.l for lab in z.bundle), reverse=True)), z.ordinary
 
 
 def _line_color(curve: WeightData, d: int) -> cat.LineBundle:
@@ -295,8 +314,18 @@ def _decremented(
     return entries
 
 
-def _grid_eps(curve: WeightData, degs, nu, a: int) -> int:
+def _state_eps(curve: WeightData, degs, nu, a: int) -> int:
     return sum(1 for e in _decremented(curve, degs, nu) if e[0] >= a)
+
+
+def _grid_eps(curve: WeightData, z: ComponentLabel, color) -> int:
+    return _state_eps(curve, *_grid_parts(z), color.x.l)
+
+
+def _grid_hom(curve: WeightData, z: ComponentLabel, color) -> int:
+    a = color.x.l
+    entries = _decremented(curve, *_grid_parts(z))
+    return sum(max(0, e[1] - a + 1 - len(e[2])) for e in entries)
 
 
 def _interlace_min(p_und: tuple[int, ...], a: int) -> tuple[int, ...]:
@@ -351,14 +380,15 @@ def _grid_ftilde(curve: WeightData, degs, nu, a: int):
     )
 
 
-def _grid_fmax(curve: WeightData, degs, nu, a: int):
-    s = _grid_eps(curve, degs, nu, a)
+def _grid_fmax(curve: WeightData, z: ComponentLabel, color, s: int) -> ComponentLabel:
+    degs, nu = _grid_parts(z)
+    a = color.x.l
     for step in range(s):
         degs, nu = _grid_ftilde(curve, degs, nu, a)
-        if _grid_eps(curve, degs, nu, a) != s - step - 1:
+        if _state_eps(curve, degs, nu, a) != s - step - 1:
             # a step that does not lower epsilon by exactly one: outside the grid rules
             raise ValueError(UNSUPPORTED)
-    return degs, nu
+    return _grid_label(curve, degs, nu)
 
 
 def _submultisets(counts: Counter):
@@ -410,13 +440,15 @@ def _step_candidates(degs, nu, a: int):
             yield tuple(sorted(rest + list(parts), reverse=True)), nu
 
 
-def _grid_es(curve: WeightData, degs_p, nu_p, a: int, s: int):
-    """The state with ``epsilon = s`` whose ``f_max`` is ``(degs_p, nu_p)``:
-    step ``k`` keeps the candidates with epsilon ``k`` that one quotient step
-    takes into the frontier of step ``k - 1``."""
-    if _grid_eps(curve, degs_p, nu_p, a):
+def _grid_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
+    """The label with ``epsilon = s`` whose ``f_max`` is ``zp``: step ``k``
+    keeps the candidates with epsilon ``k`` that one quotient step takes into
+    the frontier of step ``k - 1``."""
+    a = color.x.l
+    start = _grid_parts(zp)
+    if _state_eps(curve, *start, a):
         raise ValueError("no preimage found")  # f_max always lands at epsilon 0
-    frontier = {(degs_p, nu_p)}
+    frontier = {start}
     skipped = False
     for step in range(1, s + 1):
         grown = set()
@@ -424,7 +456,7 @@ def _grid_es(curve: WeightData, degs_p, nu_p, a: int, s: int):
             for degs, nu in _step_candidates(*target, a):
                 try:
                     if (_grid_ftilde(curve, degs, nu, a) == target
-                            and _grid_eps(curve, degs, nu, a) == step):
+                            and _state_eps(curve, degs, nu, a) == step):
                         grown.add((degs, nu))
                 except ValueError as err:
                     if str(err) != UNSUPPORTED:
@@ -435,7 +467,7 @@ def _grid_es(curve: WeightData, degs_p, nu_p, a: int, s: int):
         raise ValueError(UNSUPPORTED if skipped else "no preimage found")
     if len(frontier) > 1:
         raise ValueError("ambiguous preimage")
-    return frontier.pop()
+    return _grid_label(curve, *frontier.pop())
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +477,8 @@ def _grid_es(curve: WeightData, degs_p, nu_p, a: int, s: int):
 def epsilon(curve: WeightData, z: ComponentLabel, color) -> int:
     """Generic number of copies of the color inside the kernel of the Higgs
     field on ``z`` (the number of times ``f`` applies)."""
-    family = _dispatch(curve, z, color)
-    if family == "exc":
-        return _ms_eps(curve, _ms_at(z, color.i), color.j, color.l)
-    degs, nu = _grid_parts(z)
-    return _grid_eps(curve, degs, nu, color.x.l)
+    eps, _, _, _ = _dispatch(curve, z, color)
+    return eps(curve, z, color)
 
 
 def phi(curve: WeightData, z: ComponentLabel, color) -> int:
@@ -464,33 +493,14 @@ def hom_into_kernel(curve: WeightData, z: ComponentLabel, color) -> int:
     For torsion colors the kernel type is sampled; for grid colors it is the
     section count of the decremented kernel summands.
     """
-    family = _dispatch(curve, z, color)
-    if family == "exc":
-        m = _ms_at(z, color.i)
-        if m.is_empty():
-            return 0
-        return sum(
-            mult * cat.hom_dim(curve, color, cat.ExcTorsion(color.i, head, length))
-            for (head, length), mult in _ms_kernel_type(curve, m).pairs
-        )
-    degs, nu = _grid_parts(z)
-    a = color.x.l
-    return sum(
-        max(0, e[1] - a + 1 - len(e[2]))
-        for e in _decremented(curve, degs, nu)
-    )
+    _, _, _, hom = _dispatch(curve, z, color)
+    return hom(curve, z, color)
 
 
 def f_max(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
     """Label of the generic quotient of ``z`` by all kernel copies of the color."""
-    family = _dispatch(curve, z, color)
-    if family == "exc":
-        m = _ms_at(z, color.i)
-        s = _ms_eps(curve, m, color.j, color.l)
-        return _with_ms(curve, z, _ms_fmax(curve, m, color.j, color.l, s))
-    degs, nu = _grid_parts(z)
-    newdegs, newnu = _grid_fmax(curve, degs, nu, color.x.l)
-    return _grid_label(curve, newdegs, newnu)
+    eps, fmax, _, _ = _dispatch(curve, z, color)
+    return fmax(curve, z, color, eps(curve, z, color))
 
 
 def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
@@ -504,15 +514,10 @@ def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
     """
     if s < 0:
         raise ValueError("negative copy count")
-    family = _dispatch(curve, zp, color)
+    _, _, es, _ = _dispatch(curve, zp, color)
     if s == 0:
         return zp
-    if family == "exc":
-        m = _ms_es(curve, _ms_at(zp, color.i), color.i, color.j, color.l, s)
-        return _with_ms(curve, zp, m)
-    degs_p, nu_p = _grid_parts(zp)
-    degs, nu = _grid_es(curve, degs_p, nu_p, color.x.l, s)
-    return _grid_label(curve, degs, nu)
+    return es(curve, zp, color, s)
 
 
 def f(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel | None:

@@ -61,8 +61,11 @@ class KClass(Record):
         r, d, *_ = json_ints([data["r"], data["d"], *entries.values()], "class entries")
         m = [[0] * (p - 1) for p in curve.weights]
         for key, v in entries.items():
-            i_s, j_s = key.split(",")
-            i, j = int(i_s) - 1, int(j_s)
+            try:
+                i_s, j_s = key.split(",")
+                i, j = int(i_s) - 1, int(j_s)
+            except ValueError:
+                raise ValueError(f"invalid simple index {key}") from None
             if not (0 <= i < curve.n) or not (1 <= j <= curve.weights[i] - 1):
                 raise ValueError(f"invalid simple index {key}")
             m[i][j - 1] = v

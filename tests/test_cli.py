@@ -131,6 +131,25 @@ class TestConfig:
         code, _, err = run(capsys, ["--config", str(cfg), "curve", "info"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "weights, points",
+        [
+            ([2, 2, 2, 2], ["0", "inf", "1", "2/2"]),
+            ([2, 2, 2, 2, 2], ["1/2", "0.5"]),
+            ([2, 2, 2, 2], ["0.0"]),
+        ],
+        ids=["fraction-of-one", "decimal-half", "decimal-zero"],
+    )
+    def test_coincident_points_rejected(self, capsys, tmp_path, weights, points):
+        # distinct labels of one point: the curve would have fewer points
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weights": weights, "lambda": points}))
+        code, out, err = run(capsys, ["--config", str(cfg), "curve", "info"])
+        assert code == 2
+        assert out == ""
+        first = {"2/2": "1", "0.5": "1/2", "0.0": "0"}[points[-1]]
+        assert f"marked points {first!r} and {points[-1]!r} coincide" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["--config", str(tmp_path / "nope.json"), "curve", "info"]
@@ -573,11 +592,16 @@ class TestCrystalApply:
             (_component(exceptional=[{"i": 1, "segs": [[0, True, 1]]}]), "JSON integers"),
             (_component(ordinary=["2"]), "JSON integers"),
             (_component(bundle=[{"kind": "hn_leaf", "class": {"r": 1.5, "d": 0}}]), "JSON integers"),
+            *(
+                (_component(bundle=[{"kind": "hn_leaf", "class": {"r": 1, "d": 0, "m": {key: 0}}}]),
+                 f"invalid simple index {key}")
+                for key in ("a,1", "1,1,1", "x")
+            ),
         ],
         ids=["kind", "list", "key", "hn-leaf", "line-bundle", "point", "segment",
              "residue-range", "residue-count", "float-degree", "negative-multiplicity",
              "zero-multiplicity", "float-length", "bool-length", "string-part",
-             "float-rank"],
+             "float-rank", "simple-letter", "simple-triple", "simple-no-comma"],
     )
     def test_malformed_component_file_rejected(self, capsys, tmp_path, data, message):
         path = tmp_path / "z.json"
@@ -1044,10 +1068,14 @@ class TestEmit:
 # memo lifetime
 # ---------------------------------------------------------------------------
 
-#: the memos that ``crystal.clear_memos`` empties
+#: the memos that ``crystal.clear_memos`` empties: every ``cache_info``
+#: callable of the three modules, found as in
+#: ``test_clear_memos_empties_every_memo``
 OPERATOR_MEMOS = [
-    cr._check_color, cr._ms_kernel_type, cr._ms_eps, cr._ms_fmax, cr._ms_inverse,
-    cr._twist_kernel, comp._aperiodic_multisegments, orc._stratum_model,
+    obj
+    for module in (cr, comp, orc)
+    for obj in vars(module).values()
+    if callable(getattr(obj, "cache_info", None))
 ]
 
 
@@ -1061,7 +1089,8 @@ class TestMemoLifetime:
         assert cr._ms_eps.cache_info().currsize > 0
         assert comp._aperiodic_multisegments.cache_info().currsize > 0
         run_json(capsys, ["curve", "info"])
-        assert [m.cache_info().currsize for m in OPERATOR_MEMOS] == [0] * 8
+        sizes = [m.cache_info().currsize for m in OPERATOR_MEMOS]
+        assert sizes == [0] * len(OPERATOR_MEMOS)
 
     def test_clear_memos_empties_every_memo(self, capsys):
         # every memo of the three modules, found as perfbench's memo_stats
