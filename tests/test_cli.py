@@ -132,23 +132,22 @@ class TestConfig:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "weights, points",
+        "weights, points, message",
         [
-            ([2, 2, 2, 2], ["0", "inf", "1", "2/2"]),
-            ([2, 2, 2, 2, 2], ["1/2", "0.5"]),
-            ([2, 2, 2, 2], ["0.0"]),
+            ([2, 2, 2, 2], ["0", "inf", "1", "2/2"], "marked points '1' and '2/2' coincide"),
+            ([2, 2, 2, 2, 2], ["1/2", "0.5"], "marked points '1/2' and '0.5' coincide"),
+            ([2, 2, 2, 2], ["0.0"], "marked points '0' and '0.0' coincide"),
         ],
         ids=["fraction-of-one", "decimal-half", "decimal-zero"],
     )
-    def test_coincident_points_rejected(self, capsys, tmp_path, weights, points):
+    def test_coincident_points_rejected(self, capsys, tmp_path, weights, points, message):
         # distinct labels of one point: the curve would have fewer points
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"weights": weights, "lambda": points}))
         code, out, err = run(capsys, ["--config", str(cfg), "curve", "info"])
         assert code == 2
         assert out == ""
-        first = {"2/2": "1", "0.5": "1/2", "0.0": "0"}[points[-1]]
-        assert f"marked points {first!r} and {points[-1]!r} coincide" in err
+        assert message in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -593,7 +592,8 @@ class TestCrystalApply:
             (_component(ordinary=["2"]), "JSON integers"),
             (_component(bundle=[{"kind": "hn_leaf", "class": {"r": 1.5, "d": 0}}]), "JSON integers"),
             *(
-                (_component(bundle=[{"kind": "hn_leaf", "class": {"r": 1, "d": 0, "m": {key: 0}}}]),
+                (_component(bundle=[{"kind": "hn_leaf",
+                                     "class": {"r": 1, "d": 0, "m": {key: 0}}}]),
                  f"invalid simple index {key}")
                 for key in ("a,1", "1,1,1", "x")
             ),
