@@ -2,8 +2,11 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcrystal import _linalg, catalog as cat, ktheory as kt
 from loopcrystal.starlattice import WeightData
@@ -55,6 +58,23 @@ def serial_hom_bruteforce(p, j, l, j2, l2):
             if nonzero:
                 rows.append(row)
     return len(_linalg.nullspace_mod(rows, len(unknowns), None))
+
+
+def spellings(value: Fraction, k: int, sign: str) -> list[str]:
+    """Spellings of ``value`` in the exact-point grammar, each led by
+    ``sign`` (which agrees with the sign of ``value``): ``kp/kq``; the
+    integer when ``q = 1`` (``-0`` for zero with ``-``); and when ``q`` has
+    no prime factor but 2 and 5, the exact decimal with ``k - 1`` trailing
+    zeros."""
+    p, q = abs(value.numerator), value.denominator
+    names = [f"{sign}{k * p}/{k * q}"]
+    if q == 1:
+        names.append(f"{sign}{p}")
+    places = next((e for e in range(1, 8) if 10 ** e % q == 0), None)
+    if places is not None:
+        digits = str(p * 10 ** places // q).rjust(places + 1, "0")
+        names.append(f"{sign}{digits[:-places]}.{digits[-places:]}" + "0" * (k - 1))
+    return names
 
 
 class TestClasses:
@@ -190,6 +210,30 @@ class TestHomDims:
         assert cat.hom_dim(w237, a, b) == 2
         assert cat.hom_dim(w237, b, a) == 2
         assert cat.ext_dim(w237, a, b) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 12), st.integers(1, 4), st.sampled_from(["", "+", "-"]))
+    def test_every_spelling_names_one_point(self, num, den, k, sign):
+        # a point is its value: each spelling of sign*num/den gets the answer
+        # of every other from validate and hom_dim
+        value = Fraction(num, den) * (-1 if sign == "-" else 1)
+        names = spellings(value, k, sign)
+        curves = [WeightData((2, 2, 2, 2), ["0", "inf", "1", "1/2"]), WeightData((2, 1, 1))]
+        for curve in curves:
+            marked = {Fraction(0): 0, Fraction(1): 2, Fraction(1, 2): 3}.get(value)
+            weighted = marked is not None and marked < curve.n and curve.weights[marked] > 1
+            for name in names:
+                if weighted:
+                    with pytest.raises(ValueError, match=r"S\[i,j\]\(l\)"):
+                        cat.validate(curve, cat.OrdTorsion(name, 1))
+                else:
+                    cat.validate(curve, cat.OrdTorsion(name, 1))
+                for other in names:
+                    assert cat.hom_dim(
+                        curve, cat.OrdTorsion(name, 2), cat.OrdTorsion(other, 3)
+                    ) == 2, (name, other)
+                elsewhere = cat.OrdTorsion(str(value + 1), 1)
+                assert cat.hom_dim(curve, cat.OrdTorsion(name, 1), elsewhere) == 0
 
     def test_hom_diagonal_at_least_one(self, w237):
         battery = [

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,6 +150,16 @@ class TestConfig:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("point", ["1e3", "1E-2", " 1/2", "1_000"])
+    def test_parameter_outside_the_rational_grammar_rejected(self, capsys, tmp_path, point):
+        # exponents, spaces and underscores are not rational spellings
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weights": [2, 2, 2, 2], "lambda": ["0", "inf", "1", point]}))
+        code, out, err = run(capsys, ["--config", str(cfg), "curve", "info"])
+        assert code == 2
+        assert out == ""
+        assert f"{point!r} is not rational or 'inf'" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["--config", str(tmp_path / "nope.json"), "curve", "info"]
@@ -254,6 +265,31 @@ class TestSheafCommands:
         assert code == 2
         assert out == ""
         assert "S[i,j](l)" in err
+
+    @pytest.mark.parametrize(
+        "curve_flags, text",
+        [
+            (["--config", "HALF"], "T[0.5](1)"),
+            (["--config", "HALF"], "T[2/4](1)"),
+            (["--config", "HALF"], "T[1.0](1)"),
+            (["--weights", "2,1,1"], "T[-0](1)"),
+        ],
+        ids=["decimal-half", "fraction-half", "decimal-one", "negative-zero"],
+    )
+    def test_weighted_point_refused_in_every_spelling(self, capsys, tmp_path, curve_flags, text):
+        # a point is its value: 0.5 and 2/4 are the marked point 1/2
+        if curve_flags[1] == "HALF":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"weights": [2, 2, 2, 2], "lambda": ["0", "inf", "1", "1/2"]}))
+            curve_flags = ["--config", str(cfg)]
+        code, out, err = run(capsys, [*curve_flags, "sheaf", "rigid", text])
+        assert code == 2
+        assert out == ""
+        assert "is weighted: use S[i,j](l) for its torsion" in err
+
+    def test_ordinary_points_compare_by_value(self, capsys):
+        d = run_json(capsys, ["sheaf", "hom", "--weights", "2,2,2", "T[1/2](1)", "T[0.5](1)"])
+        assert (d["hom"], d["ext"]) == (1, 1)
 
     def test_hom_matches_library(self, capsys):
         d = run_json(capsys, ["sheaf", "hom", "O", "O(c)", "--weights", "2,3,7"])
@@ -399,6 +435,25 @@ class TestComponentsList:
         assert out == ""
         assert f"{bad} is not rational" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "window, bad",
+        [(["0", "1e10000000"], "'1e10000000'"), (["1e2", "inf"], "'1e2'"),
+         (["-1", "2E1"], "'2E1'"), (["0", "1_0"], "'1_0'")],
+        ids=["huge-exponent", "exponent-lo", "capital-exponent", "underscore"],
+    )
+    def test_slope_window_outside_the_rational_grammar_exits_2(self, capsys, window, bad):
+        # Fraction('1e10000000') alone takes seconds: the grammar has no exponent
+        start = time.process_time()
+        code, out, err = run(
+            capsys,
+            ["components", "list", "--weights", "2,2,2,2", "--class", "2*delta",
+             "--slope-window", *window],
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{bad} is not rational" in err
+        assert time.process_time() - start < 1.0
 
     TUBULAR = ["--weights", "2,2,2,2", "--class", "2*O", "--slope-window", "-1", "1"]
     FINITE = ["--weights", "2,2,2", "--class", "2*O + delta"]
@@ -1191,7 +1246,7 @@ FUZZ_CURVES = [WeightData(w) for w in ((1, 1, 1), (2, 1, 1), (2, 2, 2, 2), (2, 3
 
 _GRAMMAR_TOKENS = [
     "O", "O(", "delta", "S[", "T[", "E(", "c", "x", "*", "+", "-", ",", "(",
-    ")", "[", "]", " ", "0", "1", "2", "3", "7", "-1", "99", "pt",
+    ")", "[", "]", " ", "0", "1", "2", "3", "7", "-1", "99", "pt", "/", ".", "e",
 ]
 
 fuzz_text = (

@@ -1,6 +1,7 @@
 """Tests for the degree lattice: normal forms, invariants, section counts."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,36 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             WeightData([2, 2, 2, 2, 2], labels=["q", "q"])
+
+    @pytest.mark.parametrize(
+        "weights, labels, message",
+        [
+            ((2, 2, 2, 2), ["0", "inf", "1", "2/2"], "marked points '1' and '2/2' coincide"),
+            ((2, 2, 2, 2, 2), ["1/2", "0.5"], "marked points '1/2' and '0.5' coincide"),
+            ((2, 2, 2, 2), ["-0"], "marked points '0' and '-0' coincide"),
+        ],
+        ids=["fraction-of-one", "decimal-half", "negative-zero"],
+    )
+    def test_coincident_labels_rejected(self, weights, labels, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightData(weights, labels)
+
+    def test_point_index_reads_values(self):
+        w = WeightData([2, 2, 2, 2, 2], labels=["3/2", "q"])
+        for name, index in [("0", 0), ("-0", 0), ("0.0", 0), ("inf", 1), ("1.00", 2),
+                            ("2/2", 2), ("3/2", 3), ("1.5", 3), ("-6/-4", None),
+                            ("q", 4), ("Q", None), ("1/3", None), ("1e0", None)]:
+            assert w.point_index(name) == index, name
+        # only a str names a point
+        assert w.point_index(0) is None
+
+    @pytest.mark.parametrize(
+        "weights, regime",
+        [((1, 1, 1), "finite"), ((2, 2, 2), "finite"), ((2, 2, 2, 2), "tubular"),
+         ((3, 3, 3), "tubular"), ((2, 3, 7), "wild")],
+    )
+    def test_regime(self, weights, regime):
+        assert WeightData(weights).regime == regime
 
     def test_empty_weights_rejected(self):
         with pytest.raises(ValueError, match="at least one weight"):

@@ -11,6 +11,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,18 @@ class TestSharedRecords:
         assert repr(cat.LineBundle(False)) == "LineBundle(x=False)"
         assert cat.LineBundle(0) is not cat.LineBundle(False)
         assert cat.LineBundle(0) == cat.LineBundle(False)
+
+    @pytest.mark.parametrize(
+        "l, residues",
+        [(97, (0.0, 0, 0)), (98, (False, 0, 0)), (99, (Fraction(0), 0, 0))],
+        ids=["float-residue", "bool-residue", "fraction-residue"],
+    )
+    def test_element_table_holds_only_ints(self, l, residues):
+        # the table keys (0.0, 0, 0) and (0, 0, 0) alike: a non-int element
+        # in it would answer for the int one (each case has an l of its own)
+        LElement(l, residues)
+        assert repr(LElement(l, (0, 0, 0))) == f"LElement(l={l}, residues=(0, 0, 0))"
+        assert LElement(l, (0, 0, 0)) is LElement(l, (0, 0, 0))
 
     def test_frozen_keyword_is_refused(self):
         # every record is frozen; there is no mutable mode left to ask for
@@ -467,6 +480,16 @@ class TestImportCost:
         assert self._run(
             "import loopcrystal.cli, sys; print(sorted("
             "{'typing', 'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))",
+            "-S",
+        ) == "[]"
+
+    def test_integer_marked_points_leave_out_fractions(self):
+        # integer spellings parse without Fraction, in the library and the CLI
+        assert self._run(
+            "import argparse, sys; from loopcrystal import cli; "
+            "cli.resolve_curve(argparse.Namespace(weights=None), "
+            "{'weights': [2, 2, 2, 2, 2], 'lambda': ['0', 'inf', '1', '-3', '+7']}); "
+            "print(sorted({'fractions'} & set(sys.modules)))",
             "-S",
         ) == "[]"
 
