@@ -7,7 +7,9 @@ Four kinds of label:
   ``i`` with head ``S_{i,j}`` and length ``l``; its composition factors are
   ``S_j, S_{j-1}, ..., S_{j-l+1}`` (indices mod ``p_i``).
 * ``OrdTorsion(pt, dlen)`` — the unique indecomposable torsion sheaf of
-  length ``dlen`` at an ordinary point named ``pt``.
+  length ``dlen`` at an ordinary point named ``pt``.  Names compare as
+  points (``starlattice.point_key``): ``1/2``, ``0.5`` and ``2/4`` are
+  one point, other text is compared as text.
 * ``RealBundle(a)`` — for weight sequences of genus < 1, the unique
   indecomposable bundle whose class is the rank > 0 positive real root ``a``.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from . import ktheory as kt
-from .starlattice import LElement, Record, Shared, WeightData
+from .starlattice import LElement, Record, Shared, WeightData, point_key
 
 
 class LineBundle(Record, Shared):
@@ -53,6 +55,12 @@ IndecLabel = LineBundle | ExcTorsion | OrdTorsion | RealBundle
 
 
 def validate(curve: WeightData, label: IndecLabel) -> None:
+    """Refuse, with ``ValueError``, a label that names no sheaf on ``curve``:
+    a degree out of normal form, a length below 1, serial torsion at a
+    point of weight 1, ordinary torsion at a weighted marked point in any
+    spelling of the point (``T[0.5]`` at the marked point ``1/2``), and a
+    class that is not a real root of rank >= 1 for genus < 1.  Anything
+    that is not a label raises ``TypeError``."""
     if isinstance(label, LineBundle):
         if curve.normalize(label.x.residues, l=label.x.l) != label.x:
             raise ValueError(f"degree {label.x} is not in normal form")
@@ -64,7 +72,8 @@ def validate(curve: WeightData, label: IndecLabel) -> None:
     elif isinstance(label, OrdTorsion):
         if label.dlen < 1:
             raise ValueError("length must be positive")
-        if label.pt in curve.labels and curve.weights[curve.labels.index(label.pt)] > 1:
+        i = curve.point_index(label.pt)
+        if i is not None and curve.weights[i] > 1:
             raise ValueError(f"point {label.pt} is weighted: use S[i,j](l) for its torsion")
     elif isinstance(label, RealBundle):
         if curve.genus() >= 1:
@@ -158,7 +167,7 @@ def hom_dim(curve: WeightData, a: IndecLabel, b: IndecLabel) -> int:
     if isinstance(a, OrdTorsion) and isinstance(b, ExcTorsion):
         return 0
     if isinstance(a, OrdTorsion) and isinstance(b, OrdTorsion):
-        return min(a.dlen, b.dlen) if a.pt == b.pt else 0
+        return min(a.dlen, b.dlen) if point_key(a.pt) == point_key(b.pt) else 0
     raise ValueError("unsupported pair")
 
 

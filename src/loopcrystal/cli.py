@@ -13,11 +13,12 @@ config file via ``--config``::
       "trials": 8
     }
 
-``lambda`` lists the marked-point parameters as exact rational strings with
-``"inf"`` for the point at infinity; the first three are pinned to
-``0, inf, 1``.  ``seed`` and ``trials`` supply defaults for the sampling
-commands.  The seed may also come from the ``LOOPCRYSTAL_SEED`` environment
-variable; an explicit ``--seed`` wins over both.
+``lambda`` lists the marked-point parameters as exact rational strings
+(integers, ``a/b`` and decimals; no exponents) with ``"inf"`` for the point
+at infinity, one per point; the first three are pinned to ``0, inf, 1``.
+``seed`` and ``trials`` supply defaults for the sampling commands.  The
+seed may also come from the ``LOOPCRYSTAL_SEED`` environment variable; an
+explicit ``--seed`` wins over both.
 
 Grammars
 --------
@@ -26,7 +27,8 @@ K-theory classes are written ``"r*O + d*delta + m*S[i,j]"`` (point indices
 zero class.  Sheaf labels are ``O`` / ``O(expr)`` with ``expr`` a sum of
 ``c``-multiples and generators (``O(-1)`` means ``O(-c)``, ``O(c - x1)`` is
 accepted), ``S[i,j]`` / ``S[i,j,l]`` for serial torsion at weighted point
-``i``, ``T[pt](d)`` for torsion at a named ordinary point, and ``E(v...)``
+``i``, ``T[pt](d)`` for torsion at an ordinary point (named by its exact
+value, so ``T[0.5]`` is ``T[1/2]``, or by other text), and ``E(v...)``
 for a rank >= 2 bundle given by its full coordinate vector.
 
 Output and exit codes
@@ -55,7 +57,7 @@ from . import components as comp
 from . import crystal as cry
 from . import ktheory as kt
 from . import oracle as orc
-from .starlattice import WeightData
+from .starlattice import WeightData, point_value
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +73,18 @@ def _parse_weights_text(text: str) -> tuple[int, ...]:
 
 
 def _parse_rational(text: str, what: str, inf_ok: bool = False):
-    """``text`` as an exact ``Fraction``, or ``math.inf`` for ``"inf"`` when
-    ``inf_ok``; other text, a zero denominator included, is refused with
+    """``text`` as an exact number (``point_value``: an integer, ``a/b`` or
+    a decimal), or ``math.inf`` for ``"inf"`` when ``inf_ok``; other text,
+    exponents and a zero denominator included, is refused with
     ``ValueError`` (exit 2)."""
-    if inf_ok and text == "inf":
-        return math.inf
-    from fractions import Fraction
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        value = point_value(text)
+    except ValueError:  # past int's digit limit
+        value = None
+    if value is None or (value == math.inf and not inf_ok):
         alt = " or 'inf'" if inf_ok else ""
-        raise ValueError(f"{what} {text!r} is not rational{alt}") from None
+        raise ValueError(f"{what} {text!r} is not rational{alt}")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -108,13 +111,8 @@ def resolve_curve(args, config: dict) -> WeightData:
     if "lambda" not in config:
         return WeightData(weights)
     curve = WeightData(weights, config["lambda"])
-    # distinct labels may still name one point: "1" and "2/2", "0" and "0.0"
-    seen = {}
     for label in curve.labels:
-        point = _parse_rational(label, "marked-point parameter", inf_ok=True)
-        if point in seen:
-            raise ValueError(f"marked points {seen[point]!r} and {label!r} coincide")
-        seen[point] = label
+        _parse_rational(label, "marked-point parameter", inf_ok=True)
     return curve
 
 
@@ -381,16 +379,14 @@ def _slope_str(value) -> str:
 
 def cmd_curve_info(args, config: dict) -> int:
     curve = resolve_curve(args, config)
-    g = curve.genus()
-    regime = "finite" if g < 1 else ("tubular" if g == 1 else "wild")
     omega = curve.omega()
     _emit(
         {
             "weights": list(curve.weights),
             "points": list(curve.labels),
             "p": curve.p,
-            "genus": str(g),
-            "regime": regime,
+            "genus": str(curve.genus()),
+            "regime": curve.regime,
             "k_rank": kt.lattice_rank(curve),
             "omega": omega.to_json(),
             "omega_display": curve.format_element(omega),
@@ -457,8 +453,7 @@ _OPTION_REGIME = {
 def cmd_components(args, config: dict) -> int:
     curve = resolve_curve(args, config)
     a = parse_kclass(curve, args.klass)
-    g = curve.genus()
-    regime = "finite" if g < 1 else ("tubular" if g == 1 else "wild")
+    regime = curve.regime
     given = {k: getattr(args, k) for k in _OPTION_REGIME if getattr(args, k) is not None}
     for name in given:
         if _OPTION_REGIME[name] != regime:

@@ -2,8 +2,10 @@
 
 A weighted projective line is specified by ``n >= 3`` integer weights
 ``p_1, ..., p_n`` (weight-1 entries are allowed and act as unweighted marked
-points) together with pairwise distinct parameter labels for the marked
-points; the first three are always ``0``, ``inf``, ``1``.
+points) together with labels for the marked points, which name pairwise
+distinct points; the first three are always ``0``, ``inf``, ``1``.  A label
+that spells an exact rational is that point of P^1, so ``1/2``, ``0.5`` and
+``2/4`` are one point (:func:`point_value`, :meth:`WeightData.point_index`).
 
 The degree lattice ``L`` is generated by classes ``x_1, ..., x_n`` subject to
 ``p_i x_i = p_j x_j``; the common value is the hyperplane class ``c``.  Every
@@ -65,7 +67,9 @@ class Record:
     type (so ``0`` and ``False`` stay apart), in a table of the class, and
     only on a miss fills a new instance, its hash and its repr text, which
     ``Shared`` then returns: one slot read (the class gets ``__new__`` and
-    ``__eq__`` only).  Pickle and deepcopy return the shared instance.
+    ``__eq__`` only).  A class with a ``_shareable(*fields)`` test stores
+    only the instances that pass it; the others are made fresh per call.
+    Pickle and deepcopy return the shared instance.
     Equality and hashing stay by value, so no caller may rely on identity.
     A table keeps one entry per value a run reaches, for the life of the
     process: on perfbench's p1-queries the ``LElement`` and
@@ -98,6 +102,10 @@ class Record:
                 _set_hash=Shared._hash.__set__, _set_repr=Shared._repr.__set__,
             )
             key = "".join(f"type({n}), {n}," for n in names)
+            store = "        _table[key] = self"
+            if hasattr(cls, "_shareable"):
+                namespace["_shareable"] = cls._shareable
+                store = f"        if _shareable({', '.join(names)}):\n    {store}"
             made = ["__new__"]
             create = [
                 f"def __new__(cls, {params}):",
@@ -108,7 +116,7 @@ class Record:
                 *[f"    {line}" for line in stores],
                 f"        _set_hash(self, hash(({mine})))",
                 f"        _set_repr(self, {text})",
-                "        _table[key] = self",
+                store,
                 "    return self",
             ]
         else:
@@ -154,12 +162,50 @@ def json_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def point_value(name):
+    """The point of P^1 that ``name`` spells: ``math.inf`` for ``inf``, an
+    ``int`` for an integer (so ``fractions`` stays unloaded), a ``Fraction``
+    for ``a/b`` with ``b > 0`` or a decimal, each with at most one sign.
+    Anything else, exponents and non-``str`` values included, gives
+    ``None``; a number past ``int``'s digit limit raises ``ValueError``."""
+    if type(name) is not str or not name.isascii():
+        return None
+    if name == "inf":
+        return math.inf
+    body = name[1:] if name[:1] in ("+", "-") else name
+    if body.isdigit():
+        return int(name)
+    num, _, den = body.partition("/")
+    whole, _, frac = body.partition(".")
+    if (num.isdigit() and den.isdigit() and den.strip("0")) or (
+        (whole or "0").isdigit() and frac.isdigit()
+    ):
+        from fractions import Fraction
+        return Fraction(name)
+    return None
+
+
+def point_key(name):
+    """:func:`point_value` of ``name``, or ``name`` if it spells no value."""
+    value = point_value(name)
+    return name if value is None else value
+
+
 class LElement(Record, Shared):
-    """Normal form ``l*c + sum_i residues[i] * x_i`` with ``0 <= residues[i] < p_i``."""
+    """Normal form ``l*c + sum_i residues[i] * x_i`` with ``0 <= residues[i] < p_i``.
+
+    Only elements with int fields (not bools) are shared: the table keys
+    ``(0.0, 0, 0)`` and ``(0, 0, 0)`` alike.
+    """
 
     __slots__ = ("l", "residues")
     l: int
     residues: tuple[int, ...]
+
+    @staticmethod
+    def _shareable(l, residues) -> bool:
+        return (type(l) is int and type(residues) is tuple
+                and all(type(r) is int for r in residues))
 
     def to_json(self) -> dict:
         return {"l": self.l, "residues": list(self.residues)}
@@ -179,7 +225,10 @@ class WeightData:
         Padded on the right with 1s if fewer than three are given.
     labels : optional sequence of str
         Marked-point parameters.  The first three are forced to
-        ``("0", "inf", "1")``; the rest default to ``lam4, lam5, ...``.
+        ``("0", "inf", "1")``; the rest default to ``lam4, lam5, ...``.  A
+        label that :func:`point_value` reads is that point, any other text
+        (``q``, ``1e3``) a name.  Two labels of one point raise
+        ``ValueError`` (``marked points '1' and '2/2' coincide``).
     """
 
     def __init__(self, weights: Sequence[int], labels: Sequence[str] | None = None):
@@ -211,8 +260,29 @@ class WeightData:
         self.labels: tuple[str, ...] = fixed[: min(3, self.n)] + extra
         if len(set(self.labels)) != self.n:
             raise ValueError("point labels must be pairwise distinct")
+        self._points: dict = {}
+        for i, label in enumerate(self.labels):
+            key = point_key(label)
+            if key in self._points:
+                first = self.labels[self._points[key]]
+                raise ValueError(f"marked points {first!r} and {label!r} coincide")
+            self._points[key] = i
         self._hash = hash((self.weights, self.labels))
         self._normal_forms: dict[tuple[int, ...], LElement] = {}
+
+    def point_index(self, name) -> int | None:
+        """Index of the marked point that ``name`` denotes (by
+        :func:`point_key`; a non-``str`` denotes none), or ``None``."""
+        if type(name) is not str:
+            return None
+        return self._points.get(point_key(name))
+
+    @property
+    def regime(self) -> str:
+        """``"finite"``, ``"tubular"`` or ``"wild"`` as the genus is below,
+        at or above 1."""
+        g = self.genus()
+        return "finite" if g < 1 else ("tubular" if g == 1 else "wild")
 
     # -- basic elements -----------------------------------------------------
 
