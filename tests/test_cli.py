@@ -811,6 +811,23 @@ class TestCrystalGraph:
             "c14d151b070ddc8e4abbba4438b4420a4bef9a3479ff4b963356ad47d84ede7f"
         )
 
+    def test_p4_torsion_graph_stdout_pinned(self, capsys):
+        # (4,1,1) delta=2 with the twelve colours S[1,j](l), l <= 3: 863
+        # nodes, checked with --verify, byte for byte
+        colors = [f"S[1,{j}]({l})" for j in range(4) for l in range(1, 4)]
+        code, out, err = run(
+            capsys,
+            [
+                "crystal", "graph", "--weights", "4,1,1", "--seeds", "empty",
+                "--colors", *colors, "--max-delta", "2", "--verify",
+            ],
+        )
+        assert code == 0, err
+        assert len(json.loads(out)["nodes"]) == 863
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e5da6139443535ec3dd9e09b1c2cfa87b466121459f49b6e5a7c9c2d9f7b4dc7"
+        )
+
     def test_verify_clean_graph(self, capsys):
         code, out, _ = run(
             capsys,

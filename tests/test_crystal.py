@@ -618,6 +618,57 @@ class TestEpsilonCensus:
         assert cases == 2574
 
 
+class TestBracketingPin:
+    """The length-1 colours on every aperiodic multisegment of a battery.
+
+    One line per (multisegment, vertex) with ``epsilon``, ``f_max`` and
+    ``e`` (p = 2 and 3 up to total 6, p = 4 up to 5, p = 5 up to 4: 4,372
+    lines), then one per ``epsilon = 0`` target and ``s = 1..3`` with
+    ``e_s`` (p = 2 and 3 up to total 5, p = 4 up to 4: 2,283 lines).
+    """
+
+    OPS = ((2, 6), (3, 6), (4, 5), (5, 4))
+    RAISES = ((2, 5), (3, 5), (4, 4))
+
+    SHA256 = "d9d0f742127b012515acfda8168a840c93c4167a670ad4e0f790a26d104f068f"
+
+    @staticmethod
+    def battery(p, max_total):
+        curve = WeightData((p, 1, 1))
+        for total in range(max_total + 1):
+            for dims in itertools.product(range(total + 1), repeat=p):
+                if sum(dims) == total:
+                    for m in comp.aperiodic_multisegments(curve, 0, dims):
+                        z = comp.component_label(curve, (), (), [m])
+                        for v in range(p):
+                            yield curve, m, z, S(curve, v)
+
+    @classmethod
+    def lines(cls):
+        lines = []
+        for p, top in cls.OPS:
+            for curve, m, z, c in cls.battery(p, top):
+                lines.append(
+                    f"{p} {m.pairs} {c.j} {cr.epsilon(curve, z, c)} "
+                    f"{cr.f_max(curve, z, c).exceptional} {cr.e(curve, z, c).exceptional}"
+                )
+        for p, top in cls.RAISES:
+            for curve, m, z, c in cls.battery(p, top):
+                if cr.epsilon(curve, z, c) == 0:
+                    for s in (1, 2, 3):
+                        lines.append(
+                            f"es {p} {m.pairs} {c.j} {s} "
+                            f"{cr.e_s(curve, z, c, s).exceptional}"
+                        )
+        return lines
+
+    def test_digest(self):
+        cr.clear_memos()
+        lines = self.lines()
+        assert len(lines) == 4372 + 2283
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.SHA256
+
+
 # ---------------------------------------------------------------------------
 # grid engine versus the line sampler
 # ---------------------------------------------------------------------------
