@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from . import ktheory as kt
-from .starlattice import LElement, Record, Shared, WeightData, point_key
+from .starlattice import LElement, Record, Shared, WeightData, point_key, point_value
 
 
 class LineBundle(Record, Shared):
@@ -58,7 +58,9 @@ def validate(curve: WeightData, label: IndecLabel) -> None:
     """Refuse, with ``ValueError``, a label that names no sheaf on ``curve``:
     a degree out of normal form, a length below 1, serial torsion at a
     point of weight 1, ordinary torsion at a weighted marked point in any
-    spelling of the point (``T[0.5]`` at the marked point ``1/2``), and a
+    spelling of the point (``T[0.5]`` at the marked point ``1/2``), ordinary
+    torsion at a name that starts like a number (a digit, a sign or ``.``)
+    but is no exact rational (``T[1/0]``, ``T[1e9]``), and a
     class that is not a real root of rank >= 1 for genus < 1.  Anything
     that is not a label raises ``TypeError``."""
     if isinstance(label, LineBundle):
@@ -72,7 +74,12 @@ def validate(curve: WeightData, label: IndecLabel) -> None:
     elif isinstance(label, OrdTorsion):
         if label.dlen < 1:
             raise ValueError("length must be positive")
-        i = curve.point_index(label.pt)
+        pt = label.pt
+        # a name that starts like a number must spell an exact point
+        if (type(pt) is str and (pt[:1].isdigit() or pt[:1] in ("+", "-", "."))
+                and point_value(pt) is None):
+            raise ValueError(f"point {pt!r} is not rational")
+        i = curve.point_index(pt)
         if i is not None and curve.weights[i] > 1:
             raise ValueError(f"point {label.pt} is weighted: use S[i,j](l) for its torsion")
     elif isinstance(label, RealBundle):

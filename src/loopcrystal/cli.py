@@ -98,6 +98,9 @@ def load_config(path: str) -> dict:
             raise ValueError(f"config field {key!r} must be a JSON {name}")
     if any(type(w) is not int for w in data.get("weights", ())):
         raise ValueError("config weights must be JSON integers")
+    # a JSON number would be read through its float: 0.1 as 1/10, 1e400 as inf
+    if any(type(x) is not str for x in data.get("lambda", ())):
+        raise ValueError("config lambda entries must be JSON strings")
     return data
 
 

@@ -159,7 +159,9 @@ def _aperiodic_multisegments(
     """Memo behind ``aperiodic_multisegments``, keyed on ``(curve, i, dims)``.
 
     The inversion tables ``crystal._ms_inverse`` of many colors and copy
-    counts ask for the same dimension vector.  The memo is
+    counts ask for the same dimension vector.  Only colors of length >= 2
+    build such tables: length-1 colors raise by the signature rule and
+    enumerate nothing.  The memo is
     unbounded, yet its size is bounded by the work it serves: one entry per
     distinct dimension vector that a budgeted graph build (``max_delta``,
     ``max_nodes``), a torsion-class enumeration or an oracle battery reaches.

@@ -6,15 +6,16 @@ on :class:`~loopcrystal.components.ComponentLabel` values:
 * ``epsilon(Z, I)`` — the generic number of copies of ``I`` inside the kernel
   of a Higgs field on the component ``Z``;
 * ``f_max(Z, I)`` — the label of the generic quotient by all those copies;
-* ``e_s(Zp, I, s)`` — the inverse of ``f_max``, found by inversion search;
+* ``e_s(Zp, I, s)`` — the inverse of ``f_max``;
 * ``f``, ``e`` — the single-step operators derived from the two above;
 * ``phi(Z, I) = epsilon(Z, I) + <[I], wt(Z)>`` through the Euler form.
 
 Two color families carry computable rules, and :func:`_dispatch` is the one
 place that picks a family and returns its rules.  Exceptional-torsion colors
 act on the multisegment at their point (bundle and ordinary parts are inert
-since torsion admits no maps to bundles): length-1 colors through an exact
-bracketing rule, longer serial colors through the randomized oracle module.
+since torsion admits no maps to bundles): length-1 colors through Kashiwara's
+signature rule (:func:`_signature`), longer serial colors through the
+randomized oracle module and an inversion table for ``e_s``.
 Line-bundle colors act on labels whose bundle part is a multiset of
 c-multiples ``O(d*c)`` with no exceptional torsion present; kernel degrees
 follow one closed rule on the section counts of the kernel (see
@@ -68,6 +69,8 @@ def _dispatch(curve: WeightData, z: ComponentLabel, color):
     if isinstance(z.bundle, HNTree):
         raise ValueError(UNSUPPORTED)
     if isinstance(color, cat.ExcTorsion):
+        if color.l == 1:
+            return _bra_eps, _bra_fmax, _bra_es, _exc_hom
         return _exc_eps, _exc_fmax, _exc_es, _exc_hom
     if isinstance(color, cat.LineBundle):
         if any(color.x.residues) or z.exceptional:
@@ -97,34 +100,58 @@ def _with_ms(curve: WeightData, z: ComponentLabel, m: Multisegment) -> Component
 # multisegment rules (exceptional-torsion colors)
 # ---------------------------------------------------------------------------
 
-def _bracket(p: int, segments: list[tuple[int, int]], v: int) -> list[int]:
-    """Indices of the segment copies a length-1 color at vertex ``v`` removes.
+def _signature(p: int, segments: list[tuple[int, int]], v: int):
+    """Kashiwara's signature rule for the length-1 colour at vertex ``v``.
 
-    A copy is removable when its socle sits at ``v`` (its head is then forced,
-    so equal-length removables are identical).  A copy whose socle sits at
-    ``v + 1`` can extend a removable of at most its own length and thereby
-    protect it; pairing long protectors with the longest unprotected
-    removables first maximizes the protected set.
+    A copy whose socle sits at ``v`` is removable, one whose socle sits at
+    ``v + 1`` is extendable.  Scanned longest first, extendables before
+    removables of equal length, each extendable is pushed and each removable
+    pops the last one pushed.  Returns the indices of the removables left over
+    (``epsilon`` counts them, ``f_max`` shortens them) and of the extendables
+    left on the stack, longest first (``e`` lengthens the first).
     """
-    removable = sorted(
-        (idx for idx, (j, l) in enumerate(segments) if (j - l + 1) % p == v % p),
-        key=lambda idx: segments[idx][1],
-    )
-    protectors = sorted(
-        (l for j, l in segments if (j - l + 1) % p == (v + 1) % p),
-        reverse=True,
-    )
-    protected: set[int] = set()
-    for cap in protectors:
-        best = None
-        for idx in removable:
-            if idx in protected or segments[idx][1] > cap:
-                continue
-            if best is None or segments[idx][1] > segments[best][1]:
-                best = idx
-        if best is not None:
-            protected.add(best)
-    return [idx for idx in removable if idx not in protected]
+    left, stack = [], []
+    for _, removable, idx in sorted(
+        (-l, (j - l + 1 - v) % p == 0, idx)
+        for idx, (j, l) in enumerate(segments)
+        if (j - l + 1 - v) % p in (0, 1)
+    ):
+        if not removable:
+            stack.append(idx)
+        elif stack:
+            stack.pop()
+        else:
+            left.append(idx)
+    return left, stack
+
+
+def _bra_eps(curve: WeightData, z: ComponentLabel, color) -> int:
+    left, _ = _signature(curve.weights[color.i], _ms_at(z, color.i).segments(), color.j)
+    return len(left)
+
+
+def _bra_fmax(curve: WeightData, z: ComponentLabel, color, s: int) -> ComponentLabel:
+    segments = _ms_at(z, color.i).segments()
+    for idx in _signature(curve.weights[color.i], segments, color.j)[0]:
+        head, length = segments[idx]
+        segments[idx] = (head, length - 1)
+    kept = [seg for seg in segments if seg[1]]
+    return _with_ms(curve, z, comp.multisegment(curve, color.i, kept))
+
+
+def _bra_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
+    p, v = curve.weights[color.i], color.j
+    segments = _ms_at(zp, color.i).segments()
+    if _signature(p, segments, v)[0]:
+        raise ValueError("no preimage found")  # f_max always lands at epsilon 0
+    for _ in range(s):
+        _, stack = _signature(p, segments, v)
+        if stack:
+            head, length = segments[stack[0]]
+            segments[stack[0]] = (head, length + 1)
+        else:
+            segments.append((v, 1))
+    return _with_ms(curve, zp, comp.multisegment(curve, color.i, segments))
 
 
 # Sampled generic kernel type of ``m`` (one draw); one entry per multisegment
@@ -137,16 +164,10 @@ def _ms_kernel_type(curve: WeightData, m: Multisegment) -> Multisegment:
     )
 
 
-# One entry per multisegment and color visited in one CLI command (bounded as
-# above).
-@lru_cache(maxsize=None)
 def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
     if m.is_empty():
         return 0
-    p = curve.weights[m.i]
-    if l == 1:
-        return len(_bracket(p, m.segments(), j))
-    return oracle.rk_embeddings(p, _ms_kernel_type(curve, m), j, l)
+    return oracle.rk_embeddings(curve.weights[m.i], _ms_kernel_type(curve, m), j, l)
 
 
 # One entry per multisegment, color and copy count visited in one CLI command
@@ -155,18 +176,6 @@ def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
 def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Multisegment:
     if s == 0:
         return m
-    p = curve.weights[m.i]
-    if l == 1:
-        segments = m.segments()
-        removed = set(_bracket(p, segments, j))
-        kept = []
-        for idx, (head, length) in enumerate(segments):
-            if idx in removed:
-                if length > 1:
-                    kept.append((head, length - 1))
-            else:
-                kept.append((head, length))
-        return comp.multisegment(curve, m.i, kept)
     # the kernel's seed: the copies embed into the kernel of the same pair
     return oracle.quotient_type_sample(
         curve, m, j, l, s,
@@ -506,11 +515,12 @@ def f_max(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
 def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
     """The unique label with ``epsilon = s`` whose ``f_max`` is ``zp``.
 
-    Found by inversion search over candidates of the shifted class; zero or
-    multiple matches raise ("no preimage found" / "ambiguous preimage" — both
-    would signal a rule bug, never expected behavior).  Both families refuse
-    a target with ``epsilon > 0`` ("no preimage found"): ``f_max`` always
-    lands at epsilon 0.
+    Length-1 torsion colors apply the signature rule's ``e`` ``s`` times.
+    Longer serial colors and line-bundle colors search the candidates of the
+    shifted class; zero or multiple matches raise ("no preimage found" /
+    "ambiguous preimage" — both would signal a rule bug, never expected
+    behavior).  Every family refuses a target with ``epsilon > 0`` ("no
+    preimage found"): ``f_max`` always lands at epsilon 0.
     """
     if s < 0:
         raise ValueError("negative copy count")
@@ -543,7 +553,7 @@ def clear_memos() -> None:
     memos across calls until they call this.
     """
     for memo in (
-        _check_color, _ms_kernel_type, _ms_eps, _ms_fmax, _ms_inverse,
+        _check_color, _ms_kernel_type, _ms_fmax, _ms_inverse,
         _twist_kernel, comp._aperiodic_multisegments, oracle._stratum_model,
     ):
         memo.cache_clear()
@@ -689,7 +699,8 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
     graph, at epsilon > 0 without an outgoing edge, ``f`` leaves the node set
     (otherwise the edge to it is missing).  Every edge between nodes is an
     ``f`` edge, so this finds every missing edge without calling ``e`` at the
-    top of the window.  Returns the list of violations (empty = pass); each
+    top of the window.  A node where ``epsilon`` or that ``f`` refuses is a
+    violation too.  Returns the list of violations (empty = pass); each
     offending edge is reported once.
     """
     curve = graph.curve
@@ -724,7 +735,8 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
                 down = None
                 if eps_val and (z, color) not in outgoing and graph.complete:
                     down = f(curve, z, color)
-            except ValueError:
+            except ValueError as err:
+                out.append(f"operators refuse {name(z)} [{cname(color)}]: {err}")
                 continue
             if eps_val == 0 and (z, color) in outgoing:
                 out.append(f"f should vanish at {name(z)} [{cname(color)}]")
@@ -762,7 +774,7 @@ def connectivity_path(curve: WeightData, z: ComponentLabel) -> list[tuple[str, o
         m = cur.exceptional[0]
         p = curve.weights[m.i]
         vertex = next(
-            (v for v in range(p) if _ms_eps(curve, m, v, 1) > 0), None
+            (v for v in range(p) if _signature(p, m.segments(), v)[0]), None
         )
         if vertex is None:
             raise AssertionError("aperiodic multisegment with no removable vertex")

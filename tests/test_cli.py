@@ -160,6 +160,16 @@ class TestConfig:
         assert out == ""
         assert f"{point!r} is not rational or 'inf'" in err
 
+    @pytest.mark.parametrize("entry", ["0.1", "1e400"], ids=["tenth", "overflow"])
+    def test_number_parameter_rejected(self, capsys, tmp_path, entry):
+        # JSON numbers would be read through their float: 1/10, and inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"weights": [2, 2, 2, 2], "lambda": ["0", "inf", "1", {entry}]}}')
+        code, out, err = run(capsys, ["--config", str(cfg), "curve", "info"])
+        assert code == 2
+        assert out == ""
+        assert "config lambda entries must be JSON strings" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["--config", str(tmp_path / "nope.json"), "curve", "info"]
@@ -286,6 +296,19 @@ class TestSheafCommands:
         assert code == 2
         assert out == ""
         assert "is weighted: use S[i,j](l) for its torsion" in err
+
+    @pytest.mark.parametrize("text", ["T[1/0](1)", "T[1e9](1)"])
+    def test_number_like_point_name_refused(self, capsys, text):
+        # a name that starts like a number must spell an exact point
+        code, out, err = run(capsys, ["sheaf", "rigid", "--weights", "2,3,7", text])
+        assert code == 2
+        assert out == ""
+        assert "is not rational" in err
+
+    @pytest.mark.parametrize("text", ["T[pt](1)", "T[q](1)"])
+    def test_point_names_stay_names(self, capsys, text):
+        d = run_json(capsys, ["sheaf", "rigid", "--weights", "2,3,7", text])
+        assert d["rigid"] is False
 
     def test_ordinary_points_compare_by_value(self, capsys):
         d = run_json(capsys, ["sheaf", "hom", "--weights", "2,2,2", "T[1/2](1)", "T[0.5](1)"])
@@ -937,6 +960,24 @@ class TestCrystalGraph:
         assert code == 2
         assert out == ""
 
+    def test_verify_reports_a_refusing_node(self, capsys, tmp_path):
+        # epsilon is 3 at this node, and f refuses it: a violation, not a skip
+        node = line_label(P1, -1, 0, 0, 3)
+        color = cat.LineBundle(P1.normalize([0, 0, 0], l=-1))
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "weights": [1, 1, 1],
+            "nodes": [comp.label_to_json(P1, node)],
+            "edges": [],
+            "colors": [cat.label_to_json(color)],
+        }))
+        code, out, _ = run(capsys, ["crystal", "verify", "--graph", str(path)])
+        assert code == 3
+        assert json.loads(out)["violations"] == [
+            "operators refuse (O(-1c) + O(0c) + O(0c) + O(3c)) [O(-1c)]: "
+            "unsupported component family"
+        ]
+
     def test_verify_round_trip_and_corruption(self, capsys, tmp_path):
         d = run_json(
             capsys,
@@ -1154,11 +1195,11 @@ OPERATOR_MEMOS = [
 class TestMemoLifetime:
     def test_each_command_starts_with_empty_memos(self, capsys):
         run_json(capsys, [
-            "crystal", "graph", "--weights", "2,1,1", "--seeds", "empty",
-            "--colors", "S[1,0](1)", "S[1,1](1)", "--max-delta", "2",
+            "crystal", "graph", "--weights", "3,1,1", "--seeds", "empty",
+            "--colors", "S[1,0](2)", "S[1,1](2)", "--max-delta", "2",
         ])
         # the last command's memos stay readable after it
-        assert cr._ms_eps.cache_info().currsize > 0
+        assert cr._ms_fmax.cache_info().currsize > 0
         assert comp._aperiodic_multisegments.cache_info().currsize > 0
         run_json(capsys, ["curve", "info"])
         sizes = [m.cache_info().currsize for m in OPERATOR_MEMOS]
@@ -1188,15 +1229,15 @@ class TestMemoLifetime:
 
     def test_direct_calls_keep_their_memos(self):
         cr.clear_memos()
-        curve = WeightData((2, 1, 1))
-        color = cat.exc_torsion(curve, 0, 0, 1)
+        curve = WeightData((3, 1, 1))
+        color = cat.exc_torsion(curve, 0, 0, 2)
         z = comp.component_label(
-            curve, (), (), [comp.multisegment(curve, 0, [(0, 1)])]
+            curve, (), (), [comp.multisegment(curve, 0, [(0, 2)])]
         )
         cr.f(curve, z, color)
-        before = cr._ms_eps.cache_info()
+        before = cr._ms_fmax.cache_info()
         cr.f(curve, z, color)
-        after = cr._ms_eps.cache_info()
+        after = cr._ms_fmax.cache_info()
         assert after.currsize == before.currsize > 0
         assert after.hits > before.hits
 

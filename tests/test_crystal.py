@@ -469,16 +469,31 @@ class TestMultisegmentQuotients:
         assert cr.f(W2, tl(W2, (0, 2)), S(W2, 0)) is None
 
     def test_shared_image_is_ambiguous(self, monkeypatch):
-        # (0,3)+(1,1) and (1,4) both have epsilon 1 at vertex 0; give both
-        # one image
-        target = ms(W2, (1, 3))
+        # (1,3)+(2,1) and (2,4) both have epsilon 1 under the sampled colour
+        # S(0, 2); give both one image
+        target = ms(W3, (2, 2))
         cr.clear_memos()
         monkeypatch.setattr(cr, "_ms_fmax", lambda curve, m, j, l, s: target)
         try:
             with pytest.raises(ValueError, match="ambiguous preimage"):
-                cr.e_s(W2, tl(W2, (1, 3)), S(W2, 0), 1)
+                cr.e_s(W3, tl(W3, (2, 2)), S(W3, 0, 2), 1)
         finally:
             cr._ms_inverse.cache_clear()
+
+    def test_length_one_colours_sample_nothing(self):
+        # the signature rule answers every length-1 operator without the
+        # inversion table or the oracle
+        cr.clear_memos()
+        for z in [E, tl(W3, (0, 2), (1, 1)), tl(W3, (0, 3), (2, 1), (2, 1))]:
+            for j in range(3):
+                c = S(W3, j)
+                cr.epsilon(W3, z, c)
+                cr.f_max(W3, z, c)
+                cr.f(W3, z, c)
+                cr.e(W3, z, c)
+                cr.e_s(W3, cr.f_max(W3, z, c), c, 2)
+        for memo in (cr._ms_inverse, cr._ms_fmax, cr._ms_kernel_type):
+            assert memo.cache_info().currsize == 0
 
     def test_raising_from_empty(self):
         assert cr.e(W2, E, S(W2, 0)) == tl(W2, (0, 1))
