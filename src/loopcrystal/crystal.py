@@ -699,7 +699,7 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
     graph, at epsilon > 0 without an outgoing edge, ``f`` leaves the node set
     (otherwise the edge to it is missing).  Every edge between nodes is an
     ``f`` edge, so this finds every missing edge without calling ``e`` at the
-    top of the window.  A node where ``epsilon`` or that ``f`` refuses is a
+    top of the window.  An edge or node where an operator refuses is a
     violation too.  Returns the list of violations (empty = pass); each
     offending edge is reported once.
     """
@@ -714,18 +714,25 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
     def edge(src, tgt, color):
         return f"{name(src)} -> {name(tgt)} [{cname(color)}]"
 
-    for src, tgt, color in graph.edges:
+    def edge_fault(src, tgt, color):
         if weight(tgt) != kt.sub(weight(src), cls(color)):
-            out.append(f"weight shift violated on {edge(src, tgt, color)}")
-            continue
+            return "weight shift violated on"
         if epsilon(curve, src, color) != epsilon(curve, tgt, color) + 1:
-            out.append(f"epsilon step violated on {edge(src, tgt, color)}")
-            continue
+            return "epsilon step violated on"
         if f(curve, src, color) != tgt:
-            out.append(f"f does not follow the edge {edge(src, tgt, color)}")
-            continue
+            return "f does not follow the edge"
         if e(curve, tgt, color) != src:
-            out.append(f"e does not invert the edge {edge(src, tgt, color)}")
+            return "e does not invert the edge"
+        return None
+
+    for src, tgt, color in graph.edges:
+        try:
+            fault = edge_fault(src, tgt, color)
+        except ValueError as err:
+            out.append(f"operators refuse {edge(src, tgt, color)}: {err}")
+            continue
+        if fault:
+            out.append(f"{fault} {edge(src, tgt, color)}")
     outgoing = {(src, color) for src, _, color in graph.edges}
     nodes = set(graph.nodes)
     for z in graph.nodes:

@@ -960,23 +960,31 @@ class TestCrystalGraph:
         assert code == 2
         assert out == ""
 
-    def test_verify_reports_a_refusing_node(self, capsys, tmp_path):
-        # epsilon is 3 at this node, and f refuses it: a violation, not a skip
-        node = line_label(P1, -1, 0, 0, 3)
+    @pytest.mark.parametrize("with_edge", [False, True], ids=["node", "edge"])
+    def test_verify_reports_operator_refusals(self, capsys, tmp_path, with_edge):
+        # epsilon is 3 at the first node and f refuses it; epsilon is 2 at the
+        # second and f refuses it too: violations, not skips or exit 2
+        nodes = [line_label(P1, -1, 0, 0, 3)] + [line_label(P1, 0, 0, 3)] * with_edge
         color = cat.LineBundle(P1.normalize([0, 0, 0], l=-1))
         path = tmp_path / "g.json"
         path.write_text(json.dumps({
             "weights": [1, 1, 1],
-            "nodes": [comp.label_to_json(P1, node)],
-            "edges": [],
+            "nodes": [comp.label_to_json(P1, z) for z in nodes],
+            "edges": [{"source": 0, "target": 1, "color": cat.label_to_json(color)}]
+            * with_edge,
             "colors": [cat.label_to_json(color)],
         }))
         code, out, _ = run(capsys, ["crystal", "verify", "--graph", str(path)])
         assert code == 3
-        assert json.loads(out)["violations"] == [
-            "operators refuse (O(-1c) + O(0c) + O(0c) + O(3c)) [O(-1c)]: "
-            "unsupported component family"
-        ]
+        refusal = ": unsupported component family"
+        want = ["operators refuse (O(-1c) + O(0c) + O(0c) + O(3c)) [O(-1c)]" + refusal]
+        if with_edge:
+            want = [
+                "operators refuse (O(-1c) + O(0c) + O(0c) + O(3c)) -> "
+                "(O(0c) + O(0c) + O(3c)) [O(-1c)]" + refusal,
+                "operators refuse (O(0c) + O(0c) + O(3c)) [O(-1c)]" + refusal,
+            ]
+        assert json.loads(out)["violations"] == want
 
     def test_verify_round_trip_and_corruption(self, capsys, tmp_path):
         d = run_json(
