@@ -964,14 +964,16 @@ class TestCrystalGraph:
     def test_verify_reports_operator_refusals(self, capsys, tmp_path, with_edge):
         # epsilon is 3 at the first node and f refuses it; epsilon is 2 at the
         # second and f refuses it too: violations, not skips or exit 2
-        nodes = [line_label(P1, -1, 0, 0, 3)] + [line_label(P1, 0, 0, 3)] * with_edge
         color = cat.LineBundle(P1.normalize([0, 0, 0], l=-1))
+        nodes, edges = [line_label(P1, -1, 0, 0, 3)], []
+        if with_edge:
+            nodes.append(line_label(P1, 0, 0, 3))
+            edges.append({"source": 0, "target": 1, "color": cat.label_to_json(color)})
         path = tmp_path / "g.json"
         path.write_text(json.dumps({
             "weights": [1, 1, 1],
             "nodes": [comp.label_to_json(P1, z) for z in nodes],
-            "edges": [{"source": 0, "target": 1, "color": cat.label_to_json(color)}]
-            * with_edge,
+            "edges": edges,
             "colors": [cat.label_to_json(color)],
         }))
         code, out, _ = run(capsys, ["crystal", "verify", "--graph", str(path)])
