@@ -421,6 +421,70 @@ class TestP1QueriesPin:
         assert digest == P1_QUERIES_SHA256
 
 
+def outcome(op, *args):
+    """The operator's answer, or ``"<class>: <message>"`` for a raise."""
+    try:
+        return op(*args)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def composed(curve, z, color, k):
+    """``f`` (``k = -1``) and ``e`` (``k = 1``) by their definition
+    ``e_s(f_max(z), epsilon + k)``, with ``None`` when ``epsilon + k < 0``."""
+    s = cr.epsilon(curve, z, color)
+    if s + k < 0:
+        return None
+    return cr.e_s(curve, cr.f_max(curve, z, color), color, s + k)
+
+
+@st.composite
+def torsion_cases(draw):
+    """A label with an aperiodic multisegment at the point of weight p = 2-4,
+    and a colour of length 1-3 there (length >= p is refused as non-rigid)."""
+    p = draw(st.integers(2, 4))
+    curve = WeightData((p, 1, 1))
+    dims = draw(st.lists(st.integers(0, 2), min_size=p, max_size=p))
+    m = draw(st.sampled_from(comp.aperiodic_multisegments(curve, 0, dims) or (ms(curve),)))
+    bundle = [lb(curve, 0)] if draw(st.booleans()) else []
+    z = comp.component_label(curve, bundle, (), [m] if m.pairs else [])
+    return curve, z, cat.ExcTorsion(0, draw(st.integers(0, p - 1)), draw(st.integers(1, 3)))
+
+
+class TestStepsFollowTheirDefinition:
+    """``f`` and ``e`` answer and refuse as ``e_s(f_max(z), epsilon -/+ 1)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(torsion_cases(), st.sampled_from([(cr.f, -1), (cr.e, 1)]))
+    def test_torsion_labels(self, case, step):
+        curve, z, color = case
+        op, k = step
+        assert outcome(op, curve, z, color) == outcome(composed, curve, z, color, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-2, 3), min_size=1, max_size=4),
+        st.integers(0, 3),
+        st.integers(-2, 2),
+        st.sampled_from([(cr.f, -1), (cr.e, 1)]),
+    )
+    def test_grid_labels(self, degs, points, a, step):
+        z, op, k = gl(degs, (1,) * points), *step
+        assert outcome(op, P1, z, O(a)) == outcome(composed, P1, z, O(a), k)
+
+    def test_p1_queries(self):
+        # every f and e query of the pinned workload, its 56 raises included
+        bench = perfbench_workloads()
+        raises = Counter()
+        for op, z, color in bench.p1_queries(2000):
+            if op in ("f", "e"):
+                want = outcome(composed, bench.P1, z, color, -1 if op == "f" else 1)
+                assert outcome(getattr(cr, op), bench.P1, z, color) == want
+                if isinstance(want, str):
+                    raises[op, want] += 1
+        assert raises == {key: n for key, n in P1_QUERIES_RAISES.items() if key[0] != "f_max"}
+
+
 # ---------------------------------------------------------------------------
 # multisegment engine
 # ---------------------------------------------------------------------------
