@@ -7,21 +7,23 @@ on :class:`~loopcrystal.components.ComponentLabel` values:
   of a Higgs field on the component ``Z``;
 * ``f_max(Z, I)`` — the label of the generic quotient by all those copies;
 * ``e_s(Zp, I, s)`` — the inverse of ``f_max``;
-* ``f``, ``e`` — the single-step operators derived from the two above;
+* ``f``, ``e`` — the single steps ``e_s(f_max(Z, I), I, epsilon(Z, I) -/+ 1)``;
 * ``phi(Z, I) = epsilon(Z, I) + <[I], wt(Z)>`` through the Euler form.
 
-Two color families carry computable rules, and :func:`_dispatch` is the one
-place that picks a family and returns its rules.  Exceptional-torsion colors
-act on the multisegment at their point (bundle and ordinary parts are inert
-since torsion admits no maps to bundles): length-1 colors through Kashiwara's
+Two color families carry computable rules.  :func:`_dispatch` is the one
+place that picks a family: it reads the state a color acts on out of the
+label and returns the family's rules, which map states to states, so each
+operator call writes one label.  Exceptional-torsion colors act on the
+multisegment at their point (bundle and ordinary parts are inert since
+torsion admits no maps to bundles): length-1 colors through Kashiwara's
 signature rule (:func:`_signature`), longer serial colors through the
-randomized oracle module and an inversion table for ``e_s``.
-Line-bundle colors act on labels whose bundle part is a multiset of
-c-multiples ``O(d*c)`` with no exceptional torsion present; kernel degrees
-follow one closed rule on the section counts of the kernel (see
-:func:`_kernel_degrees`), and generic quotients follow an interlacing rule
-on the degrees plus a raise-and-scatter rule on the ordinary partition.
-Anything else refuses loudly rather than guessing.
+randomized oracle module and an inversion table for ``e_s``.  Line-bundle
+colors act on the degrees and the ordinary partition of labels whose bundle
+part is a multiset of c-multiples ``O(d*c)`` with no exceptional torsion
+present; kernel degrees follow one closed rule on the section counts of the
+kernel (see :func:`_kernel_degrees`), and generic quotients follow an
+interlacing rule on the degrees plus a raise-and-scatter rule on the ordinary
+partition.  Anything else refuses loudly rather than guessing.
 
 ``build_graph`` closes a seed set under ``e``/``f`` inside a weight budget,
 ``verify_axioms`` replays the structural identities on every node and edge,
@@ -63,22 +65,23 @@ def _check_color(curve: WeightData, color) -> None:
 
 
 def _dispatch(curve: WeightData, z: ComponentLabel, color):
-    """The rules ``(eps, fmax, es, hom)`` of the colour's family, each taking
-    ``(curve, z, color)``, plus the copy count for ``fmax`` and ``es``."""
+    """The state of ``z`` that the colour acts on, and the family's rules
+    ``(eps, fmax, es, hom, label)`` on it: ``fmax`` and ``es`` map a state and
+    a copy count to a state, which ``label(curve, z, state)`` writes back."""
     _check_color(curve, color)
     if isinstance(z.bundle, HNTree):
         raise ValueError(UNSUPPORTED)
     if isinstance(color, cat.ExcTorsion):
         if color.l == 1:
-            return _bra_eps, _bra_fmax, _bra_es, _exc_hom
-        return _exc_eps, _exc_fmax, _exc_es, _exc_hom
+            return _ms_at(z, color.i), (_bra_eps, _bra_fmax, _bra_es, _exc_hom, _with_ms)
+        return _ms_at(z, color.i), (_exc_eps, _exc_fmax, _exc_es, _exc_hom, _with_ms)
     if isinstance(color, cat.LineBundle):
         if any(color.x.residues) or z.exceptional:
             raise ValueError(UNSUPPORTED)
         for lab in z.bundle:
             if not isinstance(lab, cat.LineBundle) or any(lab.x.residues):
                 raise ValueError(UNSUPPORTED)
-        return _grid_eps, _grid_fmax, _grid_es, _grid_hom
+        return _grid_parts(z), (_grid_eps, _grid_fmax, _grid_es, _grid_hom, _grid_label)
     raise ValueError(UNSUPPORTED)
 
 
@@ -125,23 +128,23 @@ def _signature(p: int, segments: list[tuple[int, int]], v: int):
     return left, stack
 
 
-def _bra_eps(curve: WeightData, z: ComponentLabel, color) -> int:
-    left, _ = _signature(curve.weights[color.i], _ms_at(z, color.i).segments(), color.j)
+def _bra_eps(curve: WeightData, m: Multisegment, color) -> int:
+    left, _ = _signature(curve.weights[color.i], m.segments(), color.j)
     return len(left)
 
 
-def _bra_fmax(curve: WeightData, z: ComponentLabel, color, s: int) -> ComponentLabel:
-    segments = _ms_at(z, color.i).segments()
+def _bra_fmax(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment:
+    segments = m.segments()
     for idx in _signature(curve.weights[color.i], segments, color.j)[0]:
         head, length = segments[idx]
         segments[idx] = (head, length - 1)
     kept = [seg for seg in segments if seg[1]]
-    return _with_ms(curve, z, comp.multisegment(curve, color.i, kept))
+    return comp.multisegment(curve, color.i, kept)
 
 
-def _bra_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
+def _bra_es(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment:
     p, v = curve.weights[color.i], color.j
-    segments = _ms_at(zp, color.i).segments()
+    segments = m.segments()
     if _signature(p, segments, v)[0]:
         raise ValueError("no preimage found")  # f_max always lands at epsilon 0
     for _ in range(s):
@@ -151,7 +154,7 @@ def _bra_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLa
             segments[stack[0]] = (head, length + 1)
         else:
             segments.append((v, 1))
-    return _with_ms(curve, zp, comp.multisegment(curve, color.i, segments))
+    return comp.multisegment(curve, color.i, segments)
 
 
 # Sampled generic kernel type of ``m`` (one draw); one entry per multisegment
@@ -201,17 +204,15 @@ def _ms_inverse(
     return table
 
 
-def _exc_eps(curve: WeightData, z: ComponentLabel, color) -> int:
-    return _ms_eps(curve, _ms_at(z, color.i), color.j, color.l)
+def _exc_eps(curve: WeightData, m: Multisegment, color) -> int:
+    return _ms_eps(curve, m, color.j, color.l)
 
 
-def _exc_fmax(curve: WeightData, z: ComponentLabel, color, s: int) -> ComponentLabel:
-    m = _ms_fmax(curve, _ms_at(z, color.i), color.j, color.l, s)
-    return _with_ms(curve, z, m)
+def _exc_fmax(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment:
+    return _ms_fmax(curve, m, color.j, color.l, s)
 
 
-def _exc_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
-    target = _ms_at(zp, color.i)
+def _exc_es(curve: WeightData, target: Multisegment, color, s: int) -> Multisegment:
     cov = comp.segment_coverage(curve.weights[color.i], color.j, color.l)
     dims = tuple(d + s * c for d, c in zip(comp.dim_vector(curve, target), cov))
     table = _ms_inverse(curve, color.i, dims, color.j, color.l, s)
@@ -219,11 +220,10 @@ def _exc_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLa
         raise ValueError("no preimage found")
     if table[target] is None:
         raise ValueError("ambiguous preimage")
-    return _with_ms(curve, zp, table[target])
+    return table[target]
 
 
-def _exc_hom(curve: WeightData, z: ComponentLabel, color) -> int:
-    m = _ms_at(z, color.i)
+def _exc_hom(curve: WeightData, m: Multisegment, color) -> int:
     if m.is_empty():
         return 0
     return sum(
@@ -244,11 +244,9 @@ def _line_color(curve: WeightData, d: int) -> cat.LineBundle:
     return cat.LineBundle(curve.normalize([0] * curve.n, l=d))
 
 
-def _grid_label(
-    curve: WeightData, degs: Iterable[int], nu: Iterable[int]
-) -> ComponentLabel:
-    bundle = [_line_color(curve, d) for d in degs]
-    return comp.component_label(curve, bundle, nu, ())
+def _grid_label(curve: WeightData, z: ComponentLabel, state) -> ComponentLabel:
+    degs, nu = state
+    return comp.component_label(curve, [_line_color(curve, d) for d in degs], nu, ())
 
 
 # One entry per shape up to twist (normalised to minimum degree 0), so
@@ -264,12 +262,8 @@ def _twist_kernel(shape: tuple[int, ...]) -> tuple[int, ...]:
         )
 
     rank = max(sum(d <= b <= d + 1 for b in shape) for d in shape)
-    found = ()
-    a = shape[0]
-    while len(found) < rank:
-        found += (a,) * (hom(a) - hom(a + 1) - len(found))
-        a -= 1
-    return found
+    floor = -len(shape) * (shape[0] + 2) - 2  # p1_kernel_profile's window
+    return oracle._splitting_scan(hom, rank, shape[0], floor, "kernel rule")[0]
 
 
 def _kernel_degrees(curve: WeightData, degs: tuple[int, ...]) -> tuple[int, ...]:
@@ -323,17 +317,13 @@ def _decremented(
     return entries
 
 
-def _state_eps(curve: WeightData, degs, nu, a: int) -> int:
-    return sum(1 for e in _decremented(curve, degs, nu) if e[0] >= a)
+def _grid_eps(curve: WeightData, state, color) -> int:
+    return sum(1 for e in _decremented(curve, *state) if e[0] >= color.x.l)
 
 
-def _grid_eps(curve: WeightData, z: ComponentLabel, color) -> int:
-    return _state_eps(curve, *_grid_parts(z), color.x.l)
-
-
-def _grid_hom(curve: WeightData, z: ComponentLabel, color) -> int:
+def _grid_hom(curve: WeightData, state, color) -> int:
     a = color.x.l
-    entries = _decremented(curve, *_grid_parts(z))
+    entries = _decremented(curve, *state)
     return sum(max(0, e[1] - a + 1 - len(e[2])) for e in entries)
 
 
@@ -389,15 +379,15 @@ def _grid_ftilde(curve: WeightData, degs, nu, a: int):
     )
 
 
-def _grid_fmax(curve: WeightData, z: ComponentLabel, color, s: int) -> ComponentLabel:
-    degs, nu = _grid_parts(z)
+def _grid_fmax(curve: WeightData, state, color, s: int):
+    degs, nu = state
     a = color.x.l
     for step in range(s):
         degs, nu = _grid_ftilde(curve, degs, nu, a)
-        if _state_eps(curve, degs, nu, a) != s - step - 1:
+        if _grid_eps(curve, (degs, nu), color) != s - step - 1:
             # a step that does not lower epsilon by exactly one: outside the grid rules
             raise ValueError(UNSUPPORTED)
-    return _grid_label(curve, degs, nu)
+    return degs, nu
 
 
 def _submultisets(counts: Counter):
@@ -449,13 +439,12 @@ def _step_candidates(degs, nu, a: int):
             yield tuple(sorted(rest + list(parts), reverse=True)), nu
 
 
-def _grid_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
-    """The label with ``epsilon = s`` whose ``f_max`` is ``zp``: step ``k``
+def _grid_es(curve: WeightData, start, color, s: int):
+    """The state with ``epsilon = s`` whose ``f_max`` is ``start``: step ``k``
     keeps the candidates with epsilon ``k`` that one quotient step takes into
     the frontier of step ``k - 1``."""
     a = color.x.l
-    start = _grid_parts(zp)
-    if _state_eps(curve, *start, a):
+    if _grid_eps(curve, start, color):
         raise ValueError("no preimage found")  # f_max always lands at epsilon 0
     frontier = {start}
     skipped = False
@@ -465,7 +454,7 @@ def _grid_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentL
             for degs, nu in _step_candidates(*target, a):
                 try:
                     if (_grid_ftilde(curve, degs, nu, a) == target
-                            and _state_eps(curve, degs, nu, a) == step):
+                            and _grid_eps(curve, (degs, nu), color) == step):
                         grown.add((degs, nu))
                 except ValueError as err:
                     if str(err) != UNSUPPORTED:
@@ -476,7 +465,7 @@ def _grid_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentL
         raise ValueError(UNSUPPORTED if skipped else "no preimage found")
     if len(frontier) > 1:
         raise ValueError("ambiguous preimage")
-    return _grid_label(curve, *frontier.pop())
+    return frontier.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +475,8 @@ def _grid_es(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentL
 def epsilon(curve: WeightData, z: ComponentLabel, color) -> int:
     """Generic number of copies of the color inside the kernel of the Higgs
     field on ``z`` (the number of times ``f`` applies)."""
-    eps, _, _, _ = _dispatch(curve, z, color)
-    return eps(curve, z, color)
+    state, (eps, _, _, _, _) = _dispatch(curve, z, color)
+    return eps(curve, state, color)
 
 
 def phi(curve: WeightData, z: ComponentLabel, color) -> int:
@@ -502,14 +491,14 @@ def hom_into_kernel(curve: WeightData, z: ComponentLabel, color) -> int:
     For torsion colors the kernel type is sampled; for grid colors it is the
     section count of the decremented kernel summands.
     """
-    _, _, _, hom = _dispatch(curve, z, color)
-    return hom(curve, z, color)
+    state, (_, _, _, hom, _) = _dispatch(curve, z, color)
+    return hom(curve, state, color)
 
 
 def f_max(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
     """Label of the generic quotient of ``z`` by all kernel copies of the color."""
-    eps, fmax, _, _ = _dispatch(curve, z, color)
-    return fmax(curve, z, color, eps(curve, z, color))
+    state, (eps, fmax, _, _, label) = _dispatch(curve, z, color)
+    return label(curve, z, fmax(curve, state, color, eps(curve, state, color)))
 
 
 def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
@@ -524,24 +513,35 @@ def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
     """
     if s < 0:
         raise ValueError("negative copy count")
-    _, _, es, _ = _dispatch(curve, zp, color)
+    state, (_, _, es, _, label) = _dispatch(curve, zp, color)
     if s == 0:
         return zp
-    return es(curve, zp, color, s)
+    return label(curve, zp, es(curve, state, color, s))
+
+
+def _step(curve: WeightData, z: ComponentLabel, color, k: int) -> ComponentLabel | None:
+    """``e_s(f_max(z), epsilon + k)``, or ``None`` when ``epsilon + k < 0``:
+    ``f`` at ``k = -1``, ``e`` at ``k = 1``.  ``f_max`` is the identity at
+    epsilon 0, so it is skipped there and leaves no memo entry."""
+    state, (eps, fmax, es, _, label) = _dispatch(curve, z, color)
+    s = eps(curve, state, color)
+    if s + k < 0:
+        return None
+    if s:
+        state = fmax(curve, state, color, s)
+    if s + k:
+        state = es(curve, state, color, s + k)
+    return label(curve, z, state)
 
 
 def f(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel | None:
     """Single lowering step; ``None`` encodes the crystal zero (at epsilon 0)."""
-    s = epsilon(curve, z, color)
-    if s == 0:
-        return None
-    return e_s(curve, f_max(curve, z, color), color, s - 1)
+    return _step(curve, z, color, -1)
 
 
 def e(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
     """Single raising step (always defined)."""
-    s = epsilon(curve, z, color)
-    return e_s(curve, f_max(curve, z, color), color, s + 1)
+    return _step(curve, z, color, 1)
 
 
 def clear_memos() -> None:
@@ -786,8 +786,7 @@ def connectivity_path(curve: WeightData, z: ComponentLabel) -> list[tuple[str, o
         if vertex is None:
             raise AssertionError("aperiodic multisegment with no removable vertex")
         step("f", cat.exc_torsion(curve, m.i, vertex, 1))
-    _dispatch(curve, cur, _line_color(curve, 0))
-    degs, nu = _grid_parts(cur)
+    (degs, nu), _ = _dispatch(curve, cur, _line_color(curve, 0))
     if degs != tuple(range(2 * len(degs) - 2, -1, -2)):
         raise ValueError(UNSUPPORTED)  # not an even ladder
     while degs:

@@ -559,6 +559,17 @@ class TestMultisegmentQuotients:
         for memo in (cr._ms_inverse, cr._ms_fmax, cr._ms_kernel_type):
             assert memo.cache_info().currsize == 0
 
+    def test_raising_at_epsilon_zero_stores_no_quotient(self):
+        # f_max is the identity at epsilon 0, so e leaves it out; the first
+        # call builds the inversion table, whose candidates do fill the memo
+        z, c = tl(W3, (0, 2)), S(W3, 1, 2)
+        cr.clear_memos()
+        assert cr.epsilon(W3, z, c) == 0
+        up = cr.e(W3, z, c)
+        cr._ms_fmax.cache_clear()
+        assert cr.e(W3, z, c) == up
+        assert cr._ms_fmax.cache_info().currsize == 0
+
     def test_raising_from_empty(self):
         assert cr.e(W2, E, S(W2, 0)) == tl(W2, (0, 1))
         two = cr.e(W2, tl(W2, (0, 1)), S(W2, 0))
@@ -1176,6 +1187,29 @@ class TestVerifyAxioms:
                 assert lhs == rhs
                 wt = comp.weight(P1, z)
                 assert lhs == -kt.euler_form(P1, wt, wt)
+
+
+class TestWorkCounts:
+    def test_one_dispatch_and_one_label_per_operator_call(self, monkeypatch):
+        # criterion 05's (3,1,1) build and check; each f and e used to make
+        # three dispatches and two label writes (38,106 and 13,044 here)
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cr, "_dispatch", counted("dispatch", cr._dispatch))
+        monkeypatch.setattr(comp, "component_label", counted("label", comp.component_label))
+        colors = [S(W3, j, l) for l in (1, 2) for j in range(3)]
+        cr.clear_memos()
+        graph = cr.build_graph(W3, [E], colors, cr.Budget(max_delta=3))
+        assert cr.verify_axioms(graph) == []
+        assert len(graph.nodes) == 862
+        assert counts["dispatch"] <= 22_242, counts
+        assert counts["label"] <= 7_932, counts
 
 
 class TestGraphExport:
