@@ -851,6 +851,29 @@ class TestCrystalGraph:
             "e5da6139443535ec3dd9e09b1c2cfa87b466121459f49b6e5a7c9c2d9f7b4dc7"
         )
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--colors", "O", "O(1)", "O(-1)", "--max-rank", "3", "--max-deg", "3",
+                 "--max-nodes", "10"],
+                "e4061edac1c1e49be4862682201d1eaba18855448d27d3d0e63aacf6d41f384f",
+            ),
+            (
+                ["--weights", "3,1,1", "--colors", "S[1,0](1)", "S[1,1](2)",
+                 "--max-delta", "3", "--max-nodes", "40"],
+                "18124933e18278f05f5e803ea3b56ce66482c7be09de777ce4586e38cf0fc0bc",
+            ),
+        ],
+        ids=["line-cut-at-10", "torsion-capped-at-40"],
+    )
+    def test_capped_graph_stdout_pinned(self, capsys, argv, digest):
+        # the node cap stops the line search part way (12 nodes, incomplete);
+        # the torsion search ends under its cap (16 nodes): byte for byte
+        code, out, err = run(capsys, ["crystal", "graph", "--seeds", "empty", *argv])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_verify_clean_graph(self, capsys):
         code, out, _ = run(
             capsys,

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import perfbench_workloads
 from counting_oracle import kostant_partition_count
+from loopcrystal import _linalg
 from loopcrystal import catalog as cat
 from loopcrystal import components as comp
 from loopcrystal import crystal as cr
@@ -980,6 +981,14 @@ def complete_torsion_graph(curve=W2, bound=3):
     return torsion_graph(curve, bound)
 
 
+#: colour classes on (3,1,1) for the budget tests: line bundles of rank 1
+#: and degree 0 or not, rank-0 torsion classes and the ordinary-point class;
+#: scaled by -2..2 they give zero rows and proportional rows too
+BUDGET_CLASSES = [
+    cat.class_of(W3, c) for c in (lb(W3, 0), lb(W3, -1), lb(W3, 2), S(W3, 0), S(W3, 1, 2))
+] + [kt.delta_class(W3)]
+
+
 class TestBuildGraph:
     def test_no_colors(self):
         g = cr.build_graph(P1, [E], [], cr.Budget())
@@ -1023,6 +1032,31 @@ class TestBuildGraph:
     def test_unending_raising_chain_rejected(self, curve, color, budget):
         with pytest.raises(ValueError, match="no budget bound stops raising"):
             cr.build_graph(curve, [E], [color], budget)
+
+    @pytest.mark.parametrize(
+        "fields", list(itertools.product((None, 2), repeat=4)),
+        ids=lambda fields: "".join("-" if v is None else "x" for v in fields),
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        classes=st.lists(
+            st.builds(kt.scale, st.integers(-2, 2), st.sampled_from(BUDGET_CLASSES)),
+            max_size=4,
+        )
+    )
+    def test_stops_raising_matches_q_rank(self, fields, classes):
+        # the reference: the rows (rank, degree) have the same rank over Q
+        # as their columns that a set field keeps
+        budget = cr.Budget(*fields)
+        want = True
+        if budget.max_nodes is None and budget.max_delta is None:
+            rows = [[a.r, kt.degree_d(W3, a)] for a in classes]
+            kept = [
+                [x for x, b in zip(row, (budget.max_rank, budget.max_deg)) if b is not None]
+                for row in rows
+            ]
+            want = _linalg.rank_mod(rows, None) == _linalg.rank_mod(kept, None)
+        assert budget.stops_raising(W3, classes) == want
 
     def test_negative_node_cap_rejected(self):
         with pytest.raises(ValueError, match="max_nodes"):
