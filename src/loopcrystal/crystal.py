@@ -38,7 +38,7 @@ from collections import Counter, deque
 from collections.abc import Iterable
 from functools import cache, lru_cache, partial
 
-from . import _linalg, catalog as cat, components as comp, ktheory as kt, oracle
+from . import catalog as cat, components as comp, ktheory as kt, oracle
 from .components import ComponentLabel, HNTree, Multisegment
 from .starlattice import Record, WeightData
 
@@ -262,8 +262,7 @@ def _twist_kernel(shape: tuple[int, ...]) -> tuple[int, ...]:
         )
 
     rank = max(sum(d <= b <= d + 1 for b in shape) for d in shape)
-    floor = -len(shape) * (shape[0] + 2) - 2  # p1_kernel_profile's window
-    return oracle._splitting_scan(hom, rank, shape[0], floor, "kernel rule")[0]
+    return oracle._kernel_scan(hom, rank, shape, "kernel rule")[0]
 
 
 def _kernel_degrees(curve: WeightData, degs: tuple[int, ...]) -> tuple[int, ...]:
@@ -598,15 +597,22 @@ class Budget(Record):
         two fields bound only the rank and the degree, so a combination that
         leaves the set fields unchanged must leave the rank and the degree
         unchanged too: the rows ``(rank, degree)`` of the classes have the
-        same rank over Q as their columns that a set field keeps.  For one
-        (nonzero) class this says that a set field changes it.
+        same rank over Q as their columns that a set field keeps.  With two
+        columns that rank is closed: a nonzero 2x2 minor makes it 2, which
+        only both columns keep; otherwise the rows are proportional, and a
+        kept column keeps their rank when it has a nonzero entry or every row
+        is zero.  For one (nonzero) class this says that a set field changes
+        it.
         """
         if self.max_nodes is not None or self.max_delta is not None:
             return True
         bounds = (self.max_rank, self.max_deg)
-        rows = [[a.r, kt.degree_d(curve, a)] for a in classes]
-        kept = [[x for x, b in zip(row, bounds) if b is not None] for row in rows]
-        return _linalg.rank_mod(rows, None) == _linalg.rank_mod(kept, None)
+        rows = [(a.r, kt.degree_d(curve, a)) for a in classes]
+        if any(r * d2 != d * r2 for (r, d), (r2, d2) in itertools.combinations(rows, 2)):
+            return None not in bounds
+        return not any(map(any, rows)) or any(
+            x for row in rows for x, b in zip(row, bounds) if b is not None
+        )
 
 
 class CrystalGraph(Record):
@@ -633,6 +639,11 @@ def build_graph(
     window are simply not added.  Output ordering is deterministic (canonical
     sort of nodes, edges, colors) regardless of exploration order.
 
+    Only the seeds' weights are computed: every other node carries its
+    weight along the edge that found it, its parent's weight minus (``f``)
+    or plus (``e``) the colour's class.  The budget is tested once per
+    weight, and ``e`` is called only when its weight is in the window.
+
     Raises ``ValueError`` for a negative ``max_nodes``, and for colours
     whose walks the budget never ends (:meth:`Budget.stops_raising`): ``e``
     always applies and adds the colour's class, so a search along such a
@@ -643,9 +654,11 @@ def build_graph(
     color_list = sorted(colors, key=repr)
     for color in color_list:
         _check_color(curve, color)
-    seed_list = sorted(set(seeds), key=repr)
-    for z in seed_list:
-        if not budget.admits(curve, comp.weight(curve, z)):
+    # each weight's budget test once
+    admits = cache(partial(budget.admits, curve))
+    seed_list = [(z, comp.weight(curve, z)) for z in sorted(set(seeds), key=repr)]
+    for _, wt in seed_list:
+        if not admits(wt):
             raise ValueError("seed outside the budget window")
     classes = [cat.class_of(curve, c) for c in color_list]
     if not budget.stops_raising(curve, classes):
@@ -654,31 +667,30 @@ def build_graph(
             f"no budget bound stops raising by {labels}: set max_nodes or "
             "max_delta, or a max_rank or max_deg that every combination changes"
         )
-    nodes: set[ComponentLabel] = set(seed_list)
+    nodes: set[ComponentLabel] = {z for z, _ in seed_list}
     edges: set[tuple] = set()
-    queue = deque(seed_list)
+    queue = deque(seed_list)  # (node, weight) pairs
     complete = True
+
+    def reach(node, wt, edge):
+        edges.add(edge)
+        if node not in nodes:
+            nodes.add(node)
+            queue.append((node, wt))
+
     while queue:
         if budget.max_nodes is not None and len(nodes) > budget.max_nodes:
             complete = False
             break
-        z = queue.popleft()
-        wt_z = comp.weight(curve, z)
+        z, wt_z = queue.popleft()
         for color, cls in zip(color_list, classes):
-            s = epsilon(curve, z, color)
-            if s > 0:
-                down = f(curve, z, color)
-                if budget.admits(curve, kt.sub(wt_z, cls)):
-                    edges.add((z, down, color))
-                    if down not in nodes:
-                        nodes.add(down)
-                        queue.append(down)
-            if budget.admits(curve, kt.add(wt_z, cls)):
+            down, wt_down = f(curve, z, color), kt.sub(wt_z, cls)
+            if down is not None and admits(wt_down):
+                reach(down, wt_down, (z, down, color))
+            wt_up = kt.add(wt_z, cls)
+            if admits(wt_up):
                 up = e(curve, z, color)
-                edges.add((up, z, color))
-                if up not in nodes:
-                    nodes.add(up)
-                    queue.append(up)
+                reach(up, wt_up, (up, z, color))
     return CrystalGraph(
         curve,
         tuple(sorted(nodes, key=repr)),
@@ -702,11 +714,16 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
     top of the window.  An edge or node where an operator refuses is a
     violation too.  Returns the list of violations (empty = pass); each
     offending edge is reported once.
+
+    Epsilon is read once per node and colour, shared by the edge and node
+    checks; a refusal is not kept, so it raises again with the same text.
     """
     curve = graph.curve
     out: list[str] = []
-    # each node's weight and each color's class and name, once
+    # each node's weight, each node and colour's epsilon, and each colour's
+    # class and name, once
     weight = cache(partial(comp.weight, curve))
+    eps = cache(partial(epsilon, curve))
     cls = cache(partial(cat.class_of, curve))
     cname = cache(partial(cat.format_label, curve))
     name = partial(comp.format_label, curve)
@@ -717,7 +734,7 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
     def edge_fault(src, tgt, color):
         if weight(tgt) != kt.sub(weight(src), cls(color)):
             return "weight shift violated on"
-        if epsilon(curve, src, color) != epsilon(curve, tgt, color) + 1:
+        if eps(src, color) != eps(tgt, color) + 1:
             return "epsilon step violated on"
         if f(curve, src, color) != tgt:
             return "f does not follow the edge"
@@ -738,7 +755,7 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
     for z in graph.nodes:
         for color in graph.colors:
             try:
-                eps_val = epsilon(curve, z, color)
+                eps_val = eps(z, color)
                 down = None
                 if eps_val and (z, color) not in outgoing and graph.complete:
                     down = f(curve, z, color)

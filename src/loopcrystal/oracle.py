@@ -589,25 +589,28 @@ def _splitting_scan(hom, rank: int, a_hi: int, floor: int, what: str):
     raise AssertionError(f"{what} profile did not stabilize inside the window")
 
 
+def _kernel_scan(hom, rank: int, degs, what: str):
+    """:func:`_splitting_scan` of a rank-``rank`` Higgs kernel on ``V = O(d1)
+    + ... + O(dn)`` for ``degs = (d1, ..., dn)``, from the top degree down."""
+    # saturating the kernel can dig far below the summand degrees when the
+    # degree spread is wide (the kernel generator of an r x (r+1) block of
+    # forms has degree minus the sum of the form degrees), so scale the
+    # scan window with the spread
+    n, low = len(degs), min(degs)
+    floor = low - n * (max(degs) - low) - 2 * n - 2
+    return _splitting_scan(hom, rank, max(degs), floor, what)
+
+
 def p1_kernel_profile(h: P1Higgs) -> tuple[tuple[int, ...], int]:
     """Splitting degrees of ker f (a saturated, hence torsion-free, subsheaf).
 
     Recovered by differencing the dimension function
     a -> dim Hom(O(a), ker f); the second slot (torsion length) is always 0.
     """
-    n = len(h.degs)
-    r_ker = n - _generic_matrix_rank(h)
+    r_ker = len(h.degs) - _generic_matrix_rank(h)
     if r_ker == 0:
         return ((), 0)
-    # saturating the kernel can dig far below the summand degrees when the
-    # degree spread is wide (the kernel generator of an r x (r+1) block of
-    # forms has degree minus the sum of the form degrees), so scale the
-    # scan window with the spread
-    spread = max(h.degs) - min(h.degs)
-    floor = min(h.degs) - n * spread - 2 * n - 2
-    return _splitting_scan(
-        lambda a: len(_kernel_basis(h, a)), r_ker, max(h.degs), floor, "kernel"
-    )
+    return _kernel_scan(lambda a: len(_kernel_basis(h, a)), r_ker, h.degs, "kernel")
 
 
 def p1_rk_line(h: P1Higgs, a: int) -> int:

@@ -1225,8 +1225,12 @@ class TestVerifyAxioms:
 
 class TestWorkCounts:
     def test_one_dispatch_and_one_label_per_operator_call(self, monkeypatch):
-        # criterion 05's (3,1,1) build and check; each f and e used to make
-        # three dispatches and two label writes (38,106 and 13,044 here)
+        # criterion 05's (3,1,1) build and check.  Each f and e used to make
+        # three dispatches and two label writes (38,106 and 13,044 here).
+        # The search used to compute every node's weight and test the budget
+        # twice per node and colour, call epsilon before f, and the check to
+        # read epsilon once per edge end and again per node and colour
+        # (7,156 budget tests, 1,725 weights, 22,242 dispatches)
         counts = Counter()
 
         def counted(name, fn):
@@ -1237,12 +1241,16 @@ class TestWorkCounts:
 
         monkeypatch.setattr(cr, "_dispatch", counted("dispatch", cr._dispatch))
         monkeypatch.setattr(comp, "component_label", counted("label", comp.component_label))
+        monkeypatch.setattr(comp, "weight", counted("weight", comp.weight))
+        monkeypatch.setattr(cr.Budget, "admits", counted("admits", cr.Budget.admits))
         colors = [S(W3, j, l) for l in (1, 2) for j in range(3)]
         cr.clear_memos()
         graph = cr.build_graph(W3, [E], colors, cr.Budget(max_delta=3))
         assert cr.verify_axioms(graph) == []
         assert len(graph.nodes) == 862
-        assert counts["dispatch"] <= 22_242, counts
+        assert counts["admits"] <= 124, counts
+        assert counts["weight"] <= 863, counts
+        assert counts["dispatch"] <= 16_293, counts
         assert counts["label"] <= 7_932, counts
 
 

@@ -1,0 +1,77 @@
+"""Module layering: each package module imports only the modules below it.
+
+The table is the package's import graph, read with ``ast`` from the source,
+so an import added inside a function counts as well.  ``_linalg`` serves the
+oracle alone; the crystal layer reaches linear algebra only through it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "loopcrystal"
+
+#: the package modules each module may import
+ALLOWED = {
+    "starlattice": set(),
+    "_linalg": set(),
+    "ktheory": {"starlattice"},
+    "catalog": {"ktheory", "starlattice"},
+    "components": {"catalog", "ktheory", "starlattice"},
+    "oracle": {"_linalg", "ktheory", "components", "starlattice"},
+    "crystal": {"catalog", "components", "ktheory", "oracle", "starlattice"},
+    "cli": {"catalog", "components", "crystal", "ktheory", "oracle", "starlattice"},
+    "__init__": {"starlattice"},
+    "__main__": {"cli"},
+}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that the module at ``path`` imports, relatively
+    (``from . import x``, ``from .x import y``) or by the package name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "loopcrystal":
+                continue
+            parts = parts[1:] if node.level == 0 else parts
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "loopcrystal" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_table_names_every_module():
+    assert {path.stem for path in SRC.glob("*.py")} == set(ALLOWED)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_module_imports_only_its_layers(module):
+    extra = package_imports(SRC / f"{module}.py") - ALLOWED[module]
+    assert not extra, f"{module} imports {sorted(extra)}"
+
+
+def test_reader_sees_every_import_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import os\n"
+        "import loopcrystal.oracle\n"
+        "from loopcrystal import crystal as cr\n"
+        "from loopcrystal.ktheory import KClass\n"
+        "from . import _linalg, catalog as cat\n"
+        "from .components import Multisegment\n"
+        "from collections import deque\n"
+        "def late():\n"
+        "    from .cli import main\n"
+    )
+    assert package_imports(path) == {
+        "oracle", "crystal", "ktheory", "_linalg", "catalog", "components", "cli",
+    }
