@@ -639,10 +639,9 @@ def build_graph(
     window are simply not added.  Output ordering is deterministic (canonical
     sort of nodes, edges, colors) regardless of exploration order.
 
-    Only the seeds' weights are computed: every other node carries its
-    weight along the edge that found it, its parent's weight minus (``f``)
-    or plus (``e``) the colour's class.  The budget is tested once per
-    weight, and ``e`` is called only when its weight is in the window.
+    Each node carries its weight: the seeds' are computed, and a new node's
+    is its parent's minus (``f``) or plus (``e``) the colour's class.  The
+    window is tested once per weight, and ``e`` is called only inside it.
 
     Raises ``ValueError`` for a negative ``max_nodes``, and for colours
     whose walks the budget never ends (:meth:`Budget.stops_raising`): ``e``
@@ -657,9 +656,8 @@ def build_graph(
     # each weight's budget test once
     admits = cache(partial(budget.admits, curve))
     seed_list = [(z, comp.weight(curve, z)) for z in sorted(set(seeds), key=repr)]
-    for _, wt in seed_list:
-        if not admits(wt):
-            raise ValueError("seed outside the budget window")
+    if not all(admits(wt) for _, wt in seed_list):
+        raise ValueError("seed outside the budget window")
     classes = [cat.class_of(curve, c) for c in color_list]
     if not budget.stops_raising(curve, classes):
         labels = ", ".join(cat.format_label(curve, c) for c in color_list)
@@ -715,12 +713,12 @@ def verify_axioms(graph: CrystalGraph) -> list[str]:
     violation too.  Returns the list of violations (empty = pass); each
     offending edge is reported once.
 
-    Epsilon is read once per node and colour, shared by the edge and node
-    checks; a refusal is not kept, so it raises again with the same text.
+    Epsilon is read once per node and colour; a refusal is not kept, so it
+    raises again with the same text.
     """
     curve = graph.curve
     out: list[str] = []
-    # each node's weight, each node and colour's epsilon, and each colour's
+    # each node's weight, each (node, colour)'s epsilon, each colour's
     # class and name, once
     weight = cache(partial(comp.weight, curve))
     eps = cache(partial(epsilon, curve))
