@@ -25,7 +25,9 @@ from __future__ import annotations
 import itertools
 
 from . import ktheory as kt
-from .starlattice import LElement, Record, Shared, WeightData, point_key, point_value
+from .starlattice import (
+    LElement, Record, Shared, WeightData, json_fields, point_key, point_value,
+)
 
 
 class LineBundle(Record, Shared):
@@ -207,33 +209,21 @@ def label_to_json(label: IndecLabel) -> dict:
     raise TypeError(f"not an indecomposable label: {label!r}")
 
 
-def json_fields(data, what: str, **kinds) -> tuple:
-    """Values of the named fields of a JSON object, each of the given type.
-
-    Anything else (not an object, a field missing or of another type) raises
-    ``ValueError``, so a malformed file is refused instead of read as empty.
-    """
-    if type(data) is not dict:
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    for key, kind in kinds.items():
-        if type(data.get(key)) is not kind:
-            raise ValueError(f"{what} needs a {kind.__name__} field {key!r}")
-    return tuple(data[key] for key in kinds)
-
-
 def label_from_json(data: dict, curve: WeightData) -> IndecLabel:
     """Inverse of :func:`label_to_json`; other shapes and labels that
     :func:`validate` refuses raise ``ValueError``."""
     (kind,) = json_fields(data, "sheaf label", kind=str)
     if kind == "line_bundle":
-        label = LineBundle(LElement.from_json(data["x"]))
+        (x,) = json_fields(data, "line bundle label", x=dict)
+        label = LineBundle(LElement.from_json(x))
     elif kind == "exc_torsion":
         i, j, l = json_fields(data, "torsion label", i=int, j=int, l=int)
         label = exc_torsion(curve, i - 1, j, l)
     elif kind == "ord_torsion":
         label = OrdTorsion(*json_fields(data, "torsion label", pt=str, d=int))
     elif kind == "real_bundle":
-        label = RealBundle(kt.KClass.from_json(data["a"], curve))
+        (a,) = json_fields(data, "real bundle label", a=dict)
+        label = RealBundle(kt.KClass.from_json(a, curve))
     else:
         raise ValueError(f"unknown label kind: {kind!r}")
     validate(curve, label)

@@ -271,9 +271,9 @@ def _load_json_file(path: str, what: str, parse):
         raise ValueError(f"{what} file {path!r} is not valid JSON: {err}")
     try:
         return parse(data)
-    except (AttributeError, IndexError, KeyError, TypeError) as err:
-        # a field of the wrong type or a missing one below the top level
-        raise ValueError(f"{what} file {path!r} is malformed: {err!r}") from None
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+        # a reader's refusal, or a shape no reader checks
+        raise ValueError(f"{what} file {path!r} is malformed: {err}") from None
 
 
 def load_component(curve: WeightData, spec: str) -> comp.ComponentLabel:

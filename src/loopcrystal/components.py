@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from . import catalog as cat, ktheory as kt
-from .starlattice import Record, WeightData, json_ints
+from .starlattice import Record, WeightData, json_fields, json_ints
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +88,11 @@ class Multisegment(Record):
 def multisegment(
     curve: WeightData, i: int, segs: Iterable[tuple[int, int]]
 ) -> Multisegment:
-    """Build a multisegment from a list of (head, length) with repetition."""
-    p = curve.weights[i]
-    if p == 1:
+    """Build a multisegment from a list of (head, length) with repetition;
+    the point index ``i`` counts from 0."""
+    if not 0 <= i < curve.n or curve.weights[i] == 1:
         raise ValueError("multisegments live at weighted points")
+    p = curve.weights[i]
     counts: dict[tuple[int, int], int] = {}
     for j, l in segs:
         if l < 1:
@@ -212,16 +213,14 @@ def _aperiodic_multisegments(
 # ---------------------------------------------------------------------------
 
 class HNLeaf(Record):
-    """A semistable leaf of a tubular label.
+    """A semistable leaf of a tubular label, kept as its class.
 
-    ``reduction`` is None for rank > 0 leaves: no line-bundle twist reaches
-    slope infinity, so the leaf stays symbolic ("unreduced").
+    No line-bundle twist takes a rank > 0 leaf to slope infinity, so the
+    leaf stays symbolic ("unreduced" in JSON and display).
     """
 
-    __slots__ = ("cls", "reduction")
-    _defaults = {"reduction": None}
+    __slots__ = ("cls",)
     cls: kt.KClass
-    reduction: None
 
 
 class HNTree(Record):
@@ -269,7 +268,7 @@ def component_label(
         if m.i in seen:
             raise ValueError("at most one multisegment per point")
         seen.add(m.i)
-        if curve.weights[m.i] == 1:
+        if not 0 <= m.i < curve.n or curve.weights[m.i] == 1:
             raise ValueError("multisegments live at weighted points")
         if not is_aperiodic_for(curve, m):
             raise ValueError("multisegment is not aperiodic")
@@ -322,22 +321,20 @@ def label_to_json(curve: WeightData, z: ComponentLabel) -> dict:
 
 def label_from_json(data: dict, curve: WeightData) -> ComponentLabel:
     """Inverse of :func:`label_to_json`; other shapes raise ``ValueError``."""
-    raw_bundle, ordinary, raw_excs = cat.json_fields(
+    raw_bundle, ordinary, raw_excs = json_fields(
         data, "component label", bundle=list, ordinary=list, exceptional=list
     )
     head = raw_bundle[0] if raw_bundle else None
     if type(head) is dict and head.get("kind") == "hn_leaf":
+        classes = [json_fields(item, "hn leaf", **{"class": dict})[0] for item in raw_bundle]
         bundle: BundlePart = HNTree(
-            tuple(
-                HNLeaf(kt.KClass.from_json(item["class"], curve))
-                for item in raw_bundle
-            )
+            tuple(HNLeaf(kt.KClass.from_json(cls, curve)) for cls in classes)
         )
     else:
         bundle = tuple(cat.label_from_json(item, curve) for item in raw_bundle)
     excs = []
     for item in raw_excs:
-        i, raw_segs = cat.json_fields(item, "exceptional part", i=int, segs=list)
+        i, raw_segs = json_fields(item, "exceptional part", i=int, segs=list)
         segs = []
         for raw in raw_segs:
             j, l, a = json_ints(raw, "segment")

@@ -13,7 +13,10 @@ on :class:`~loopcrystal.components.ComponentLabel` values:
 Two color families carry computable rules.  :func:`_dispatch` is the one
 place that picks a family: it reads the state a color acts on out of the
 label and returns the family's rules, which map states to states, so each
-operator call writes one label.  Exceptional-torsion colors act on the
+operator call writes one label.  The operators decide the two rules that
+hold for every color, so no family rule checks them: ``f_max`` is the
+identity at epsilon 0, and ``e_s`` inverts it only on its image, the labels
+with epsilon 0.  Exceptional-torsion colors act on the
 multisegment at their point (bundle and ordinary parts are inert since
 torsion admits no maps to bundles): length-1 colors through Kashiwara's
 signature rule (:func:`_signature`), longer serial colors through the
@@ -40,7 +43,7 @@ from functools import cache, lru_cache, partial
 
 from . import catalog as cat, components as comp, ktheory as kt, oracle
 from .components import ComponentLabel, HNTree, Multisegment
-from .starlattice import Record, WeightData
+from .starlattice import Record, WeightData, json_fields
 
 UNSUPPORTED = "unsupported component family"
 NON_RIGID = "non-rigid operator index"
@@ -145,8 +148,6 @@ def _bra_fmax(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment
 def _bra_es(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment:
     p, v = curve.weights[color.i], color.j
     segments = m.segments()
-    if _signature(p, segments, v)[0]:
-        raise ValueError("no preimage found")  # f_max always lands at epsilon 0
     for _ in range(s):
         _, stack = _signature(p, segments, v)
         if stack:
@@ -167,21 +168,21 @@ def _ms_kernel_type(curve: WeightData, m: Multisegment) -> Multisegment:
     )
 
 
-def _ms_eps(curve: WeightData, m: Multisegment, j: int, l: int) -> int:
+def _exc_eps(curve: WeightData, m: Multisegment, color) -> int:
     if m.is_empty():
         return 0
-    return oracle.rk_embeddings(curve.weights[m.i], _ms_kernel_type(curve, m), j, l)
+    return oracle.rk_embeddings(
+        curve.weights[m.i], _ms_kernel_type(curve, m), color.j, color.l
+    )
 
 
-# One entry per multisegment, color and copy count visited in one CLI command
-# (bounded as above).
+# One entry per multisegment, color and copy count ``s >= 1`` visited in one
+# CLI command (bounded as above): the operators skip ``f_max`` at epsilon 0.
 @lru_cache(maxsize=None)
-def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Multisegment:
-    if s == 0:
-        return m
+def _exc_fmax(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment:
     # the kernel's seed: the copies embed into the kernel of the same pair
     return oracle.quotient_type_sample(
-        curve, m, j, l, s,
+        curve, m, color.j, color.l, s,
         trials=ORACLE_TRIALS,
         seed=f"ker:{m.pairs}",
     )
@@ -194,28 +195,20 @@ def _ms_fmax(curve: WeightData, m: Multisegment, j: int, l: int, s: int) -> Mult
 # candidates of a dimension vector are walked once, not once per target.
 @lru_cache(maxsize=None)
 def _ms_inverse(
-    curve: WeightData, i: int, dims: tuple[int, ...], j: int, l: int, s: int
+    curve: WeightData, dims: tuple[int, ...], color, s: int
 ) -> dict[Multisegment, Multisegment | None]:
     table = {}
-    for cand in comp.aperiodic_multisegments(curve, i, dims):
-        if _ms_eps(curve, cand, j, l) == s:
-            fmax = _ms_fmax(curve, cand, j, l, s)
+    for cand in comp.aperiodic_multisegments(curve, color.i, dims):
+        if _exc_eps(curve, cand, color) == s:
+            fmax = _exc_fmax(curve, cand, color, s)
             table[fmax] = None if fmax in table else cand
     return table
-
-
-def _exc_eps(curve: WeightData, m: Multisegment, color) -> int:
-    return _ms_eps(curve, m, color.j, color.l)
-
-
-def _exc_fmax(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment:
-    return _ms_fmax(curve, m, color.j, color.l, s)
 
 
 def _exc_es(curve: WeightData, target: Multisegment, color, s: int) -> Multisegment:
     cov = comp.segment_coverage(curve.weights[color.i], color.j, color.l)
     dims = tuple(d + s * c for d, c in zip(comp.dim_vector(curve, target), cov))
-    table = _ms_inverse(curve, color.i, dims, color.j, color.l, s)
+    table = _ms_inverse(curve, dims, color, s)
     if target not in table:
         raise ValueError("no preimage found")
     if table[target] is None:
@@ -443,8 +436,6 @@ def _grid_es(curve: WeightData, start, color, s: int):
     keeps the candidates with epsilon ``k`` that one quotient step takes into
     the frontier of step ``k - 1``."""
     a = color.x.l
-    if _grid_eps(curve, start, color):
-        raise ValueError("no preimage found")  # f_max always lands at epsilon 0
     frontier = {start}
     skipped = False
     for step in range(1, s + 1):
@@ -495,33 +486,38 @@ def hom_into_kernel(curve: WeightData, z: ComponentLabel, color) -> int:
 
 
 def f_max(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
-    """Label of the generic quotient of ``z`` by all kernel copies of the color."""
+    """Label of the generic quotient of ``z`` by all kernel copies of the
+    color; ``z`` itself at epsilon 0, where no family rule is called."""
     state, (eps, fmax, _, _, label) = _dispatch(curve, z, color)
-    return label(curve, z, fmax(curve, state, color, eps(curve, state, color)))
+    s = eps(curve, state, color)
+    return label(curve, z, fmax(curve, state, color, s)) if s else z
 
 
 def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
     """The unique label with ``epsilon = s`` whose ``f_max`` is ``zp``.
 
-    Length-1 torsion colors apply the signature rule's ``e`` ``s`` times.
-    Longer serial colors and line-bundle colors search the candidates of the
-    shifted class; zero or multiple matches raise ("no preimage found" /
-    "ambiguous preimage" — both would signal a rule bug, never expected
-    behavior).  Every family refuses a target with ``epsilon > 0`` ("no
-    preimage found"): ``f_max`` always lands at epsilon 0.
+    A target with ``epsilon > 0`` is refused here, for every family ("no
+    preimage found"): ``f_max`` always lands at epsilon 0.  Length-1 torsion
+    colors apply the signature rule's ``e`` ``s`` times.  Longer serial
+    colors and line-bundle colors search the candidates of the shifted
+    class; zero or multiple matches raise ("no preimage found" / "ambiguous
+    preimage" — both would signal a rule bug, never expected behavior).
     """
     if s < 0:
         raise ValueError("negative copy count")
-    state, (_, _, es, _, label) = _dispatch(curve, zp, color)
+    state, (eps, _, es, _, label) = _dispatch(curve, zp, color)
     if s == 0:
         return zp
+    if eps(curve, state, color):
+        raise ValueError("no preimage found")
     return label(curve, zp, es(curve, state, color, s))
 
 
 def _step(curve: WeightData, z: ComponentLabel, color, k: int) -> ComponentLabel | None:
     """``e_s(f_max(z), epsilon + k)``, or ``None`` when ``epsilon + k < 0``:
-    ``f`` at ``k = -1``, ``e`` at ``k = 1``.  ``f_max`` is the identity at
-    epsilon 0, so it is skipped there and leaves no memo entry."""
+    ``f`` at ``k = -1``, ``e`` at ``k = 1``.  As in :func:`f_max`, the
+    quotient is skipped at epsilon 0, and ``es`` is called only on a state at
+    epsilon 0, so it needs none of :func:`e_s`'s refusal."""
     state, (eps, fmax, es, _, label) = _dispatch(curve, z, color)
     s = eps(curve, state, color)
     if s + k < 0:
@@ -552,7 +548,7 @@ def clear_memos() -> None:
     memos across calls until they call this.
     """
     for memo in (
-        _check_color, _ms_kernel_type, _ms_fmax, _ms_inverse,
+        _check_color, _ms_kernel_type, _exc_fmax, _ms_inverse,
         _twist_kernel, comp._aperiodic_multisegments, oracle._stratum_model,
     ):
         memo.cache_clear()
@@ -898,14 +894,14 @@ def graph_to_json(graph: CrystalGraph) -> dict:
 
 def graph_from_json(data: dict) -> CrystalGraph:
     """Inverse of :func:`graph_to_json`; other shapes raise ``ValueError``."""
-    weights, raw_nodes, raw_edges, raw_colors = cat.json_fields(
+    weights, raw_nodes, raw_edges, raw_colors = json_fields(
         data, "crystal graph", weights=list, nodes=list, edges=list, colors=list
     )
     curve = WeightData(weights)
     nodes = tuple(comp.label_from_json(item, curve) for item in raw_nodes)
     edges = []
     for item in raw_edges:
-        source, target, color = cat.json_fields(
+        source, target, color = json_fields(
             item, "graph edge", source=int, target=int, color=dict
         )
         for index in (source, target):
@@ -913,7 +909,7 @@ def graph_from_json(data: dict) -> CrystalGraph:
                 raise ValueError(f"edge endpoint {index} is not a node index")
         edges.append((nodes[source], nodes[target], cat.label_from_json(color, curve)))
     colors = tuple(cat.label_from_json(item, curve) for item in raw_colors)
-    (complete,) = cat.json_fields(
+    (complete,) = json_fields(
         {"complete": True, **data}, "crystal graph", complete=bool
     )
     return CrystalGraph(curve, nodes, tuple(edges), colors, complete)

@@ -31,7 +31,7 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 
-from .starlattice import LElement, Record, WeightData, json_ints
+from .starlattice import LElement, Record, WeightData, json_fields, json_ints
 
 INFINITE_SLOPE = math.inf
 
@@ -57,8 +57,12 @@ class KClass(Record):
 
     @staticmethod
     def from_json(data: dict, curve: WeightData) -> "KClass":
-        entries = data.get("m", {})
-        r, d, *_ = json_ints([data["r"], data["d"], *entries.values()], "class entries")
+        (entries,) = json_fields(
+            {"m": {}, **data} if type(data) is dict else data, "class", m=dict
+        )
+        r, d, *_ = json_ints(
+            [data.get("r"), data.get("d"), *entries.values()], "class entries"
+        )
         m = [[0] * (p - 1) for p in curve.weights]
         for key, v in entries.items():
             try:

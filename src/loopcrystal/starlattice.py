@@ -155,11 +155,29 @@ class Record:
 
 def json_ints(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple if each one is a JSON integer (not a bool or a
-    float); anything else raises ``ValueError``."""
-    values = tuple(values)
+    float); anything else, a value that is no sequence included, raises
+    ``ValueError``."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be JSON integers, got {values!r}") from None
     if any(type(v) is not int for v in values):
         raise ValueError(f"{what} must be JSON integers, got {list(values)!r}")
     return values
+
+
+def json_fields(data, what: str, **kinds) -> tuple:
+    """Values of the named fields of a JSON object, each of the given type.
+
+    Anything else (not an object, a field missing or of another type) raises
+    ``ValueError``, so a malformed file is refused instead of read as empty.
+    """
+    if type(data) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key, kind in kinds.items():
+        if type(data.get(key)) is not kind:
+            raise ValueError(f"{what} needs a {kind.__name__} field {key!r}")
+    return tuple(data[key] for key in kinds)
 
 
 def point_value(name):
@@ -212,7 +230,8 @@ class LElement(Record, Shared):
 
     @staticmethod
     def from_json(data: dict) -> "LElement":
-        l, *residues = json_ints([data["l"], *data["residues"]], "degree coefficients")
+        (residues,) = json_fields(data, "degree", residues=list)
+        l, *residues = json_ints([data.get("l"), *residues], "degree coefficients")
         return LElement(l, tuple(residues))
 
 

@@ -642,6 +642,33 @@ class TestCrystalApply:
         assert out == ""
         assert "unsupported" in err
 
+    @pytest.mark.parametrize("i", [0, 4])
+    @pytest.mark.parametrize("op", ["eps", "f"])
+    def test_point_index_outside_the_curve_exits_2(self, capsys, tmp_path, op, i):
+        # JSON point indices count from 1: 0 used to be read as the last point
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(_component(exceptional=[{"i": i, "segs": [[0, 1, 1]]}])))
+        code, out, err = run(
+            capsys,
+            ["crystal", "apply", "--op", op, "--color", "S[3,0]", "--component",
+             str(path), "--weights", "1,1,2"],
+        )
+        assert (code, out) == (2, "")
+        assert "weighted points" in err
+        assert "Traceback" not in err
+
+    def test_graph_node_outside_the_curve_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "weights": [1, 1, 2],
+            "nodes": [_component(exceptional=[{"i": 0, "segs": [[0, 1, 1]]}])],
+            "edges": [],
+            "colors": [{"kind": "exc_torsion", "i": 3, "j": 0, "l": 1}],
+        }))
+        code, out, err = run(capsys, ["crystal", "verify", "--graph", str(path)])
+        assert (code, out) == (2, "")
+        assert "weighted points" in err
+
     def test_unknown_op_shows_usage(self, capsys):
         code, _, err = run(
             capsys,
@@ -1232,7 +1259,7 @@ class TestMemoLifetime:
             "--colors", "S[1,0](2)", "S[1,1](2)", "--max-delta", "2",
         ])
         # the last command's memos stay readable after it
-        assert cr._ms_fmax.cache_info().currsize > 0
+        assert cr._exc_fmax.cache_info().currsize > 0
         assert comp._aperiodic_multisegments.cache_info().currsize > 0
         run_json(capsys, ["curve", "info"])
         sizes = [m.cache_info().currsize for m in OPERATOR_MEMOS]
@@ -1268,9 +1295,9 @@ class TestMemoLifetime:
             curve, (), (), [comp.multisegment(curve, 0, [(0, 2)])]
         )
         cr.f(curve, z, color)
-        before = cr._ms_fmax.cache_info()
+        before = cr._exc_fmax.cache_info()
         cr.f(curve, z, color)
-        after = cr._ms_fmax.cache_info()
+        after = cr._exc_fmax.cache_info()
         assert after.currsize == before.currsize > 0
         assert after.hits > before.hits
 

@@ -161,6 +161,18 @@ class TestLabelsAndWeights:
         with pytest.raises(ValueError, match=message):
             comp.component_label(w211, (), (), exceptional)
 
+    @pytest.mark.parametrize("i", [-1, 3], ids=["negative", "past-the-end"])
+    def test_point_index_outside_the_curve_refused(self, i):
+        # -1 used to name the last point, the weighted one here
+        w112 = WeightData((1, 1, 2))
+        with pytest.raises(ValueError, match="weighted points"):
+            comp.multisegment(w112, i, [(0, 1)])
+        with pytest.raises(ValueError, match="weighted points"):
+            comp.component_label(w112, (), (), [comp.Multisegment(i, (((0, 1), 1),))])
+        data = {"bundle": [], "ordinary": [], "exceptional": [{"i": i + 1, "segs": [[0, 1, 1]]}]}
+        with pytest.raises(ValueError, match="weighted points"):
+            comp.label_from_json(data, w112)
+
     @pytest.mark.parametrize(
         "ordinary", [[1.7, True, "2"], [2.0], [True], ["1"]],
         ids=["mixed", "float", "bool", "str"],

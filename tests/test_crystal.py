@@ -538,7 +538,7 @@ class TestMultisegmentQuotients:
         # S(0, 2); give both one image
         target = ms(W3, (2, 2))
         cr.clear_memos()
-        monkeypatch.setattr(cr, "_ms_fmax", lambda curve, m, j, l, s: target)
+        monkeypatch.setattr(cr, "_exc_fmax", lambda curve, m, color, s: target)
         try:
             with pytest.raises(ValueError, match="ambiguous preimage"):
                 cr.e_s(W3, tl(W3, (2, 2)), S(W3, 0, 2), 1)
@@ -557,7 +557,7 @@ class TestMultisegmentQuotients:
                 cr.f(W3, z, c)
                 cr.e(W3, z, c)
                 cr.e_s(W3, cr.f_max(W3, z, c), c, 2)
-        for memo in (cr._ms_inverse, cr._ms_fmax, cr._ms_kernel_type):
+        for memo in (cr._ms_inverse, cr._exc_fmax, cr._ms_kernel_type):
             assert memo.cache_info().currsize == 0
 
     def test_raising_at_epsilon_zero_stores_no_quotient(self):
@@ -567,9 +567,29 @@ class TestMultisegmentQuotients:
         cr.clear_memos()
         assert cr.epsilon(W3, z, c) == 0
         up = cr.e(W3, z, c)
-        cr._ms_fmax.cache_clear()
+        cr._exc_fmax.cache_clear()
         assert cr.e(W3, z, c) == up
-        assert cr._ms_fmax.cache_info().currsize == 0
+        assert cr._exc_fmax.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "curve, z, color",
+        [(W2, tl(W2, (0, 2)), S(W2, 0)), (W3, tl(W3, (0, 2)), S(W3, 1, 2))],
+        ids=["bracketing", "sampled"],
+    )
+    def test_fmax_at_epsilon_zero_returns_the_label(self, curve, z, color):
+        # f_max decides this for every family, so no rule runs and the
+        # sampled family stores no quotient
+        cr.clear_memos()
+        assert cr.epsilon(curve, z, color) == 0
+        assert cr.f_max(curve, z, color) is z
+        assert cr._exc_fmax.cache_info().currsize == 0
+
+    def test_sampled_target_with_a_copy_has_no_preimage(self):
+        z, c = tl(W3, (0, 2)), S(W3, 0, 2)
+        assert cr.epsilon(W3, z, c) == 1
+        for s in (1, 2):
+            with pytest.raises(ValueError, match="no preimage found"):
+                cr.e_s(W3, z, c, s)
 
     def test_raising_from_empty(self):
         assert cr.e(W2, E, S(W2, 0)) == tl(W2, (0, 1))
@@ -1243,6 +1263,7 @@ class TestWorkCounts:
         monkeypatch.setattr(comp, "component_label", counted("label", comp.component_label))
         monkeypatch.setattr(comp, "weight", counted("weight", comp.weight))
         monkeypatch.setattr(cr.Budget, "admits", counted("admits", cr.Budget.admits))
+        monkeypatch.setattr(cr, "_signature", counted("signature", cr._signature))
         colors = [S(W3, j, l) for l in (1, 2) for j in range(3)]
         cr.clear_memos()
         graph = cr.build_graph(W3, [E], colors, cr.Budget(max_delta=3))
@@ -1252,6 +1273,9 @@ class TestWorkCounts:
         assert counts["weight"] <= 863, counts
         assert counts["dispatch"] <= 16_293, counts
         assert counts["label"] <= 7_932, counts
+        # _bra_es no longer re-scans its start for epsilon > 0: e_s refuses
+        # such targets, and f and e raise only from epsilon 0 (20,637 scans)
+        assert counts["signature"] <= 17_181, counts
 
 
 class TestGraphExport:

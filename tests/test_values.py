@@ -86,7 +86,7 @@ DECLARED = {
     cat.RealBundle: ["a"],
     kt.KClass: ["r", "d", "m"],
     comp.Multisegment: ["i", "pairs"],
-    comp.HNLeaf: ["cls", ("reduction", None)],
+    comp.HNLeaf: ["cls"],
     comp.HNTree: ["leaves"],
     comp.ComponentLabel: ["bundle", "ordinary", "exceptional"],
     cr.Budget: [("max_rank", None), ("max_deg", None), ("max_delta", None),
@@ -156,7 +156,6 @@ class TestDataclassParity:
     def test_default_fields(self):
         assert cr.Budget(max_delta=1) == cr.Budget(None, None, 1, None)
         assert cr.CrystalGraph(W311, (), (), ()).complete is True
-        assert comp.HNLeaf(kt.structure_class(W311)).reduction is None
 
     def test_equal_fields_of_two_classes_are_unequal(self):
         x = W311.c()
@@ -431,6 +430,128 @@ class TestCopyAndPickle:
             assert type(copied) is type(value)
             assert copied == value
             assert repr(copied) == repr(value)
+
+
+def json_examples() -> dict:
+    """Well-formed JSON values, each with the reader that reads it on
+    ``W311``."""
+    line = cat.LineBundle(W311.normalize([0, 1, 0], l=1))
+    real = cat.enumerate_real_bundles(W311, 1)[0]
+    colors = [cat.exc_torsion(W311, 0, j, 1) for j in range(3)]
+    z = comp.component_label(
+        W311, [line, real], (2, 1), [comp.multisegment(W311, 0, [(0, 2), (1, 1)])]
+    )
+    hn = comp.ComponentLabel(comp.HNTree((comp.HNLeaf(kt.structure_class(W311)),)), (), ())
+    graph = cr.build_graph(W311, [comp.EMPTY], colors, cr.Budget(max_delta=1))
+
+    def sheaf(data):
+        return cat.label_from_json(data, W311)
+
+    def component(data):
+        return comp.label_from_json(data, W311)
+
+    return {
+        "degree": (line.x.to_json(), LElement.from_json),
+        "class": (real.a.to_json(), lambda data: kt.KClass.from_json(data, W311)),
+        "line-bundle": (cat.label_to_json(line), sheaf),
+        "real-bundle": (cat.label_to_json(real), sheaf),
+        "exc-torsion": (cat.label_to_json(colors[1]), sheaf),
+        "ord-torsion": (cat.label_to_json(cat.OrdTorsion("q", 2)), sheaf),
+        "component": (comp.label_to_json(W311, z), component),
+        "hn-component": (comp.label_to_json(W311, hn), component),
+        "graph": (cr.graph_to_json(graph), cr.graph_from_json),
+    }
+
+
+JSON_EXAMPLES = json_examples()
+
+#: field names and texts the readers look for, so that drawn objects reach
+#: past the first check; integers stay small, so no reader is asked for a
+#: huge allocation (a multiplicity or a weight of 10**9)
+JSON_KEYS = st.sampled_from([
+    "kind", "x", "l", "residues", "r", "d", "m", "a", "i", "j", "pt", "class",
+    "reduced", "bundle", "ordinary", "exceptional", "segs", "weights", "nodes",
+    "edges", "colors", "complete", "source", "target", "color", "1,1", "1,2", "q",
+])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats(-2, 2)
+    | st.sampled_from(["line_bundle", "exc_torsion", "ord_torsion", "real_bundle",
+                       "hn_leaf", "q", "1/2", "x"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_KEYS, children, max_size=5),
+    max_leaves=12,
+)
+
+
+def json_paths(data, path=()):
+    """The paths of every value nested in ``data``, ``data``'s own first."""
+    yield path
+    items = data.items() if type(data) is dict else (
+        enumerate(data) if type(data) is list else ()
+    )
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def replaced(data, path, value):
+    """A copy of ``data`` with the value at ``path`` replaced, or dropped
+    from its object or list when ``value`` is ``DROP``."""
+    if not path:
+        return value
+    out = copy.copy(data)
+    if len(path) == 1 and value is DROP:
+        del out[path[0]]
+    else:
+        out[path[0]] = replaced(data[path[0]], path[1:], value)
+    return out
+
+
+DROP = object()
+
+
+class TestJsonReaders:
+    """A JSON reader returns its value or raises ``ValueError``, whatever
+    JSON it is given: the CLI reports ``ValueError`` as exit 2."""
+
+    @pytest.mark.parametrize("reader", JSON_EXAMPLES)
+    def test_examples_read_back(self, reader):
+        data, read = JSON_EXAMPLES[reader]
+        read(copy.deepcopy(data))
+
+    @pytest.mark.parametrize(
+        "reader, data",
+        [
+            ("degree", {"l": 0}),
+            ("degree", {"l": 0, "residues": 3}),
+            ("class", {"r": 1, "d": 0, "m": [1]}),
+            ("class", {"r": 1}),
+            ("class", [1, 0]),
+            ("line-bundle", {"kind": "line_bundle", "x": [0]}),
+            ("real-bundle", {"kind": "real_bundle", "a": []}),
+            ("hn-component", {"bundle": [{"kind": "hn_leaf"}], "ordinary": [],
+                              "exceptional": []}),
+            ("hn-component", {"bundle": [{"kind": "hn_leaf", "class": 1}], "ordinary": [],
+                              "exceptional": []}),
+            ("component", {"bundle": [], "ordinary": [],
+                           "exceptional": [{"i": 1, "segs": [5]}]}),
+            ("graph", {**JSON_EXAMPLES["graph"][0],
+                       "colors": [{"kind": "real_bundle", "a": []}]}),
+        ],
+    )
+    def test_malformed_fields_raise_value_error(self, reader, data):
+        with pytest.raises(ValueError):
+            JSON_EXAMPLES[reader][1](data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(JSON_EXAMPLES)), st.data())
+    def test_any_json_gives_a_value_or_value_error(self, reader, data):
+        example, read = JSON_EXAMPLES[reader]
+        path = data.draw(st.sampled_from(list(json_paths(example))))
+        value = data.draw(json_values | st.just(DROP) if path else json_values)
+        try:
+            read(replaced(example, path, value))
+        except ValueError:
+            pass
 
 
 #: Builds two small verified graphs (the P1 grid rules, and a (3,1,1)
