@@ -90,15 +90,23 @@ def multisegment(
 ) -> Multisegment:
     """Build a multisegment from a list of (head, length) with repetition;
     the point index ``i`` counts from 0."""
+    return _counted_multisegment(curve, i, zip(segs, itertools.repeat(1)))
+
+
+def _counted_multisegment(
+    curve: WeightData, i: int, counted: Iterable[tuple[tuple[int, int], int]]
+) -> Multisegment:
+    """:func:`multisegment` from ``((head, length), multiplicity)`` pairs with
+    positive multiplicities, which are added up, never expanded."""
     if not 0 <= i < curve.n or curve.weights[i] == 1:
         raise ValueError("multisegments live at weighted points")
     p = curve.weights[i]
     counts: dict[tuple[int, int], int] = {}
-    for j, l in segs:
+    for (j, l), a in counted:
         if l < 1:
             raise ValueError("segment length must be positive")
         key = (j % p, l)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + a
     return Multisegment(i, tuple(sorted(counts.items())))
 
 
@@ -335,13 +343,13 @@ def label_from_json(data: dict, curve: WeightData) -> ComponentLabel:
     excs = []
     for item in raw_excs:
         i, raw_segs = json_fields(item, "exceptional part", i=int, segs=list)
-        segs = []
+        counted = []
         for raw in raw_segs:
             j, l, a = json_ints(raw, "segment")
             if a < 1:
                 raise ValueError(f"segment {raw} needs a positive multiplicity")
-            segs.extend([(j, l)] * a)
-        excs.append(multisegment(curve, i - 1, segs))
+            counted.append(((j, l), a))
+        excs.append(_counted_multisegment(curve, i - 1, counted))
     return component_label(curve, bundle, ordinary, excs)
 
 

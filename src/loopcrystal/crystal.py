@@ -13,14 +13,16 @@ on :class:`~loopcrystal.components.ComponentLabel` values:
 Two color families carry computable rules.  :func:`_dispatch` is the one
 place that picks a family: it reads the state a color acts on out of the
 label and returns the family's rules, which map states to states, so each
-operator call writes one label.  The operators decide the two rules that
-hold for every color, so no family rule checks them: ``f_max`` is the
-identity at epsilon 0, and ``e_s`` inverts it only on its image, the labels
-with epsilon 0.  Exceptional-torsion colors act on the
-multisegment at their point (bundle and ordinary parts are inert since
-torsion admits no maps to bundles): length-1 colors through Kashiwara's
-signature rule (:func:`_signature`), longer serial colors through the
-randomized oracle module and an inversion table for ``e_s``.  Line-bundle
+operator call writes one label; the quotient rule reports epsilon too, so
+``f``, ``e`` and ``f_max`` make one rule call for both.  The operators
+decide the two rules that hold for every color, so no family rule checks
+them: ``f_max`` is the identity at epsilon 0 (no quotient is sampled), and
+``e_s`` inverts it only on its image, the labels with epsilon 0.
+Exceptional-torsion colors act on the multisegment at their point (bundle
+and ordinary parts are inert since torsion admits no maps to bundles):
+length-1 colors through Kashiwara's signature rule (:func:`_signature`),
+longer serial colors through the randomized oracle module and an inversion
+table for ``e_s``.  Line-bundle
 colors act on the degrees and the ordinary partition of labels whose bundle
 part is a multiset of c-multiples ``O(d*c)`` with no exceptional torsion
 present; kernel degrees follow one closed rule on the section counts of the
@@ -69,15 +71,17 @@ def _check_color(curve: WeightData, color) -> None:
 
 def _dispatch(curve: WeightData, z: ComponentLabel, color):
     """The state of ``z`` that the colour acts on, and the family's rules
-    ``(eps, fmax, es, hom, label)`` on it: ``fmax`` and ``es`` map a state and
-    a copy count to a state, which ``label(curve, z, state)`` writes back."""
+    ``(eps, fmax, es, hom, label)`` on it: ``fmax`` maps a state to its
+    epsilon and quotient state from one derivation of the kernel copies,
+    ``es`` maps a state and a copy count to a state, and ``label(curve, z,
+    state)`` writes a state back."""
     _check_color(curve, color)
     if isinstance(z.bundle, HNTree):
         raise ValueError(UNSUPPORTED)
     if isinstance(color, cat.ExcTorsion):
         if color.l == 1:
             return _ms_at(z, color.i), (_bra_eps, _bra_fmax, _bra_es, _exc_hom, _with_ms)
-        return _ms_at(z, color.i), (_exc_eps, _exc_fmax, _exc_es, _exc_hom, _with_ms)
+        return _ms_at(z, color.i), (_exc_eps, _exc_quotient, _exc_es, _exc_hom, _with_ms)
     if isinstance(color, cat.LineBundle):
         if any(color.x.residues) or z.exceptional:
             raise ValueError(UNSUPPORTED)
@@ -136,13 +140,14 @@ def _bra_eps(curve: WeightData, m: Multisegment, color) -> int:
     return len(left)
 
 
-def _bra_fmax(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment:
+def _bra_fmax(curve: WeightData, m: Multisegment, color) -> tuple[int, Multisegment]:
+    """Epsilon and ``m`` with its removables shortened, from one scan."""
     segments = m.segments()
-    for idx in _signature(curve.weights[color.i], segments, color.j)[0]:
+    left, _ = _signature(curve.weights[color.i], segments, color.j)
+    for idx in left:
         head, length = segments[idx]
         segments[idx] = (head, length - 1)
-    kept = [seg for seg in segments if seg[1]]
-    return comp.multisegment(curve, color.i, kept)
+    return len(left), comp.multisegment(curve, color.i, [seg for seg in segments if seg[1]])
 
 
 def _bra_es(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment:
@@ -177,7 +182,7 @@ def _exc_eps(curve: WeightData, m: Multisegment, color) -> int:
 
 
 # One entry per multisegment, color and copy count ``s >= 1`` visited in one
-# CLI command (bounded as above): the operators skip ``f_max`` at epsilon 0.
+# CLI command (bounded as above): :func:`_exc_quotient` skips it at epsilon 0.
 @lru_cache(maxsize=None)
 def _exc_fmax(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment:
     # the kernel's seed: the copies embed into the kernel of the same pair
@@ -186,6 +191,11 @@ def _exc_fmax(curve: WeightData, m: Multisegment, color, s: int) -> Multisegment
         trials=ORACLE_TRIALS,
         seed=f"ker:{m.pairs}",
     )
+
+
+def _exc_quotient(curve: WeightData, m: Multisegment, color) -> tuple[int, Multisegment]:
+    s = _exc_eps(curve, m, color)
+    return s, _exc_fmax(curve, m, color, s) if s else m
 
 
 # The inversion table of one raised dimension vector: the ``f_max`` of each
@@ -344,10 +354,13 @@ def _multiset_minus(whole: tuple[int, ...], part: Iterable[int]) -> list[int]:
 
 
 def _grid_ftilde(curve: WeightData, degs, nu, a: int):
+    """Epsilon under ``O(a)`` and the state one quotient step reaches
+    (``None`` at epsilon 0) from one :func:`_decremented` pass: the
+    participants are the copies :func:`_grid_eps` counts."""
     entries = _decremented(curve, degs, nu)
     participants = [e for e in entries if e[0] >= a]
     if not participants:
-        return None
+        return 0, None
     # the quotient mechanism consumes kernel summands out of the bundle; a
     # saturated kernel with splitting degrees outside the summand multiset
     # (possible for wide numeric shapes) has no combinatorial quotient here
@@ -357,7 +370,7 @@ def _grid_ftilde(curve: WeightData, degs, nu, a: int):
         p_und = tuple(sorted((e[1] for e in participants), reverse=True))
         newdegs = _multiset_minus(degs, p_und)
         newdegs.extend(_interlace_min(p_und, a))
-        return tuple(sorted(newdegs, reverse=True)), nu
+        return len(participants), (tuple(sorted(newdegs, reverse=True)), nu)
     entry = participants[0]
     consumed, raises = entry[1], set(entry[2])
     scatter = (consumed - a) - len(raises)
@@ -365,21 +378,23 @@ def _grid_ftilde(curve: WeightData, degs, nu, a: int):
         raise AssertionError("quotient budget went negative")
     new_nu = [part + (1 if k in raises else 0) for k, part in enumerate(nu)]
     new_nu.extend([1] * scatter)
-    return (
+    return 1, (
         tuple(sorted(_multiset_minus(degs, [consumed]), reverse=True)),
         tuple(sorted(new_nu, reverse=True)),
     )
 
 
-def _grid_fmax(curve: WeightData, state, color, s: int):
-    degs, nu = state
-    a = color.x.l
-    for step in range(s):
-        degs, nu = _grid_ftilde(curve, degs, nu, a)
-        if _grid_eps(curve, (degs, nu), color) != s - step - 1:
+def _grid_fmax(curve: WeightData, state, color):
+    """Epsilon and the state after that many quotient steps; each step's
+    epsilon comes with the next step, so ``s`` steps make ``s + 1`` calls."""
+    s, nxt = _grid_ftilde(curve, *state, color.x.l)
+    for want in reversed(range(s)):
+        state = nxt
+        eps, nxt = _grid_ftilde(curve, *state, color.x.l)
+        if eps != want:
             # a step that does not lower epsilon by exactly one: outside the grid rules
             raise ValueError(UNSUPPORTED)
-    return degs, nu
+    return s, state
 
 
 def _submultisets(counts: Counter):
@@ -443,8 +458,7 @@ def _grid_es(curve: WeightData, start, color, s: int):
         for target in frontier:
             for degs, nu in _step_candidates(*target, a):
                 try:
-                    if (_grid_ftilde(curve, degs, nu, a) == target
-                            and _grid_eps(curve, (degs, nu), color) == step):
+                    if _grid_ftilde(curve, degs, nu, a) == (step, target):
                         grown.add((degs, nu))
                 except ValueError as err:
                     if str(err) != UNSUPPORTED:
@@ -487,10 +501,11 @@ def hom_into_kernel(curve: WeightData, z: ComponentLabel, color) -> int:
 
 def f_max(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
     """Label of the generic quotient of ``z`` by all kernel copies of the
-    color; ``z`` itself at epsilon 0, where no family rule is called."""
-    state, (eps, fmax, _, _, label) = _dispatch(curve, z, color)
-    s = eps(curve, state, color)
-    return label(curve, z, fmax(curve, state, color, s)) if s else z
+    color; ``z`` itself at epsilon 0, where no label is written and no
+    quotient is sampled."""
+    state, (_, fmax, _, _, label) = _dispatch(curve, z, color)
+    s, state = fmax(curve, state, color)
+    return label(curve, z, state) if s else z
 
 
 def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
@@ -515,15 +530,14 @@ def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
 
 def _step(curve: WeightData, z: ComponentLabel, color, k: int) -> ComponentLabel | None:
     """``e_s(f_max(z), epsilon + k)``, or ``None`` when ``epsilon + k < 0``:
-    ``f`` at ``k = -1``, ``e`` at ``k = 1``.  As in :func:`f_max`, the
-    quotient is skipped at epsilon 0, and ``es`` is called only on a state at
-    epsilon 0, so it needs none of :func:`e_s`'s refusal."""
-    state, (eps, fmax, es, _, label) = _dispatch(curve, z, color)
-    s = eps(curve, state, color)
+    ``f`` at ``k = -1``, ``e`` at ``k = 1``.  One ``fmax`` call gives
+    epsilon and the quotient state (none sampled at epsilon 0), and ``es`` is
+    called only on that state, at epsilon 0, so it needs none of
+    :func:`e_s`'s refusal."""
+    state, (_, fmax, es, _, label) = _dispatch(curve, z, color)
+    s, state = fmax(curve, state, color)
     if s + k < 0:
         return None
-    if s:
-        state = fmax(curve, state, color, s)
     if s + k:
         state = es(curve, state, color, s + k)
     return label(curve, z, state)

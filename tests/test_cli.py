@@ -911,6 +911,20 @@ class TestCrystalGraph:
         )
         assert code == 0
 
+    def test_verify_reports_violations(self, capsys, monkeypatch):
+        # with f the crystal zero everywhere the search keeps only the e
+        # edges, and the check finds that f does not follow them
+        monkeypatch.setattr(cr, "f", lambda curve, z, color: None)
+        code, out, _ = run(
+            capsys,
+            ["crystal", "graph", "--seeds", "empty", "--colors", "O", "--max-rank", "1", "--verify"],
+        )
+        assert code == 3
+        assert json.loads(out) == {
+            "violations": ["f does not follow the edge (O(0c)) -> (empty) [O(0c)]"],
+            "count": 1,
+        }
+
     def test_node_cap_marks_incomplete(self, capsys):
         d = run_json(
             capsys,

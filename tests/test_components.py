@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -191,6 +192,29 @@ class TestLabelsAndWeights:
         )
         data = comp.label_to_json(w211, z)
         assert comp.label_from_json(data, w211) == z
+
+    def test_json_multiplicities_counted_not_expanded(self, w211):
+        # the reader used to list every copy: multiplicity 10**6 took 1.5 s
+        # and a 15 MB traced peak
+        data = {"bundle": [], "ordinary": [], "exceptional": [{"i": 1, "segs": [[0, 1, 10**9]]}]}
+        tracemalloc.start()
+        try:
+            z = comp.label_from_json(data, w211)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.exceptional[0].pairs == (((0, 1), 10**9),)
+        assert peak < 100_000, peak
+
+    def test_json_segments_normalised_like_multisegment(self, w211):
+        # heads are taken mod p and repeated segments merged
+        segs = [[0, 1, 3], [2, 1, 4], [1, 2, 1], [3, 2, 2]]
+        data = {"bundle": [], "ordinary": [], "exceptional": [{"i": 1, "segs": segs}]}
+        m = comp.multisegment(w211, 0, [(0, 1)] * 7 + [(1, 2)] * 3)
+        assert comp.label_from_json(data, w211).exceptional == (m,)
+        data["exceptional"][0]["segs"] = [[0, 0, 2]]
+        with pytest.raises(ValueError, match="segment length must be positive"):
+            comp.label_from_json(data, w211)
 
     def test_json_roundtrip_hn(self, w2222):
         z = comp.ComponentLabel(
