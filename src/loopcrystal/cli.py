@@ -288,57 +288,44 @@ def load_component(curve: WeightData, spec: str) -> comp.ComponentLabel:
 # output helpers
 # ---------------------------------------------------------------------------
 
-#: Chunks joined into one write by ``_write_batched``.  The indented encoder
-#: yields one small string per token (31,870 for a 197 KB crystal graph), so
-#: joining them all at once costs about 8 bytes of heap per byte of output;
-#: a fixed batch bounds that transient, and keeps the write count small for
-#: an ``io.StringIO`` stdout, which holds every write as its own object.  For
-#: criterion 05's 638 KB graph, 1024 chunks make 106 writes and a heap peak of
-#: 0.19 MB while emitting; 4096 made 27 writes and 0.37 MB.
+#: Chunks joined into one write by ``_write_batched``.  ``_json_chunks``
+#: yields about one string per scalar (63,187 for criterion 05's 638 KB
+#: crystal graph), so joining them all at once costs several bytes of heap per
+#: byte of output; a fixed batch bounds that transient, and keeps the write
+#: count small for an ``io.StringIO`` stdout, which holds every write as its
+#: own object.  For that graph, 1024 chunks make 62 writes and a heap peak of
+#: 0.14 MB while emitting; 4096 made 16 writes and 0.37 MB.
 _EMIT_BATCH = 1024
 
-_INDENTED = json.JSONEncoder(indent=2)
 
+def _json_chunks(value, pad="\n"):
+    """Chunks of ``json.dumps(value, indent=2)``, where an iterator at any
+    depth reads as the list of its items, and ``pad`` is the newline and
+    indentation of ``value``'s line.
 
-def _nested_chunks(value, depth: int):
-    """Chunks of ``json.dumps(value, indent=2)`` placed ``depth`` levels deep."""
-    pad = "\n" + "  " * depth
-    for chunk in _INDENTED.iterencode(value):
-        yield chunk.replace("\n", pad)
-
-
-def _json_chunks(payload):
-    """Chunks of ``json.dumps(payload, indent=2)``, where a top-level field
-    whose value is an iterator reads as the list of its items.
-
-    Such a field is encoded one item at a time, as the iterator yields it, so
-    its list never exists.  The keys of a dict with such a field are strings.
+    An iterator is encoded one item at a time, as it yields them, so its list
+    never exists.  Only scalars and keys, which are strings, reach ``json.dumps``.
     """
-    fields = payload.items() if isinstance(payload, dict) else ()
-    if not any(isinstance(value, Iterator) for _, value in fields):
-        yield from _INDENTED.iterencode(payload)
+    if isinstance(value, dict):
+        brackets, items = "{}", ((f"{json.dumps(k)}: ", v) for k, v in value.items())
+    elif isinstance(value, (list, tuple, Iterator)):
+        brackets, items = "[]", zip(itertools.repeat(""), value)
+    else:
+        yield str(value) if type(value) is int else json.dumps(value)
         return
-    sep = "{"
-    for key, value in fields:
-        yield f"{sep}\n  {_INDENTED.encode(key)}: "
+    inner, sep = pad + "  ", brackets[0]
+    for key, item in items:
+        yield f"{sep}{inner}{key}"
+        yield from _json_chunks(item, inner)
         sep = ","
-        if not isinstance(value, Iterator):
-            yield from _nested_chunks(value, 1)
-            continue
-        head = "["
-        for item in value:
-            yield head + "\n    "
-            yield from _nested_chunks(item, 2)
-            head = ","
-        yield "[]" if head == "[" else "\n  ]"
-    yield "\n}"
+    yield brackets if sep != "," else pad + brackets[1]
 
 
 def _emit(payload) -> None:
     """Print ``payload`` as indented JSON and a newline, written in batches.
 
     The bytes are those of ``print(json.dumps(listed, indent=2))``, where
-    ``listed`` is ``payload`` with every top-level iterator read into a list
+    ``listed`` is ``payload`` with every iterator read into a list
     (see :func:`_json_chunks`).
     """
     _write_batched(itertools.chain(_json_chunks(payload), ["\n"]))

@@ -144,6 +144,8 @@ def _bra_fmax(curve: WeightData, m: Multisegment, color) -> tuple[int, Multisegm
     """Epsilon and ``m`` with its removables shortened, from one scan."""
     segments = m.segments()
     left, _ = _signature(curve.weights[color.i], segments, color.j)
+    if not left:
+        return 0, m
     for idx in left:
         head, length = segments[idx]
         segments[idx] = (head, length - 1)
@@ -692,8 +694,8 @@ def build_graph(
             break
         z, wt_z = queue.popleft()
         for color, cls in zip(color_list, classes):
-            down, wt_down = f(curve, z, color), kt.sub(wt_z, cls)
-            if down is not None and admits(wt_down):
+            down = f(curve, z, color)
+            if down is not None and admits(wt_down := kt.sub(wt_z, cls)):
                 reach(down, wt_down, (z, down, color))
             wt_up = kt.add(wt_z, cls)
             if admits(wt_up):
@@ -913,6 +915,9 @@ def graph_from_json(data: dict) -> CrystalGraph:
     )
     curve = WeightData(weights)
     nodes = tuple(comp.label_from_json(item, curve) for item in raw_nodes)
+    colors = tuple(cat.label_from_json(item, curve) for item in raw_colors)
+    for color in colors:
+        _check_color(curve, color)
     edges = []
     for item in raw_edges:
         source, target, color = json_fields(
@@ -921,8 +926,10 @@ def graph_from_json(data: dict) -> CrystalGraph:
         for index in (source, target):
             if not 0 <= index < len(nodes):
                 raise ValueError(f"edge endpoint {index} is not a node index")
-        edges.append((nodes[source], nodes[target], cat.label_from_json(color, curve)))
-    colors = tuple(cat.label_from_json(item, curve) for item in raw_colors)
+        color = cat.label_from_json(color, curve)
+        if color not in colors:
+            raise ValueError("edge colour is not in the colour list")
+        edges.append((nodes[source], nodes[target], color))
     (complete,) = json_fields(
         {"complete": True, **data}, "crystal graph", complete=bool
     )

@@ -272,6 +272,16 @@ def test_criterion_05_cli_stdout_in_bounded_memory(torsion_graphs):
     assert transient < 1_000_000, f"emission peaked at {transient} bytes of heap"
 
 
+def test_criterion_05_cli_stdout_leaves_no_reference_cycles(torsion_graphs):
+    payload = cr.graph_json_fields(torsion_graphs[(3, 1, 1)])
+    sink = _HashSink()
+    with contextlib.redirect_stdout(sink):
+        left = conftest.cyclic_garbage(lambda: cli._emit(payload))
+    assert sink.digest.hexdigest() == CLI_GRAPH_STDOUT_SHA256
+    # a fresh stdlib encoder per node and per edge left 91,135 objects
+    assert left == 0, f"printing the graph left {left} objects in reference cycles"
+
+
 def test_criterion_05_cli_graph_streamed_in_bounded_memory(
     torsion_graphs, monkeypatch
 ):

@@ -1086,10 +1086,16 @@ class TestCrystalGraph:
             (_torsion_graph({**_segment_color, "l": 1.5}), "torsion label"),
             ({**_torsion_graph(_segment_color), "weights": [2.7, 1, 1]}, "JSON integers"),
             ({**_torsion_graph(_segment_color), "complete": "no"}, "'complete'"),
+            (_torsion_graph({"kind": "ord_torsion", "pt": "5", "d": 2}),
+             "non-rigid operator index"),
+            ({**_torsion_graph(_segment_color, [[0, 1, 1]]),
+              "colors": [{**_segment_color, "j": 1}]},
+             "edge colour is not in the colour list"),
         ],
         ids=["empty-object", "list", "source-past-end", "negative-source",
              "color-residue-range", "node-float-length", "node-negative-multiplicity",
-             "color-float-length", "float-weight", "string-complete"],
+             "color-float-length", "float-weight", "string-complete",
+             "non-rigid-color", "unlisted-edge-color"],
     )
     def test_verify_rejects_malformed_graph(self, capsys, tmp_path, data, message):
         path = tmp_path / "graph.json"
@@ -1097,6 +1103,7 @@ class TestCrystalGraph:
         code, out, err = run(capsys, ["crystal", "verify", "--graph", str(path)])
         assert code == 2
         assert out == ""
+        assert "is malformed" in err
         assert message in err
 
 
@@ -1163,27 +1170,43 @@ class TestGraphJsonRoundTrip:
 # JSON emission
 # ---------------------------------------------------------------------------
 
-json_values = st.recursive(
+json_scalars = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=2**61, max_value=2**256)
     | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(),
+    | st.text()
+)
+
+json_values = st.recursive(
+    json_scalars,
     lambda children: st.lists(children, max_size=6)
     | st.dictionaries(st.text(), children, max_size=6),
     max_leaves=40,
 )
 
-
-#: (streamed, value) per top-level field: a streamed field is a list that
-#: the payload holds as an iterator over its items
-top_fields = st.dictionaries(
-    st.text(),
-    st.tuples(st.just(True), st.lists(json_values, max_size=6))
-    | st.tuples(st.just(False), json_values),
-    max_size=6,
+#: JSON values in which a tuple, at any depth, stands for a list that the
+#: payload holds as an iterator over its items (``json.dumps`` prints a tuple
+#: as a list)
+streamable_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(children, max_size=6).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=6),
+    max_leaves=40,
 )
+
+
+def streamed(value):
+    """``value`` with every tuple read as an iterator over its items."""
+    if isinstance(value, tuple):
+        return iter([streamed(item) for item in value])
+    if isinstance(value, list):
+        return [streamed(item) for item in value]
+    if isinstance(value, dict):
+        return {key: streamed(item) for key, item in value.items()}
+    return value
 
 
 class _CountingStringIO(io.StringIO):
@@ -1216,18 +1239,18 @@ class TestEmit:
         payload = {"copies": [value] * copies}
         text, writes = emitted(payload)
         assert text == json.dumps(payload, indent=2) + "\n"
-        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
+        chunks = sum(1 for _ in cli._json_chunks(payload))
         assert writes == math.ceil((chunks + 1) / cli._EMIT_BATCH)
 
     @settings(max_examples=300, deadline=None)
-    @given(top_fields)
-    @example({"empty": (True, [])})
-    @example({"a": (False, 1), "empty": (True, []), "b": (True, [[], {}])})
-    def test_iterator_fields_print_as_lists(self, fields):
-        payload = {k: iter(v) if streamed else v for k, (streamed, v) in fields.items()}
-        listed = {k: v for k, (_, v) in fields.items()}
-        text, _ = emitted(payload)
-        assert text == json.dumps(listed, indent=2) + "\n"
+    @given(streamable_values)
+    @example({"empty": ()})
+    @example({"a": 1, "empty": (), "b": ([], {})})
+    @example({"a": [(1,)]})
+    @example(((), ({"a": ((), (2, "x"))},)))
+    def test_iterator_fields_print_as_lists(self, value):
+        text, _ = emitted(streamed(value))
+        assert text == json.dumps(value, indent=2) + "\n"
 
     def test_iterator_items_are_read_as_written(self):
         seen = []

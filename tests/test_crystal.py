@@ -1363,6 +1363,8 @@ class TestWorkCounts:
         monkeypatch.setattr(comp, "weight", counted("weight", comp.weight))
         monkeypatch.setattr(cr.Budget, "admits", counted("admits", cr.Budget.admits))
         monkeypatch.setattr(cr, "_signature", counted("signature", cr._signature))
+        monkeypatch.setattr(comp, "multisegment", counted("multisegment", comp.multisegment))
+        monkeypatch.setattr(kt, "sub", counted("sub", kt.sub))
         colors = [S(W3, j, l) for l in (1, 2) for j in range(3)]
         cr.clear_memos()
         graph = cr.build_graph(W3, [E], colors, cr.Budget(max_delta=3))
@@ -1377,6 +1379,11 @@ class TestWorkCounts:
         # f and f_max read epsilon off _bra_fmax's scan instead of scanning
         # once more for it (17,181)
         assert counts["signature"] <= 13_725, counts
+        # _bra_fmax wrote m again when its scan left no removable (9,885
+        # multisegments); the search took the weight below a node before
+        # asking whether f returned one (7,279 subtractions)
+        assert counts["multisegment"] <= 6_912, counts
+        assert counts["sub"] <= 4_090, counts
 
 
 class TestGraphExport:
