@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import catalog as cat, ktheory as kt
+from .ktheory import segment_coverage
 from .starlattice import Record, WeightData, json_fields, json_ints
 
 
@@ -110,21 +111,11 @@ def _counted_multisegment(
     return Multisegment(i, tuple(sorted(counts.items())))
 
 
-def segment_coverage(p: int, j: int, l: int) -> tuple[int, ...]:
-    """How many composition factors of [j; l) sit at each vertex of Z/p."""
-    cov = [l // p] * p
-    for k in range(l % p):
-        cov[(j - k) % p] += 1
-    return tuple(cov)
-
-
 def dim_vector(curve: WeightData, m: Multisegment) -> tuple[int, ...]:
     p = curve.weights[m.i]
     total = [0] * p
     for (j, l), a in m.pairs:
-        cov = segment_coverage(p, j, l)
-        for v in range(p):
-            total[v] += a * cov[v]
+        total = [t + a * c for t, c in zip(total, segment_coverage(p, j, l))]
     return tuple(total)
 
 
@@ -138,12 +129,7 @@ def is_aperiodic_for(curve: WeightData, m: Multisegment) -> bool:
 
 
 def multisegment_class(curve: WeightData, m: Multisegment) -> kt.KClass:
-    acc = kt.zero_class(curve)
-    for (j, l), a in m.pairs:
-        acc = kt.add(
-            acc, kt.scale(a, cat.class_of(curve, cat.ExcTorsion(m.i, j, l)))
-        )
-    return acc
+    return kt.class_of_counts(curve, m.i, dim_vector(curve, m))
 
 
 def aperiodic_multisegments(
@@ -182,38 +168,38 @@ def _aperiodic_multisegments(
     total = sum(dims)
     if total == 0:
         return (Multisegment(i, ()),)
-    seg_list = [
-        (j, l) for l in range(1, total + 1) for j in range(p)
+    # each segment with its coverage, sorted by length
+    segs = [
+        ((j, l), segment_coverage(p, j, l))
+        for l in range(1, total + 1) for j in range(p)
     ]
-    coverages = {seg: segment_coverage(p, *seg) for seg in seg_list}
     out: list[Multisegment] = []
-
-    def dfs(idx: int, remaining: list[int], chosen: list[tuple[tuple[int, int], int]]):
-        if all(v == 0 for v in remaining):
-            m = Multisegment(i, tuple(sorted(chosen)))
-            if is_aperiodic_for(curve, m):
-                out.append(m)
-            return
-        if idx == len(seg_list):
-            return
-        seg = seg_list[idx]
-        if seg[1] > sum(remaining):
-            # seg_list is sorted by length, so no later segment fits either
-            return
-        cov = coverages[seg]
-        max_mult = min(
-            (remaining[v] // cov[v] for v in range(p) if cov[v] > 0),
-            default=0,
-        )
-        for mult in range(max_mult, -1, -1):
-            if mult:
-                nxt = [remaining[v] - mult * cov[v] for v in range(p)]
-                dfs(idx + 1, nxt, chosen + [(seg, mult)])
-            else:
-                dfs(idx + 1, remaining, chosen)
-
-    dfs(0, list(dims), [])
+    _fill_multisegments(curve, i, segs, 0, list(dims), [], out)
     return tuple(sorted(out, key=lambda m: m.pairs))
+
+
+def _fill_multisegments(curve, i, segs, idx, remaining, chosen, out) -> None:
+    """Append to ``out`` every aperiodic multisegment at point ``i`` made of
+    the ``((head, length), multiplicity)`` pairs ``chosen`` and multiples of
+    the ``(segment, coverage)`` pairs ``segs[idx:]`` that cover ``remaining``."""
+    if all(v == 0 for v in remaining):
+        m = Multisegment(i, tuple(sorted(chosen)))
+        if is_aperiodic_for(curve, m):
+            out.append(m)
+        return
+    if idx == len(segs):
+        return
+    seg, cov = segs[idx]
+    if seg[1] > sum(remaining):
+        # segs is sorted by length, so no later segment fits either
+        return
+    max_mult = min((r // c for r, c in zip(remaining, cov) if c), default=0)
+    for mult in range(max_mult, -1, -1):
+        if mult:
+            nxt = [r - mult * c for r, c in zip(remaining, cov)]
+            _fill_multisegments(curve, i, segs, idx + 1, nxt, chosen + [(seg, mult)], out)
+        else:
+            _fill_multisegments(curve, i, segs, idx + 1, remaining, chosen, out)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +270,12 @@ def component_label(
 
 
 def weight(curve: WeightData, z: ComponentLabel) -> kt.KClass:
-    acc = kt.zero_class(curve)
     if isinstance(z.bundle, HNTree):
-        for leaf in z.bundle.leaves:
-            acc = kt.add(acc, leaf.cls)
+        parts = [leaf.cls for leaf in z.bundle.leaves]
     else:
-        for lab in z.bundle:
-            acc = kt.add(acc, cat.class_of(curve, lab))
-    acc = kt.add(acc, kt.scale(sum(z.ordinary), kt.delta_class(curve)))
-    for m in z.exceptional:
-        acc = kt.add(acc, multisegment_class(curve, m))
-    return acc
+        parts = [cat.class_of(curve, lab) for lab in z.bundle]
+    parts += [multisegment_class(curve, m) for m in z.exceptional]
+    return reduce(kt.add, parts, kt.class_of_ordinary_torsion(curve, sum(z.ordinary)))
 
 
 def expected_dim(curve: WeightData, z: ComponentLabel) -> int:
@@ -488,31 +469,30 @@ def enumerate_components_finite(
         lab = cat.LineBundle(x)
         summands.append((lab, cat.class_of(curve, lab)))
     summands.sort(key=repr)
-    results = []
-
-    def dfs(start: int, remaining: kt.KClass, chosen: list):
-        if remaining.r == 0:
-            if kt.is_positive(curve, remaining):
-                for torsion in enumerate_torsion_components(curve, remaining):
-                    results.append(
-                        component_label(
-                            curve, chosen, torsion.ordinary, torsion.exceptional
-                        )
-                    )
-            return
-        for k in range(start, len(summands)):
-            lab, cls = summands[k]
-            if cls.r > remaining.r:
-                continue
-            # all later bundle summands cost at least p*min_degree each
-            if kt.degree_d(curve, cls) > kt.degree_d(
-                curve, remaining
-            ) - (remaining.r - cls.r) * curve.p * min_degree:
-                continue
-            dfs(k, kt.sub(remaining, cls), chosen + [lab])
-
-    dfs(0, a, [])
+    results: list[ComponentLabel] = []
+    _fill_finite(curve, summands, min_degree, 0, a, [], results)
     return sorted(set(results), key=repr)
+
+
+def _fill_finite(curve, summands, min_degree, start, remaining, chosen, results):
+    """Append to ``results`` the labels of :func:`enumerate_components_finite`
+    whose bundle part is ``chosen`` plus a multiset of ``summands[start:]``."""
+    if remaining.r == 0:
+        if kt.is_positive(curve, remaining):
+            for t in enumerate_torsion_components(curve, remaining):
+                results.append(component_label(curve, chosen, t.ordinary, t.exceptional))
+        return
+    for k in range(start, len(summands)):
+        lab, cls = summands[k]
+        # all later bundle summands cost at least p*min_degree each
+        if cls.r > remaining.r or kt.degree_d(curve, cls) > kt.degree_d(
+            curve, remaining
+        ) - (remaining.r - cls.r) * curve.p * min_degree:
+            continue
+        _fill_finite(
+            curve, summands, min_degree, k, kt.sub(remaining, cls), chosen + [lab],
+            results,
+        )
 
 
 # ---------------------------------------------------------------------------

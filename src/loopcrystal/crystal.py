@@ -649,7 +649,8 @@ def build_graph(
 
     Both directions are explored for every color; targets outside the budget
     window are simply not added.  Output ordering is deterministic (canonical
-    sort of nodes, edges, colors) regardless of exploration order.
+    sort of nodes, edges, colors) regardless of exploration order.  A seed or
+    colour given twice counts once.
 
     Each node carries its weight: the seeds' are computed, and a new node's
     is its parent's minus (``f``) or plus (``e``) the colour's class.  The
@@ -662,7 +663,7 @@ def build_graph(
     """
     if budget.max_nodes is not None and budget.max_nodes < 0:
         raise ValueError("max_nodes must be nonnegative")
-    color_list = sorted(colors, key=repr)
+    color_list = sorted(set(colors), key=repr)
     for color in color_list:
         _check_color(curve, color)
     # each weight's budget test once
@@ -916,6 +917,8 @@ def graph_from_json(data: dict) -> CrystalGraph:
     curve = WeightData(weights)
     nodes = tuple(comp.label_from_json(item, curve) for item in raw_nodes)
     colors = tuple(cat.label_from_json(item, curve) for item in raw_colors)
+    if len(set(colors)) < len(colors):
+        raise ValueError("a colour is listed twice")
     for color in colors:
         _check_color(curve, color)
     edges = []

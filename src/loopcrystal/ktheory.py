@@ -6,7 +6,13 @@ Classes are written in the standard basis
 
 where ``delta`` is the class of an ordinary point sheaf and ``alpha_{i,j}``
 the class of the exceptional simple ``S_{i,j}``.  The class of the zeroth
-simple is dependent: ``[S_{i,0}] = delta - sum_j alpha_{i,j}``.
+simple is dependent: ``[S_{i,0}] = delta - sum_j alpha_{i,j}``.  So a torsion
+sheaf at point ``i`` with ``c_j`` composition factors ``S_{i,j}`` has class
+
+    c_0 * delta + sum_{j >= 1} (c_j - c_0) * alpha_{i,j},
+
+which :func:`class_of_counts` writes down for simples, serial sheaves and
+multisegments alike.
 
 The Euler form ``<a, b> = dim Hom - dim Ext^1`` is bilinear, and on this
 basis it has the closed form of Geigle-Lenzing (1987):
@@ -30,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator, Sequence
+from functools import partial
 
 from .starlattice import LElement, Record, WeightData, json_fields, json_ints
 
@@ -130,36 +137,37 @@ def from_vector(curve: WeightData, v: Sequence[int]) -> KClass:
 # classes of standard sheaves
 # ---------------------------------------------------------------------------
 
+def segment_coverage(p: int, j: int, l: int) -> tuple[int, ...]:
+    """How many composition factors of [j; l) sit at each vertex of Z/p."""
+    cov = [l // p] * p
+    for k in range(l % p):
+        cov[(j - k) % p] += 1
+    return tuple(cov)
+
+
+def class_of_counts(curve: WeightData, i: int, counts: Sequence[int]) -> KClass:
+    """Class of a torsion sheaf at point ``i`` with ``counts[j]`` composition
+    factors ``S_{i,j}``, by the rule of the module docstring."""
+    if curve.weights[i] == 1:
+        raise ValueError("point has weight 1; its simple is the ordinary delta")
+    head = counts[0]
+    rows = tuple(
+        tuple(c - head for c in counts[1:]) if k == i else (0,) * (p - 1)
+        for k, p in enumerate(curve.weights)
+    )
+    return KClass(0, head, rows)
+
+
 def class_of_simple(curve: WeightData, i: int, j: int) -> KClass:
     """Class of the exceptional simple ``S_{i,j}`` (j taken mod p_i)."""
-    p = curve.weights[i]
-    if p == 1:
-        raise ValueError("point has weight 1; its simple is the ordinary delta")
-    j %= p
-    m = [[0] * (q - 1) for q in curve.weights]
-    if j == 0:
-        d = 1
-        for jj in range(p - 1):
-            m[i][jj] = -1
-    else:
-        d = 0
-        m[i][j - 1] = 1
-    return KClass(0, d, tuple(tuple(row) for row in m))
+    return class_of_serial(curve, i, j, 1)
 
 
 def class_of_serial(curve: WeightData, i: int, j: int, length: int) -> KClass:
     """Class of the serial torsion sheaf with head ``S_{i,j}`` and given length."""
     if length < 1:
         raise ValueError("length must be positive")
-    # Any p_i consecutive composition factors sum to delta: add the whole
-    # periods at once and only the 1 to p_i factors from the head one by
-    # one, so the cost does not grow with the length and a weight-1 point
-    # still raises in class_of_simple.
-    periods, rest = divmod(length - 1, curve.weights[i])
-    acc = scale(periods, delta_class(curve))
-    for k in range(rest + 1):
-        acc = add(acc, class_of_simple(curve, i, j - k))
-    return acc
+    return class_of_counts(curve, i, segment_coverage(curve.weights[i], j, length))
 
 
 def class_of_line_bundle(curve: WeightData, x: LElement) -> KClass:
@@ -335,19 +343,8 @@ def hn_types(
                     if lo <= sl and (hi == math.inf or sl <= hi) and sl < prev_slope:
                         yield cand
 
-    def extend(rem: KClass, prev_slope, acc: tuple[KClass, ...]):
-        if rem == zero_class(curve):
-            results.add(acc)
-            return
-        if len(acc) >= max_parts or rem.r <= 0:
-            return
-        for cand in rank_part_candidates(rem, prev_slope):
-            rest = sub(rem, cand)
-            if rest != zero_class(curve) and rest.r == 0:
-                continue
-            extend(rest, slope(curve, cand), acc + (cand,))
-
-    extend(a, math.inf, ())
+    extend = partial(_extend_hn, curve, rank_part_candidates, max_parts)
+    extend(a, math.inf, (), results)
     # optional leading rank-0 part, bounded by degree conservation
     deg_budget = degree_d(curve, a) - lo * a.r
     for combo, frac in combos:
@@ -355,6 +352,24 @@ def hn_types(
             t = from_vector(curve, [0, d, *combo])
             if t == zero_class(curve) or not is_positive(curve, t):
                 continue
-            extend(sub(a, t), INFINITE_SLOPE, (t,))
+            extend(sub(a, t), INFINITE_SLOPE, (t,), results)
 
     return sorted(results, key=lambda seq: (len(seq), [to_vector(c) for c in seq]))
+
+
+def _extend_hn(curve, candidates, max_parts, rem, prev_slope, acc, results) -> None:
+    """Add to ``results`` the :func:`hn_types` sequences that complete ``acc``
+    by parts from ``candidates(rem, prev_slope)`` summing to ``rem``."""
+    if rem == zero_class(curve):
+        results.add(acc)
+        return
+    if len(acc) >= max_parts or rem.r <= 0:
+        return
+    for cand in candidates(rem, prev_slope):
+        rest = sub(rem, cand)
+        if rest != zero_class(curve) and rest.r == 0:
+            continue
+        _extend_hn(
+            curve, candidates, max_parts, rest, slope(curve, cand), acc + (cand,),
+            results,
+        )

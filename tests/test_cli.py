@@ -826,6 +826,15 @@ class TestCrystalGraph:
         assert len(d["edges"]) == 3
         assert d["complete"] is True
 
+    def test_repeated_colour_counts_once(self, capsys):
+        argv = [
+            "crystal", "graph", "--weights", "2,1,1", "--seeds", "empty",
+            "--max-delta", "1", "--colors", "S[1,0](1)",
+        ]
+        once = run(capsys, argv)
+        assert once[0] == 0
+        assert run(capsys, [*argv, "S[1,0](1)"]) == once
+
     def test_deterministic_output(self, capsys):
         argv = [
             "crystal", "graph", "--seeds", "empty",
@@ -1091,11 +1100,13 @@ class TestCrystalGraph:
             ({**_torsion_graph(_segment_color, [[0, 1, 1]]),
               "colors": [{**_segment_color, "j": 1}]},
              "edge colour is not in the colour list"),
+            ({**_torsion_graph(_segment_color), "colors": [_segment_color] * 2},
+             "a colour is listed twice"),
         ],
         ids=["empty-object", "list", "source-past-end", "negative-source",
              "color-residue-range", "node-float-length", "node-negative-multiplicity",
              "color-float-length", "float-weight", "string-complete",
-             "non-rigid-color", "unlisted-edge-color"],
+             "non-rigid-color", "unlisted-edge-color", "repeated-color"],
     )
     def test_verify_rejects_malformed_graph(self, capsys, tmp_path, data, message):
         path = tmp_path / "graph.json"

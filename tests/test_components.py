@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import cyclic_garbage
 from counting_oracle import count_aperiodic_multisegments, count_torsion_labels
 from loopcrystal import catalog as cat, components as comp, ktheory as kt
 from loopcrystal.starlattice import WeightData
@@ -392,3 +393,25 @@ class TestTubularEnumeration:
             comp.enumerate_components_tubular(
                 w222, kt.structure_class(w222), slope_window=(0, 1)
             )
+
+
+class TestReferenceCycles:
+    # the recursive closures of the multisegment search, the bundle search
+    # and the HN-type search left 389 objects here and 90 on (3,3,3)
+    def test_finite_enumeration_leaves_none(self):
+        curve = WeightData((2, 3, 1))
+        a = kt.scale(2, kt.add(kt.structure_class(curve), kt.delta_class(curve)))
+        comp._aperiodic_multisegments.cache_clear()
+        labels = []
+        left = cyclic_garbage(lambda: labels.extend(comp.enumerate_components_finite(curve, a)))
+        assert labels and left == 0, left
+
+    def test_tubular_enumeration_leaves_none(self):
+        curve = WeightData((3, 3, 3))
+        a = kt.add(kt.structure_class(curve), kt.delta_class(curve))
+        comp._aperiodic_multisegments.cache_clear()
+        labels = []
+        left = cyclic_garbage(
+            lambda: labels.extend(comp.enumerate_components_tubular(curve, a, (0, 3)))
+        )
+        assert labels and left == 0, left

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perfbench_workloads
+from conftest import cyclic_garbage, perfbench_workloads
 from counting_oracle import kostant_partition_count
 from loopcrystal import _linalg
 from loopcrystal import catalog as cat
@@ -1365,6 +1365,8 @@ class TestWorkCounts:
         monkeypatch.setattr(cr, "_signature", counted("signature", cr._signature))
         monkeypatch.setattr(comp, "multisegment", counted("multisegment", comp.multisegment))
         monkeypatch.setattr(kt, "sub", counted("sub", kt.sub))
+        monkeypatch.setattr(kt, "add", counted("add", kt.add))
+        monkeypatch.setattr(kt, "scale", counted("scale", kt.scale))
         colors = [S(W3, j, l) for l in (1, 2) for j in range(3)]
         cr.clear_memos()
         graph = cr.build_graph(W3, [E], colors, cr.Budget(max_delta=3))
@@ -1384,6 +1386,24 @@ class TestWorkCounts:
         # asking whether f returned one (7,279 subtractions)
         assert counts["multisegment"] <= 6_912, counts
         assert counts["sub"] <= 4_090, counts
+        # classes were summed simple by simple and segment by segment, and a
+        # label's weight added its ordinary part and each multisegment to a
+        # zero class (17,517 adds and 9,919 scalings)
+        assert counts["add"] <= 10_123, counts
+        assert counts["scale"] <= 5_077, counts
+
+    def test_criterion_05_build_leaves_no_reference_cycles(self):
+        # the multisegment search's recursive closure left 1,809 objects
+        def build():
+            for curve in (W2, W3):
+                p = curve.weights[0]
+                colors = [S(curve, j, l) for l in range(1, p) for j in range(p)]
+                graphs.append(cr.build_graph(curve, [E], colors, cr.Budget(max_delta=3)))
+
+        graphs = []
+        cr.clear_memos()
+        left = cyclic_garbage(build)
+        assert [len(g.nodes) for g in graphs] == [57, 862] and left == 0, left
 
 
 class TestGraphExport:

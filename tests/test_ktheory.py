@@ -127,6 +127,40 @@ class TestBasics:
         assert c.m[2] == (1, 1, 1, 0, 0, 0)
 
 
+class TestClassOfCounts:
+    @pytest.mark.parametrize("weights", [(2, 3, 7), (2, 2, 2, 2)])
+    def test_matches_simples_from_coordinates(self, weights):
+        # reference: [S_{i,0}] = delta - sum_j alpha_{i,j} and [S_{i,j}] =
+        # alpha_{i,j}, written in coordinates and summed with multiplicities
+        curve = WeightData(weights)
+        rank = kt.lattice_rank(curve)
+
+        def unit(pos):
+            return kt.from_vector(curve, [int(k == pos) for k in range(rank)])
+
+        delta = unit(1)
+        start = 2
+        for i, p in enumerate(weights):
+            alphas = [unit(start + j) for j in range(p - 1)]
+            start += p - 1
+            head = delta
+            for alpha in alphas:
+                head = kt.sub(head, alpha)
+            simples = [kt.to_vector(s) for s in (head, *alphas)]
+            for counts in itertools.product(range(4), repeat=p):
+                want = [
+                    sum(c * v[k] for c, v in zip(counts, simples)) for k in range(rank)
+                ]
+                got = kt.class_of_counts(curve, i, counts)
+                assert got == kt.from_vector(curve, want), (i, counts)
+
+    def test_weight_one_point_refused(self):
+        with pytest.raises(
+            ValueError, match="^point has weight 1; its simple is the ordinary delta$"
+        ):
+            kt.class_of_counts(WeightData((2, 1, 1)), 1, (3,))
+
+
 class TestEulerForm:
     def test_structure_and_point_pairings(self, p1, w222, w237, w2222):
         for curve in (p1, w222, w237, w2222):

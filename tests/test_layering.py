@@ -3,6 +3,10 @@
 The table is the package's import graph, read with ``ast`` from the source,
 so an import added inside a function counts as well.  ``_linalg`` serves the
 oracle alone; the crystal layer reaches linear algebra only through it.
+
+The same reading finds nested functions that call themselves: such a
+function refers to itself through its closure cell, so every call of the
+function around it leaves a reference cycle for the collector.
 """
 
 import ast
@@ -75,3 +79,40 @@ def test_reader_sees_every_import_form(tmp_path):
     assert package_imports(path) == {
         "oracle", "crystal", "ktheory", "_linalg", "catalog", "components", "cli",
     }
+
+
+def self_naming_closures(path: Path) -> list[str]:
+    """``module.outer.inner`` for each nested function in the module at
+    ``path`` whose body names the function itself."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    owner = {}
+    for outer in ast.walk(ast.parse(path.read_text())):
+        if isinstance(outer, functions):
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, functions):
+                    owner.setdefault(inner, outer)
+    return [
+        f"{path.stem}.{outer.name}.{inner.name}"
+        for inner, outer in owner.items()
+        if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner))
+    ]
+
+
+def test_no_nested_function_names_itself():
+    found = [name for path in sorted(SRC.glob("*.py")) for name in self_naming_closures(path)]
+    assert not found, f"recursive closures leave reference cycles: {found}"
+
+
+def test_closure_reader_sees_nested_self_reference(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def outer():\n"
+        "    def walk(n):\n"
+        "        return walk(n - 1) if n else 0\n"
+        "    def flat(n):\n"
+        "        return n\n"
+        "    return walk(3) + flat(1)\n"
+        "def top(n):\n"
+        "    return top(n - 1) if n else 0\n"
+    )
+    assert self_naming_closures(path) == ["m.outer.walk"]
