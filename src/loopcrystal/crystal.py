@@ -910,15 +910,14 @@ def graph_to_json(graph: CrystalGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> CrystalGraph:
-    """Inverse of :func:`graph_to_json`; other shapes raise ``ValueError``."""
+    """Inverse of :func:`graph_to_json`; other shapes, and a node, edge or
+    colour listed twice, raise ``ValueError``."""
     weights, raw_nodes, raw_edges, raw_colors = json_fields(
         data, "crystal graph", weights=list, nodes=list, edges=list, colors=list
     )
     curve = WeightData(weights)
     nodes = tuple(comp.label_from_json(item, curve) for item in raw_nodes)
     colors = tuple(cat.label_from_json(item, curve) for item in raw_colors)
-    if len(set(colors)) < len(colors):
-        raise ValueError("a colour is listed twice")
     for color in colors:
         _check_color(curve, color)
     edges = []
@@ -933,6 +932,9 @@ def graph_from_json(data: dict) -> CrystalGraph:
         if color not in colors:
             raise ValueError("edge colour is not in the colour list")
         edges.append((nodes[source], nodes[target], color))
+    for items, what in ((nodes, "a node"), (edges, "an edge"), (colors, "a colour")):
+        if len(set(items)) < len(items):
+            raise ValueError(f"{what} is listed twice")
     (complete,) = json_fields(
         {"complete": True, **data}, "crystal graph", complete=bool
     )

@@ -17,14 +17,17 @@ Two families of models:
   generic quotients ``V / O(a)^s`` through Serre duality, which the tests
   compare with the grid ``f_max`` of :mod:`loopcrystal.crystal`.
 
-All arithmetic is exact: a large prime field by default, and for audit runs
-(``prime=None``) Q, computed in the integers by fraction-free elimination.
-Field elements are multiplied, added and reduced in :mod:`._linalg`.  A
-cyclic draw needs no arithmetic: the commutant fiber has a closed basis of
-0/1 arrows with disjoint supports (:func:`_intertwiners`), so the seeded
-coefficients are written into their entries.  The one exception is
-:func:`_generic_matrix_rank`, which evaluates the forms at a point with its
-own Horner loop and leaves the reduction to ``rank_mod``.
+All arithmetic is exact.  Every draw is over GF(2^61 - 1), and the field
+rides on the value (``CyclicPair.prime``, ``P1Higgs.prime``): Q is reached
+only by lifting a draw, a copy of its entries with ``prime=None``, which
+:mod:`._linalg` reduces in the integers by fraction-free elimination (the
+audit of :func:`kernel_type_sample`).  Field elements are multiplied, added
+and reduced in :mod:`._linalg`.  A cyclic draw needs no arithmetic: the
+commutant fiber has a closed basis of 0/1 arrows with disjoint supports
+(:func:`_intertwiners`), so the seeded coefficients are written into their
+entries.  The one exception is :func:`_generic_matrix_rank`, which evaluates
+the forms at a point with its own Horner loop and leaves the reduction to
+``rank_mod``.
 """
 
 from __future__ import annotations
@@ -40,16 +43,6 @@ from .starlattice import Record, WeightData
 
 DEFAULT_PRIME = _linalg.DEFAULT_PRIME
 DEFAULT_TRIALS = 8
-
-
-# ---------------------------------------------------------------------------
-# field-generic helpers
-# ---------------------------------------------------------------------------
-
-def _rand_scalar(rng, prime):
-    if prime is None:
-        return rng.randint(-99, 99)
-    return rng.randrange(1, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +88,7 @@ def _segment_slots(p: int, segments) -> tuple[tuple[int, ...], list]:
     return tuple(dims), slots
 
 
-def build_rep(curve: WeightData, m: Multisegment, prime=DEFAULT_PRIME) -> CyclicPair:
+def build_rep(curve: WeightData, m: Multisegment) -> CyclicPair:
     """Direct sum of segment shift representations, ``phi`` moving each
     composition factor to the next by a unit entry; reverse arrows zero."""
     p = curve.weights[m.i]
@@ -104,7 +97,7 @@ def build_rep(curve: WeightData, m: Multisegment, prime=DEFAULT_PRIME) -> Cyclic
     for seg_slots in slots:
         for (v, idx), (_, idx2) in zip(seg_slots, seg_slots[1:]):
             phi[v][idx2][idx] = 1
-    return CyclicPair(p, dims, phi, _fill(p, dims, [], []), prime, m.i)
+    return CyclicPair(p, dims, phi, _fill(p, dims, [], []), DEFAULT_PRIME, m.i)
 
 
 def _intertwiners(p: int, segments, shift: int) -> tuple[tuple[int, ...], list]:
@@ -203,9 +196,7 @@ def _stratum_model(curve: WeightData, m: Multisegment) -> tuple:
     return pair, _intertwiners(pair.p, m.segments(), 1)[1]
 
 
-def sample_generic(
-    curve: WeightData, m: Multisegment, seed=0, prime=DEFAULT_PRIME
-) -> CyclicPair:
+def sample_generic(curve: WeightData, m: Multisegment, seed=0) -> CyclicPair:
     """phi from the segment model, phibar random in the commutant fiber.
 
     The conormal fiber of an aperiodic stratum lies in the nilpotent variety
@@ -214,18 +205,18 @@ def sample_generic(
 
     A draw has a non-generic kernel or quotient type only on the zero set of
     a nonzero polynomial of degree ``deg`` (small in the total dimension) in
-    the fiber coefficients, which are uniform on the nonzero residues of
-    GF(2^61 - 1): by the Schwartz-Zippel bound (Schwartz, J. ACM 27, 1980;
-    Zippel, EUROSAM 1979) one draw is non-generic with probability at most
-    ``deg / (2^61 - 2)``.
+    the fiber coefficients.  Every draw takes them uniform on the nonzero
+    residues of GF(2^61 - 1), so by the Schwartz-Zippel bound (Schwartz,
+    J. ACM 27, 1980; Zippel, EUROSAM 1979) every draw is non-generic with
+    probability at most ``deg / (2^61 - 2)``.
     """
     if not is_aperiodic_for(curve, m):
         raise ValueError("periodic input: the fiber breaks nilpotency")
     pair, basis = _stratum_model(curve, m)
     rng = random.Random(f"cyclic:{seed}")
-    coeffs = [_rand_scalar(rng, prime) for _ in basis]
+    coeffs = [rng.randrange(1, DEFAULT_PRIME) for _ in basis]
     phibar = _fill(pair.p, pair.dims, basis, coeffs)
-    return CyclicPair(pair.p, pair.dims, pair.phi, phibar, prime, pair.point)
+    return CyclicPair(pair.p, pair.dims, pair.phi, phibar, DEFAULT_PRIME, pair.point)
 
 
 def _path_ranks(pair: CyclicPair, sources, subs=None) -> dict:
@@ -349,7 +340,7 @@ def rk_embeddings(p: int, m: Multisegment, j: int, l: int) -> int:
     return count
 
 
-def _generic_kernel(curve: WeightData, m: Multisegment, trials, seed, prime) -> tuple:
+def _generic_kernel(curve: WeightData, m: Multisegment, trials, seed) -> tuple:
     """The trial with the smallest ker(phibar) as ``(pair, kernels)``.
 
     Kernel dimensions are upper semicontinuous, so the smallest is generic.
@@ -358,7 +349,7 @@ def _generic_kernel(curve: WeightData, m: Multisegment, trials, seed, prime) -> 
         raise ValueError("trials must be at least 1")
 
     def draw(t):
-        pair = sample_generic(curve, m, seed=f"{seed}:{t}", prime=prime)
+        pair = sample_generic(curve, m, seed=f"{seed}:{t}")
         return pair, _kernel_data(pair)
 
     # min keeps the first of equally small kernels
@@ -370,7 +361,6 @@ def kernel_type_sample(
     m: Multisegment,
     trials: int = DEFAULT_TRIALS,
     seed=0,
-    prime=DEFAULT_PRIME,
     audit: bool = False,
 ) -> Multisegment:
     """The generic multisegment type of ker(phibar) on the stratum of ``m``.
@@ -378,9 +368,9 @@ def kernel_type_sample(
     With ``audit`` the chosen trial is recomputed over the rationals and must
     give the same kernel type.
     """
-    pair, kernels = _generic_kernel(curve, m, trials, seed, prime)
+    pair, kernels = _generic_kernel(curve, m, trials, seed)
     ktype = _kernel_type(pair, kernels)
-    if audit and prime is not None:
+    if audit:
         exact = CyclicPair(pair.p, pair.dims, pair.phi, pair.phibar, None, pair.point)
         if not is_nilpotent(exact):
             raise AssertionError("audit failure: nilpotency differs over Q")
@@ -398,7 +388,6 @@ def eps_sample(
     color_l: int,
     trials: int = DEFAULT_TRIALS,
     seed=0,
-    prime=DEFAULT_PRIME,
     audit: bool = True,
 ) -> int:
     """Sampled generic rk of the color inside ker(phibar) on the stratum of m.
@@ -406,7 +395,7 @@ def eps_sample(
     Read off the generic kernel type that :func:`kernel_type_sample` samples:
     the number of segments of that type which receive S_j(l).
     """
-    ktype = kernel_type_sample(curve, m, trials, seed, prime, audit)
+    ktype = kernel_type_sample(curve, m, trials, seed, audit)
     return rk_embeddings(curve.weights[m.i], ktype, color_j, color_l)
 
 
@@ -418,12 +407,11 @@ def quotient_type_sample(
     s: int,
     trials: int = DEFAULT_TRIALS,
     seed=0,
-    prime=DEFAULT_PRIME,
 ) -> Multisegment:
     """Type of the generic quotient M / S_j(l)^s with the copies in ker(phibar).
 
     Takes the generic pair that :func:`kernel_type_sample` reads the kernel
-    type off (same ``trials``, ``seed`` and ``prime``), embeds ``s`` generic
+    type off (same ``trials`` and ``seed``), embeds ``s`` generic
     copies of the serial module S_j(l) into ker(phibar) (head generators in
     the kernel of the l-fold forward composite), and reads the type of the
     quotient module off its path ranks.  The submodule is phibar-stable
@@ -432,7 +420,8 @@ def quotient_type_sample(
     if s == 0:
         return m
     p = curve.weights[m.i]
-    pair, kernels = _generic_kernel(curve, m, trials, seed, prime)
+    pair, kernels = _generic_kernel(curve, m, trials, seed)
+    prime = pair.prime
     v_head = (-color_j) % p
     # head generators: combinations of the kernel basis killed by the path
     path = [kernels[v_head]]
@@ -450,7 +439,7 @@ def quotient_type_sample(
     rng = random.Random(f"quot:{seed}")
     orbit_by_vertex = [[] for _ in range(p)]
     for _ in range(s):
-        combo = [_rand_scalar(rng, prime) for _ in null_c]
+        combo = [rng.randrange(1, DEFAULT_PRIME) for _ in null_c]
         cur, v = _linalg.mat_vec_mod(heads, combo, prime), v_head
         for _ in range(color_l):
             orbit_by_vertex[v].append(cur)
@@ -484,10 +473,11 @@ class P1Higgs(Record):
     prime: int | None
 
 
-def p1_sample(degs, seed=0, prime=DEFAULT_PRIME) -> P1Higgs:
-    """A Higgs field on ``O(d_1) + ... + O(d_n)`` with random form coefficients,
-    whose kernel profile is non-generic with probability at most
-    ``deg / (2^61 - 2)`` by the Schwartz-Zippel bound (see :func:`sample_generic`).
+def p1_sample(degs, seed=0) -> P1Higgs:
+    """A Higgs field on ``O(d_1) + ... + O(d_n)`` with form coefficients uniform
+    on the nonzero residues of GF(2^61 - 1), so that, by the Schwartz-Zippel
+    bound (see :func:`sample_generic`), every draw's kernel profile is
+    non-generic with probability at most ``deg / (2^61 - 2)``.
     """
     degs = tuple(sorted(degs, reverse=True))
     rng = random.Random(f"p1:{seed}")
@@ -499,9 +489,9 @@ def p1_sample(degs, seed=0, prime=DEFAULT_PRIME) -> P1Higgs:
             if d < 0:
                 row.append(None)
             else:
-                row.append(tuple(_rand_scalar(rng, prime) for _ in range(d + 1)))
+                row.append(tuple(rng.randrange(1, DEFAULT_PRIME) for _ in range(d + 1)))
         f.append(row)
-    return P1Higgs(degs, f, prime)
+    return P1Higgs(degs, f, DEFAULT_PRIME)
 
 
 def _toeplitz(form, din):
@@ -551,7 +541,7 @@ def _generic_matrix_rank(h: P1Higgs) -> int:
     rng = random.Random("p1rank")
     best = 0
     for _ in range(3):
-        tau = _rand_scalar(rng, h.prime)
+        tau = rng.randrange(1, DEFAULT_PRIME)
         scalar = []
         for row in h.f:
             out_row = []
@@ -614,20 +604,22 @@ def p1_kernel_profile(h: P1Higgs) -> tuple[tuple[int, ...], int]:
 
 
 def p1_rk_line(h: P1Higgs, a: int) -> int:
-    """Number of kernel splitting degrees >= a (copies of O(a) embedding)."""
-    degrees, _ = p1_kernel_profile(h)
-    return sum(1 for b in degrees if b >= a)
+    """Number of kernel splitting degrees >= a (copies of O(a) embedding).
+
+    ``dim Hom(O(a), ker f) - dim Hom(O(a + 1), ker f)`` counts the summands
+    of degree at least ``a``, the first difference :func:`_splitting_scan`
+    reads.
+    """
+    return len(_kernel_basis(h, a)) - len(_kernel_basis(h, a + 1))
 
 
-def p1_eps_sample(
-    degs, a: int, trials: int = DEFAULT_TRIALS, seed=0, prime=DEFAULT_PRIME
-) -> int:
+def p1_eps_sample(degs, a: int, trials: int = DEFAULT_TRIALS, seed=0) -> int:
     """Max over sampled Higgs fields of the O(a)-embedding count in ker f."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     best = 0
     for t in range(trials):
-        h = p1_sample(degs, seed=f"{seed}:{t}", prime=prime)
+        h = p1_sample(degs, seed=f"{seed}:{t}")
         best = max(best, p1_rk_line(h, a))
     return best
 
@@ -659,7 +651,7 @@ def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
     # copies[sigma]: a generic combination of the basis, an embedding O(a) -> V
     entries = _linalg.transpose(basis)
     copies = [
-        _linalg.mat_vec_mod(entries, [_rand_scalar(rng, h.prime) for _ in basis],
+        _linalg.mat_vec_mod(entries, [rng.randrange(1, DEFAULT_PRIME) for _ in basis],
                             h.prime)
         for _ in range(s)
     ]

@@ -816,6 +816,11 @@ def _torsion_graph(color, segs=None):
             "complete": True}
 
 
+def _listed_twice(graph, key):
+    """``graph`` with the first item of its ``key`` list appended again."""
+    return {**graph, key: graph[key] + graph[key][:1]}
+
+
 class TestCrystalGraph:
     def test_rank_ladder(self, capsys):
         d = run_json(
@@ -1102,11 +1107,16 @@ class TestCrystalGraph:
              "edge colour is not in the colour list"),
             ({**_torsion_graph(_segment_color), "colors": [_segment_color] * 2},
              "a colour is listed twice"),
+            (_listed_twice(_torsion_graph(_segment_color, [[0, 1, 1]]), "nodes"),
+             "a node is listed twice"),
+            (_listed_twice(_torsion_graph(_segment_color, [[0, 1, 1]]), "edges"),
+             "an edge is listed twice"),
         ],
         ids=["empty-object", "list", "source-past-end", "negative-source",
              "color-residue-range", "node-float-length", "node-negative-multiplicity",
              "color-float-length", "float-weight", "string-complete",
-             "non-rigid-color", "unlisted-edge-color", "repeated-color"],
+             "non-rigid-color", "unlisted-edge-color", "repeated-color",
+             "repeated-node", "repeated-edge"],
     )
     def test_verify_rejects_malformed_graph(self, capsys, tmp_path, data, message):
         path = tmp_path / "graph.json"

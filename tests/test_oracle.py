@@ -6,10 +6,13 @@ computations on the projective line; the larger batteries cross-check the
 samplers against the exact serial Hom formulas.
 """
 
+import ast
 import collections
 import hashlib
+import inspect
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,26 +223,25 @@ class TestSampleGeneric:
         b = orc.sample_generic(W3, ms(W3, (0, 2), (1, 1)), seed=5)
         assert a.phibar == b.phibar
 
-    @pytest.mark.parametrize("prime", [orc.DEFAULT_PRIME, None], ids=["gf", "q"])
-    def test_draw_is_the_seeded_fiber_combination(self, prime):
+    def test_draw_is_the_seeded_fiber_combination(self):
         # phibar is sum_b coeff_b * fiber[b], the coefficients drawn in basis
         # order from the seed: this pins every draw, not only its repetition
+        prime = orc.DEFAULT_PRIME
         draws = 0
         for p, curve in CURVES.items():
             for m in aperiodic_battery(curve, 5):
                 fiber = orc.commutant_fiber(curve, m)
                 for seed in (0, 1):
                     rng = random.Random(f"cyclic:{seed}")
-                    coeffs = [orc._rand_scalar(rng, prime) for _ in fiber]
-                    pair = orc.sample_generic(curve, m, seed=seed, prime=prime)
+                    coeffs = [rng.randrange(1, prime) for _ in fiber]
+                    pair = orc.sample_generic(curve, m, seed=seed)
                     want = [
-                        [[sum(a * basis[k][r][c] for a, basis in zip(coeffs, fiber))
+                        [[sum(a * basis[k][r][c] for a, basis in zip(coeffs, fiber)) % prime
                           for c in range(pair.dims[k])]
                          for r in range(pair.dims[k - 1])]
                         for k in range(p)
                     ]
-                    if prime is not None:
-                        want = [[[x % prime for x in row] for row in mat] for mat in want]
+                    assert pair.prime == prime
                     assert pair.phibar == want, (m, seed)
                     draws += 1
         assert draws == 1290
@@ -277,9 +279,9 @@ class TestFiberNilpotency:
             with pytest.raises(ValueError, match="nilpotency"):
                 orc.sample_generic(curve, m, seed=0)
             return
+        pair = orc.build_rep(curve, m)
+        fiber = orc.commutant_fiber(curve, m)
         for q in (2, 3, 5):
-            pair = orc.build_rep(curve, m, q)
-            fiber = orc.commutant_fiber(curve, m)
             coeffs = data.draw(
                 st.lists(st.integers(0, q - 1), min_size=len(fiber), max_size=len(fiber))
             )
@@ -351,8 +353,10 @@ class TestRecoverTypeProperties:
     @given(multisegments())
     def test_round_trip_over_both_fields(self, curve_m):
         curve, m = curve_m
-        for prime in (orc.DEFAULT_PRIME, None):
-            assert orc.recover_type(orc.build_rep(curve, m, prime)) == m
+        pair = orc.build_rep(curve, m)
+        for prime in (pair.prime, None):
+            lifted = orc.CyclicPair(pair.p, pair.dims, pair.phi, pair.phibar, prime, pair.point)
+            assert orc.recover_type(lifted) == m
 
     @settings(max_examples=150, deadline=None)
     @given(arrow_sets())
@@ -468,6 +472,21 @@ class TestP1Profiles:
         # O(3) + O(1) + O: row (g, lambda) has a kernel summand of degree 0
         h = orc.p1_sample((3, 1, 0), seed=5)
         assert orc.p1_kernel_profile(h) == ((3, 0), 0)
+
+    def test_rk_line_counts_profile_degrees(self):
+        # hom(a) - hom(a + 1) against the splitting degrees of the full scan,
+        # on every shape with 1-4 summands of degree -1..3
+        cases = 0
+        for n in range(1, 5):
+            for shape in itertools.combinations_with_replacement(range(3, -2, -1), n):
+                for seed in (0, 1):
+                    h = orc.p1_sample(shape, seed=seed)
+                    degrees, _ = orc.p1_kernel_profile(h)
+                    for a in range(-3, 5):
+                        want = sum(1 for b in degrees if b >= a)
+                        assert orc.p1_rk_line(h, a) == want, (shape, seed, a)
+                        cases += 1
+        assert cases == 2000
 
     def test_eps_closed_form_near_trivial(self):
         # V = O(1)^l + O^n with l + n <= 5: the twisted endomorphism space
@@ -603,19 +622,22 @@ class TestP1QuotientInvariants:
 
 
 class TestFieldAgreement:
-    """The prime-field fast path must agree with exact rational runs."""
+    """Every draw is over GF(2^61 - 1); the same draw lifted to Q (its entries
+    read as integers, ``prime=None``) must give the same answers."""
 
     def test_p1_profiles(self):
         for degs in [(2, 0), (3, 1, 0), (2, 2, 0)]:
-            modp = orc.p1_sample(degs, seed=13)
-            exact = orc.p1_sample(degs, seed=13, prime=None)
-            assert orc.p1_kernel_profile(modp) == orc.p1_kernel_profile(exact)
+            h = orc.p1_sample(degs, seed=13)
+            exact = orc.P1Higgs(h.degs, h.f, None)
+            assert orc.p1_kernel_profile(h) == orc.p1_kernel_profile(exact)
 
     def test_eps_sample_exact_mode(self):
+        # the audit recomputes the chosen draw over Q and must agree
         m = ms(W2, (0, 2))
-        fast = orc.eps_sample(W2, m, 1, 1, trials=2, seed=3)
-        slow = orc.eps_sample(W2, m, 1, 1, trials=2, seed=3, prime=None)
-        assert fast == slow == 1
+        fast = orc.kernel_type_sample(W2, m, trials=2, seed=3)
+        audited = orc.kernel_type_sample(W2, m, trials=2, seed=3, audit=True)
+        assert fast == audited
+        assert orc.rk_embeddings(2, audited, 1, 1) == 1
 
     def test_audit_runs_inside_eps_sample(self):
         # audit=True re-runs the first trial over Q and compares kernel types
@@ -631,6 +653,52 @@ class TestFieldAgreement:
         assert orc.kernel_type_sample(W3, m, trials=2, seed=4) == ms(W3, (2, 1))
         with pytest.raises(AssertionError, match="nilpotency differs"):
             orc.kernel_type_sample(W3, m, trials=2, seed=4, audit=True)
+
+
+class TestOneSamplingField:
+    """Every draw is over GF(2^61 - 1): no sampler takes a field option, and
+    ``oracle.py`` decides nothing by comparing a field with ``None``."""
+
+    SAMPLERS = ["build_rep", "sample_generic", "_generic_kernel", "kernel_type_sample",
+                "eps_sample", "quotient_type_sample", "p1_sample", "p1_eps_sample"]
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_no_field_option(self, name):
+        assert "prime" not in inspect.signature(getattr(orc, name)).parameters
+
+    @staticmethod
+    def field_tests_against_none(path):
+        """Line numbers of the comparisons of ``prime`` (a name or an
+        attribute) with ``None`` in the module at ``path``."""
+        def is_field(node):
+            return (isinstance(node, ast.Name) and node.id == "prime"
+                    or isinstance(node, ast.Attribute) and node.attr == "prime")
+
+        def is_none(node):
+            return isinstance(node, ast.Constant) and node.value is None
+
+        return [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Compare)
+            and any(is_field(a) and is_none(b) or is_none(a) and is_field(b)
+                    for a, b in zip([node.left, *node.comparators], node.comparators))
+        ]
+
+    def test_oracle_compares_no_field_with_none(self):
+        assert self.field_tests_against_none(Path(orc.__file__)) == []
+
+    def test_reader_sees_field_tests(self, tmp_path):
+        path = tmp_path / "m.py"
+        path.write_text(
+            "def f(prime, pair, form):\n"
+            "    if prime is None:\n"
+            "        return 0\n"
+            "    if None != pair.prime:\n"
+            "        return 1\n"
+            "    return form is None\n"
+        )
+        assert self.field_tests_against_none(path) == [2, 4]
 
 
 class TestQuotientTypeSample:
