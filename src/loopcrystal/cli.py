@@ -16,9 +16,8 @@ config file via ``--config``::
 ``lambda`` lists the marked-point parameters as exact rational strings
 (integers, ``a/b`` and decimals; no exponents) with ``"inf"`` for the point
 at infinity, one per point; the first three are pinned to ``0, inf, 1``.
-``seed`` and ``trials`` supply defaults for the sampling commands.  The
-seed may also come from the ``LOOPCRYSTAL_SEED`` environment variable; an
-explicit ``--seed`` wins over both.
+``seed`` and ``trials`` supply defaults for the sampling commands; an
+explicit ``--seed`` or ``--trials`` wins.
 
 Grammars
 --------
@@ -26,10 +25,11 @@ K-theory classes are written ``"r*O + d*delta + m*S[i,j]"`` (point indices
 1-based), e.g. ``"2*O + 3*delta - S[1,1]"``; the bare string ``"0"`` is the
 zero class.  Sheaf labels are ``O`` / ``O(expr)`` with ``expr`` a sum of
 ``c``-multiples and generators (``O(-1)`` means ``O(-c)``, ``O(c - x1)`` is
-accepted), ``S[i,j]`` / ``S[i,j,l]`` for serial torsion at weighted point
-``i``, ``T[pt](d)`` for torsion at an ordinary point (named by its exact
-value, so ``T[0.5]`` is ``T[1/2]``, or by other text), and ``E(v...)``
-for a rank >= 2 bundle given by its full coordinate vector.
+accepted), ``S[i,j](l)`` for serial torsion at weighted point ``i``,
+``T[pt](d)`` for torsion at an ordinary point (named by its exact value, so
+``T[0.5]`` is ``T[1/2]``, or by other text), and ``E(v...)`` for a rank >= 2
+bundle given by its full coordinate vector: the spellings
+``catalog.format_label`` prints, with ``S[i,j]`` and ``T[pt]`` for length 1.
 
 Output and exit codes
 ---------------------
@@ -50,6 +50,7 @@ import os
 import re
 import sys
 from collections.abc import Iterator
+from functools import cache
 from pathlib import Path
 
 from . import catalog as cat
@@ -120,14 +121,8 @@ def resolve_curve(args, config: dict) -> WeightData:
 
 
 def resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
-    env = os.environ.get("LOOPCRYSTAL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"LOOPCRYSTAL_SEED must be an integer, got {env!r}")
     return config.get("seed", 0)
 
 
@@ -228,21 +223,16 @@ def parse_sheaf_label(curve: WeightData, text: str) -> cat.IndecLabel:
     elif s.startswith("O(") and s.endswith(")"):
         label = cat.LineBundle(parse_lelement(curve, s[2:-1]))
     else:
-        m = re.fullmatch(r"S\[(\d+),(-?\d+)(?:,(\d+))?\](?:\((\d+)\))?", s)
+        m = re.fullmatch(r"S\[(\d+),(-?\d+)\](?:\((\d+)\))?", s)
         if m:
-            if m.group(3) and m.group(4):
-                raise ValueError(f"give the length once in {s!r}")
             i = int(m.group(1))
             if not (1 <= i <= curve.n):
                 raise ValueError(f"point index {i} out of range in {s!r}")
-            length = int(m.group(3) or m.group(4) or 1)
-            label = cat.exc_torsion(curve, i - 1, int(m.group(2)), length)
+            label = cat.exc_torsion(curve, i - 1, int(m.group(2)), int(m.group(3) or 1))
         else:
-            m = re.fullmatch(r"T\[([^\],]+)(?:,(\d+))?\](?:\((\d+)\))?", s)
+            m = re.fullmatch(r"T\[([^\],]+)\](?:\((\d+)\))?", s)
             if m:
-                if m.group(2) and m.group(3):
-                    raise ValueError(f"give the length once in {s!r}")
-                label = cat.OrdTorsion(m.group(1), int(m.group(2) or m.group(3) or 1))
+                label = cat.OrdTorsion(m.group(1), int(m.group(2) or 1))
             else:
                 m = re.fullmatch(r"E\((.*)\)", s)
                 if m:
@@ -487,22 +477,21 @@ def cmd_crystal_apply(args, config: dict) -> int:
     curve = resolve_curve(args, config)
     color = parse_sheaf_label(curve, args.color)
     z = load_component(curve, args.component)
-    op = {"epsilon": "eps", "f_max": "fmax"}.get(args.op, args.op)
     report = {
-        "op": op,
+        "op": args.op,
         "color": cat.format_label(curve, color),
         "input": comp.label_to_json(curve, z),
     }
-    if op == "eps":
+    if args.op == "eps":
         report["value"] = cry.epsilon(curve, z, color)
-    elif op == "phi":
+    elif args.op == "phi":
         report["value"] = cry.phi(curve, z, color)
     else:
         image = {
             "fmax": cry.f_max,
             "f": cry.f,
             "e": cry.e,
-        }[op](curve, z, color)
+        }[args.op](curve, z, color)
         if image is None:
             report["output"] = None
         else:
@@ -643,7 +632,11 @@ def cmd_oracle_check(args, config: dict) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and a parser holds its actions in reference cycles, which a
+    parser built per call would leave to the cycle collector."""
     parser = argparse.ArgumentParser(
         prog="loopcrystal",
         description="Exact combinatorics of nilpotent Higgs components and crystal operators.",
@@ -706,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     apply_p = command(crystal, "apply", cmd_crystal_apply, "apply one operator to a component label")
     apply_p.add_argument(
         "--op", required=True,
-        choices=["eps", "epsilon", "phi", "f", "fmax", "f_max", "e"],
+        choices=["eps", "phi", "f", "fmax", "e"],
     )
     apply_p.add_argument("--color", required=True, help="rigid sheaf label, e.g. 'O(-1)' or 'S[1,0]'")
     apply_p.add_argument(
@@ -763,7 +756,3 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _detach_stdout()
         return EXIT_BROKEN_PIPE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

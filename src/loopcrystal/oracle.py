@@ -643,10 +643,10 @@ def p1_quotient_invariants(h: P1Higgs, a: int, s: int, seed=0):
             kt.KClass(n, sum(degs), ((), (), ())),
             (tuple(sorted(degs, reverse=True)), 0),
         )
-    rk = p1_rk_line(h, a)
-    if s > rk:
-        raise ValueError("not enough copies: s exceeds the embedding count")
     basis = _kernel_basis(h, a)
+    # the embedding count p1_rk_line(h, a), with this basis solved once
+    if s > len(basis) - len(_kernel_basis(h, a + 1)):
+        raise ValueError("not enough copies: s exceeds the embedding count")
     rng = random.Random(f"p1q:{seed}")
     # copies[sigma]: a generic combination of the basis, an embedding O(a) -> V
     entries = _linalg.transpose(basis)

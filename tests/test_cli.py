@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import cyclic_garbage
 
 from loopcrystal import catalog as cat
 from loopcrystal import cli
@@ -329,10 +332,48 @@ class TestSheafCommands:
             P1.normalize([0, 0, 0], l=-1)
         )
 
-    def test_serial_length_spellings_agree(self):
-        assert cli.parse_sheaf_label(W237, "S[2,1,2]") == cli.parse_sheaf_label(
-            W237, "S[2,1](2)"
-        )
+    @pytest.mark.parametrize(
+        "weights", [(2, 3, 7), (3, 1, 1), (1, 1, 1)], ids=lambda w: ",".join(map(str, w))
+    )
+    def test_printed_labels_parse_back(self, weights):
+        # every line bundle, serial and ordinary torsion label in a box reads
+        # back as itself from the text that format_label prints for it
+        curve = WeightData(weights)
+        labels = [
+            cat.LineBundle(curve.normalize(list(res), l=l))
+            for l in range(-3, 4)
+            for res in itertools.product(*(range(p) for p in weights))
+        ]
+        labels += [
+            cat.exc_torsion(curve, i, j, l)
+            for i, p in enumerate(weights) if p > 1
+            for j in range(p)
+            for l in range(1, 2 * p + 1)
+        ]
+        for pt in ("q", "pt", "0", "inf", "1", "1/2", "-2/3", "0.5"):
+            for d in (1, 2, 3):
+                try:
+                    cat.validate(curve, cat.OrdTorsion(pt, d))
+                except ValueError:  # a weighted marked point
+                    continue
+                labels.append(cat.OrdTorsion(pt, d))
+        for label in labels:
+            text = cat.format_label(curve, label)
+            assert cli.parse_sheaf_label(curve, text) == label, text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sheaf", "rigid", "S[1,0,2]", "--weights", "3,1,1"],
+            ["sheaf", "rigid", "T[q,2]"],
+        ],
+    )
+    def test_comma_length_spelling_refused(self, capsys, argv):
+        # the length is written as the printer writes it, S[i,j](l) and T[pt](d)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "cannot parse sheaf label" in err
 
     def test_real_bundle_vector(self):
         w222 = WeightData((2, 2, 2))
@@ -343,8 +384,6 @@ class TestSheafCommands:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("S[1,0,2](2)", "give the length once"),
-            ("T[q,2](2)", "give the length once"),
             ("E(1,x)", "coordinate vector must be integers"),
         ],
     )
@@ -608,16 +647,28 @@ class TestCrystalApply:
         )
 
     def test_op_aliases(self, capsys, tmp_path):
+        # each operator has one name, the one its report prints
         path = write_component(tmp_path, P1, line_label(P1, 0))
-        d1 = run_json(
+        reports = {
+            op: run_json(
+                capsys,
+                ["crystal", "apply", "--op", op, "--color", "O", "--component", path],
+            )
+            for op in ("eps", "phi", "f", "fmax", "e")
+        }
+        assert all(d["op"] == op for op, d in reports.items())
+        assert reports["eps"]["value"] == 1
+
+    @pytest.mark.parametrize("op", ["epsilon", "f_max"])
+    def test_long_op_names_refused(self, capsys, tmp_path, op):
+        path = write_component(tmp_path, P1, line_label(P1, 0))
+        code, out, err = run(
             capsys,
-            ["crystal", "apply", "--op", "epsilon", "--color", "O", "--component", path],
+            ["crystal", "apply", "--op", op, "--color", "O", "--component", path],
         )
-        d2 = run_json(
-            capsys,
-            ["crystal", "apply", "--op", "eps", "--color", "O", "--component", path],
-        )
-        assert d1["value"] == d2["value"] == 1
+        assert code == 2
+        assert out == ""
+        assert "invalid choice" in err
 
     def test_unsupported_shape_exits_2(self, capsys, tmp_path):
         path = write_component(tmp_path, W237, line_label(W237, 3, 1, 1))
@@ -636,7 +687,7 @@ class TestCrystalApply:
         path = write_component(tmp_path, P1, line_label(P1, -1, -2, 0, 3))
         code, out, err = run(
             capsys,
-            ["crystal", "apply", "--op", "f_max", "--color", "O(-2)", "--component", path],
+            ["crystal", "apply", "--op", "fmax", "--color", "O(-2)", "--component", path],
         )
         assert code == 2
         assert out == ""
@@ -1360,6 +1411,21 @@ class TestMemoLifetime:
         assert after.hits > before.hits
 
 
+class TestParserLifetime:
+    GRAPH = [
+        "crystal", "graph", "--weights", "2,1,1", "--seeds", "empty",
+        "--colors", "S[1,0]", "S[1,1]", "--max-delta", "2", "--verify",
+    ]
+
+    def test_second_call_leaves_no_reference_cycles(self, capsys):
+        code, first, err = run(capsys, self.GRAPH)
+        assert code == 0, err
+        left = cyclic_garbage(lambda: cli.main(self.GRAPH))
+        assert capsys.readouterr().out == first
+        # a parser rebuilt per call left 626 objects in reference cycles
+        assert left == 0, f"a second cli.main call left {left} objects in reference cycles"
+
+
 # ---------------------------------------------------------------------------
 # broken pipe
 # ---------------------------------------------------------------------------
@@ -1524,18 +1590,18 @@ class TestOracleCheck:
         assert d["all_agree"] is True
         assert d["trials"] == 4
 
-    def test_env_seed_honored(self, capsys, monkeypatch):
+    def test_environment_picks_no_seed(self, capsys, monkeypatch):
+        # the seed comes from --seed, then the config, then 0
         monkeypatch.setenv("LOOPCRYSTAL_SEED", "41")
-        d = run_json(capsys, ["oracle", "check", "--suite", "p1", "--trials", "2"])
-        assert d["seed"] == 41
+        d = run_json(capsys, ["oracle", "check", "--suite", "p1"])
+        assert d["seed"] == 0
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOOPCRYSTAL_SEED", "41")
-        d = run_json(
-            capsys,
-            ["oracle", "check", "--suite", "p1", "--seed", "7", "--trials", "2"],
-        )
-        assert d["seed"] == 7
+    def test_flag_beats_config_seed(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 41}))
+        argv = ["--config", str(cfg), "oracle", "check", "--suite", "p1", "--trials", "2"]
+        assert run_json(capsys, argv)["seed"] == 41
+        assert run_json(capsys, [*argv, "--seed", "7"])["seed"] == 7
 
     @pytest.mark.parametrize("suite", ["cyclic", "p1"])
     def test_zero_trials_rejected(self, capsys, suite):
@@ -1565,15 +1631,8 @@ class TestOracleCheck:
     }
 
     @pytest.mark.parametrize("suite", sorted(SUITE_STDOUT_SHA256))
-    def test_suite_stdout_byte_identical(self, capsys, monkeypatch, suite):
-        monkeypatch.delenv("LOOPCRYSTAL_SEED", raising=False)
+    def test_suite_stdout_byte_identical(self, capsys, suite):
         code, out, err = run(capsys, ["oracle", "check", "--suite", suite])
         assert code == 0, err
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == self.SUITE_STDOUT_SHA256[suite]
-
-    def test_bad_env_seed_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOOPCRYSTAL_SEED", "many")
-        code, _, err = run(capsys, ["oracle", "check", "--suite", "p1"])
-        assert code == 2
-        assert "LOOPCRYSTAL_SEED" in err

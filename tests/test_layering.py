@@ -6,7 +6,9 @@ oracle alone; the crystal layer reaches linear algebra only through it.
 
 The same reading finds nested functions that call themselves: such a
 function refers to itself through its closure cell, so every call of the
-function around it leaves a reference cycle for the collector.
+function around it leaves a reference cycle for the collector.  It also
+finds reads of the process environment, which no package module makes: an
+environment variable would be an input that no flag or config shows.
 """
 
 import ast
@@ -116,3 +118,38 @@ def test_closure_reader_sees_nested_self_reference(tmp_path):
         "    return top(n - 1) if n else 0\n"
     )
     assert self_naming_closures(path) == ["m.outer.walk"]
+
+
+def environment_reads(path: Path) -> list[str]:
+    """``module:line`` for each ``environ`` or ``getenv`` that the module at
+    ``path`` names, as an attribute (``os.environ``) or imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ("environ", "environb", "getenv", "getenvb"):
+            found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_module_reads_the_environment():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in environment_reads(path)]
+    assert not found, f"package modules read the environment: {found}"
+
+
+def test_environment_reader_sees_every_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import os\n"
+        "from os import environ, getenv as ge\n"
+        "a = os.environ.get('X')\n"
+        "b = os.getenv('X')\n"
+        "c = os.devnull\n"
+    )
+    assert sorted(environment_reads(path)) == ["m:2", "m:2", "m:3", "m:4"]

@@ -620,6 +620,21 @@ class TestP1QuotientInvariants:
         two = orc.p1_quotient_invariants(h, 0, 2, seed=9)
         assert one == two
 
+    def test_kernel_system_solved_once(self, monkeypatch):
+        # the embedding count is read off the basis the quotient combines;
+        # solving it again inside p1_rk_line recorded [0, 1, 0]
+        h = orc.p1_sample((2, 1, 0, 0), seed=9)
+        solved = []
+        kernel_basis = orc._kernel_basis
+
+        def spy(h, a):
+            solved.append(a)
+            return kernel_basis(h, a)
+
+        monkeypatch.setattr(orc, "_kernel_basis", spy)
+        orc.p1_quotient_invariants(h, 0, 2, seed=9)
+        assert solved == [0, 1]
+
 
 class TestFieldAgreement:
     """Every draw is over GF(2^61 - 1); the same draw lifted to Q (its entries
