@@ -27,9 +27,13 @@ zero class.  Sheaf labels are ``O`` / ``O(expr)`` with ``expr`` a sum of
 ``c``-multiples and generators (``O(-1)`` means ``O(-c)``, ``O(c - x1)`` is
 accepted), ``S[i,j](l)`` for serial torsion at weighted point ``i``,
 ``T[pt](d)`` for torsion at an ordinary point (named by its exact value, so
-``T[0.5]`` is ``T[1/2]``, or by other text), and ``E(v...)`` for a rank >= 2
-bundle given by its full coordinate vector: the spellings
+``T[0.5]`` is ``T[1/2]``, or by other text), and ``E([r, d, ...])`` for a
+rank >= 2 bundle given by its full coordinate vector: the spellings
 ``catalog.format_label`` prints, with ``S[i,j]`` and ``T[pt]`` for length 1.
+Every integer, in these grammars, in ``--weights`` and in the integer
+options, is ASCII digits after at most one sign (:func:`integer`): no
+underscores, spaces or other digits (class and degree expressions drop
+every space before they are read).
 
 Output and exit codes
 ---------------------
@@ -65,12 +69,22 @@ from .starlattice import WeightData, point_value
 # configuration
 # ---------------------------------------------------------------------------
 
+def integer(text: str) -> int:
+    """``text`` as an ``int``: ASCII digits after at most one sign, the
+    integers :func:`point_value` reads.  Every integer the CLI reads from
+    user text goes through here; other text (an underscore, a non-ASCII
+    digit, a space, a fraction) raises ``ValueError`` (exit 2)."""
+    value = point_value(text)
+    if type(value) is not int:
+        raise ValueError(f"not an integer: {text!r}")
+    return value
+
+
 def _parse_weights_text(text: str) -> tuple[int, ...]:
     try:
-        ws = tuple(int(part) for part in text.split(","))
+        return tuple(integer(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"weights must be a comma-separated integer list, got {text!r}")
-    return ws
 
 
 def _parse_rational(text: str, what: str, inf_ok: bool = False):
@@ -166,7 +180,7 @@ def parse_kclass(curve: WeightData, text: str) -> kt.KClass:
         if "*" in term:
             mult, term = term.split("*", 1)
             try:
-                coeff = int(mult)
+                coeff = integer(mult)
             except ValueError:
                 raise ValueError(f"bad multiplicity {mult!r} in class expression")
         if term == "O":
@@ -174,14 +188,14 @@ def parse_kclass(curve: WeightData, text: str) -> kt.KClass:
         elif term == "delta":
             base = kt.delta_class(curve)
         else:
-            m = re.fullmatch(r"S\[(\d+),(\d+)\]", term)
+            m = re.fullmatch(r"S\[([0-9]+),([0-9]+)\]", term)
             if m:
-                i = int(m.group(1))
+                i = integer(m.group(1))
                 if not (1 <= i <= curve.n):
                     raise ValueError(f"point index {i} out of range in {term!r}")
-                base = kt.class_of_simple(curve, i - 1, int(m.group(2)))
-            elif re.fullmatch(r"\d+", term):
-                if int(term) != 0:
+                base = kt.class_of_simple(curve, i - 1, integer(m.group(2)))
+            elif re.fullmatch(r"[0-9]+", term):
+                if integer(term) != 0:
                     raise ValueError(
                         f"bare integer {term!r} in class expression (write k*O, k*delta, ...)"
                     )
@@ -197,20 +211,20 @@ def parse_lelement(curve: WeightData, text: str):
     coeffs = [0] * curve.n
     l = 0
     for term in _signed_terms(text):
-        m = re.fullmatch(r"([+-]?)(\d*)c", term)
+        m = re.fullmatch(r"([+-]?)([0-9]*)c", term)
         if m:
-            l += int(m.group(1) + (m.group(2) or "1"))
+            l += integer(m.group(1) + (m.group(2) or "1"))
             continue
-        m = re.fullmatch(r"([+-]?)(\d*)x(\d+)", term)
+        m = re.fullmatch(r"([+-]?)([0-9]*)x([0-9]+)", term)
         if m:
-            idx = int(m.group(3))
+            idx = integer(m.group(3))
             if not (1 <= idx <= curve.n):
                 raise ValueError(f"generator index {idx} out of range in {term!r}")
-            coeffs[idx - 1] += int(m.group(1) + (m.group(2) or "1"))
+            coeffs[idx - 1] += integer(m.group(1) + (m.group(2) or "1"))
             continue
-        m = re.fullmatch(r"[+-]?\d+", term)
+        m = re.fullmatch(r"[+-]?[0-9]+", term)
         if m:
-            l += int(term)
+            l += integer(term)
             continue
         raise ValueError(f"cannot parse degree term {term!r}")
     return curve.normalize(coeffs, l=l)
@@ -223,23 +237,27 @@ def parse_sheaf_label(curve: WeightData, text: str) -> cat.IndecLabel:
     elif s.startswith("O(") and s.endswith(")"):
         label = cat.LineBundle(parse_lelement(curve, s[2:-1]))
     else:
-        m = re.fullmatch(r"S\[(\d+),(-?\d+)\](?:\((\d+)\))?", s)
+        m = re.fullmatch(r"S\[([0-9]+),(-?[0-9]+)\](?:\(([0-9]+)\))?", s)
         if m:
-            i = int(m.group(1))
+            i = integer(m.group(1))
             if not (1 <= i <= curve.n):
                 raise ValueError(f"point index {i} out of range in {s!r}")
-            label = cat.exc_torsion(curve, i - 1, int(m.group(2)), int(m.group(3) or 1))
+            j, l = integer(m.group(2)), integer(m.group(3) or "1")
+            label = cat.exc_torsion(curve, i - 1, j, l)
         else:
-            m = re.fullmatch(r"T\[([^\],]+)\](?:\((\d+)\))?", s)
+            m = re.fullmatch(r"T\[([^\],]+)\](?:\(([0-9]+)\))?", s)
             if m:
-                label = cat.OrdTorsion(m.group(1), int(m.group(2) or 1))
+                label = cat.OrdTorsion(m.group(1), integer(m.group(2) or "1"))
             else:
-                m = re.fullmatch(r"E\((.*)\)", s)
+                # the vector as format_label prints it: E([r, d, ...])
+                m = re.fullmatch(r"E\(\[(.*)\]\)", s)
                 if m:
                     try:
-                        vec = [int(v) for v in m.group(1).split(",")]
+                        vec = [integer(v) for v in m.group(1).split(", ")]
                     except ValueError:
-                        raise ValueError(f"coordinate vector must be integers in {s!r}")
+                        raise ValueError(
+                            f"coordinate vector must be integers separated by ', ' in {s!r}"
+                        )
                     label = cat.RealBundle(kt.from_vector(curve, vec))
                 else:
                     raise ValueError(f"cannot parse sheaf label {text!r}")
@@ -682,9 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
     comps = group("components", "irreducible-component listings")
     clist = command(comps, "list", cmd_components, "labels of a positive class")
     clist.add_argument("--class", dest="klass", required=True, help="class expression")
-    clist.add_argument("--min-degree", type=int, help="line-bundle degree floor (genus < 1)")
+    clist.add_argument("--min-degree", type=integer, help="line-bundle degree floor (genus < 1)")
     clist.add_argument(
-        "--real-bundle-box", type=int, default=None,
+        "--real-bundle-box", type=integer, default=None,
         help="coordinate box for rank >= 2 bundle summands (genus < 1)",
     )
     clist.add_argument(
@@ -692,8 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="slope bounds for genus-1 splittings; HI may be 'inf'",
     )
     # match negative fractions too, e.g. -1/2
-    clist._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-    clist.add_argument("--max-parts", type=int, help="splitting length cap (genus 1)")
+    clist._negative_number_matcher = re.compile(r"^-[0-9]+(/[0-9]+)?$|^-[0-9]*\.[0-9]+$")
+    clist.add_argument("--max-parts", type=integer, help="splitting length cap (genus 1)")
 
     crystal = group("crystal", "operators and graphs")
     apply_p = command(crystal, "apply", cmd_crystal_apply, "apply one operator to a component label")
@@ -709,10 +727,14 @@ def build_parser() -> argparse.ArgumentParser:
     graph_p = command(crystal, "graph", cmd_crystal_graph, "close seeds under raising and lowering")
     graph_p.add_argument("--seeds", nargs="+", required=True, help="component files or 'empty'")
     graph_p.add_argument("--colors", nargs="+", required=True, help="rigid sheaf labels")
-    graph_p.add_argument("--max-rank", type=int, default=None)
-    graph_p.add_argument("--max-deg", type=int, default=None, help="absolute degree cap in c-units")
-    graph_p.add_argument("--max-delta", type=int, default=None, help="rank-0 window under k*delta")
-    graph_p.add_argument("--max-nodes", type=int, default=None)
+    graph_p.add_argument("--max-rank", type=integer, default=None)
+    graph_p.add_argument(
+        "--max-deg", type=integer, default=None, help="absolute degree cap in c-units"
+    )
+    graph_p.add_argument(
+        "--max-delta", type=integer, default=None, help="rank-0 window under k*delta"
+    )
+    graph_p.add_argument("--max-nodes", type=integer, default=None)
     graph_p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     graph_p.add_argument("--verify", action="store_true", help="check axioms before emitting")
     verify_p = command(crystal, "verify", cmd_crystal_verify, "check axioms on a saved graph")
@@ -721,8 +743,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = group("oracle", "randomized consistency suites")
     check = command(oracle, "check", cmd_oracle_check, "replay closed rules against the sampler")
     check.add_argument("--suite", required=True, choices=["cyclic", "p1"])
-    check.add_argument("--seed", type=int, default=None)
-    check.add_argument("--trials", type=int, default=None)
+    check.add_argument("--seed", type=integer, default=None)
+    check.add_argument("--trials", type=integer, default=None)
 
     return parser
 

@@ -13,11 +13,13 @@ on :class:`~loopcrystal.components.ComponentLabel` values:
 Two color families carry computable rules.  :func:`_dispatch` is the one
 place that picks a family: it reads the state a color acts on out of the
 label and returns the family's rules, which map states to states, so each
-operator call writes one label; the quotient rule reports epsilon too, so
-``f``, ``e`` and ``f_max`` make one rule call for both.  The operators
-decide the two rules that hold for every color, so no family rule checks
-them: ``f_max`` is the identity at epsilon 0 (no quotient is sampled), and
-``e_s`` inverts it only on its image, the labels with epsilon 0.
+operator call writes one label; the quotient rule reports epsilon too, and
+``f``, ``e`` and ``f_max`` are views of one step (:func:`_step`), which
+makes one rule call for both, and the graph search asks it for both
+directions of a node and colour at once.  The operators decide the two
+rules that hold for every color, so no family rule checks them: ``f_max`` is
+the identity at epsilon 0 (no quotient is sampled), and ``e_s`` inverts it
+only on its image, the labels with epsilon 0.
 Exceptional-torsion colors act on the multisegment at their point (bundle
 and ordinary parts are inert since torsion admits no maps to bundles):
 length-1 colors through Kashiwara's signature rule (:func:`_signature`),
@@ -505,9 +507,7 @@ def f_max(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
     """Label of the generic quotient of ``z`` by all kernel copies of the
     color; ``z`` itself at epsilon 0, where no label is written and no
     quotient is sampled."""
-    state, (_, fmax, _, _, label) = _dispatch(curve, z, color)
-    s, state = fmax(curve, state, color)
-    return label(curve, z, state) if s else z
+    return _step(curve, z, color, None)[0]
 
 
 def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
@@ -530,29 +530,32 @@ def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
     return label(curve, zp, es(curve, state, color, s))
 
 
-def _step(curve: WeightData, z: ComponentLabel, color, k: int) -> ComponentLabel | None:
-    """``e_s(f_max(z), epsilon + k)``, or ``None`` when ``epsilon + k < 0``:
-    ``f`` at ``k = -1``, ``e`` at ``k = 1``.  One ``fmax`` call gives
-    epsilon and the quotient state (none sampled at epsilon 0), and ``es`` is
-    called only on that state, at epsilon 0, so it needs none of
-    :func:`e_s`'s refusal."""
+def _step(curve: WeightData, z: ComponentLabel, color, *ks) -> list[ComponentLabel | None]:
+    """``e_s(f_max(z), epsilon + k)`` for each copy shift ``k`` of ``ks``,
+    where ``k = None`` stands for ``-epsilon``: ``f`` at ``k = -1``, ``e``
+    at ``k = 1`` and ``f_max`` at ``None``.  A label is ``None`` below
+    epsilon 0 and ``z`` itself where nothing moves.  One dispatch and one
+    ``fmax`` call give epsilon and the quotient state (none sampled at
+    epsilon 0) for every shift, and ``es`` is called only on that state, at
+    epsilon 0, so it needs none of :func:`e_s`'s refusal."""
     state, (_, fmax, es, _, label) = _dispatch(curve, z, color)
-    s, state = fmax(curve, state, color)
-    if s + k < 0:
-        return None
-    if s + k:
-        state = es(curve, state, color, s + k)
-    return label(curve, z, state)
+    s, top = fmax(curve, state, color)
+    return [
+        None if t < 0
+        else z if t == s
+        else label(curve, z, es(curve, top, color, t) if t else top)
+        for t in (0 if k is None else s + k for k in ks)
+    ]
 
 
 def f(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel | None:
     """Single lowering step; ``None`` encodes the crystal zero (at epsilon 0)."""
-    return _step(curve, z, color, -1)
+    return _step(curve, z, color, -1)[0]
 
 
 def e(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
     """Single raising step (always defined)."""
-    return _step(curve, z, color, 1)
+    return _step(curve, z, color, 1)[0]
 
 
 def clear_memos() -> None:
@@ -654,7 +657,8 @@ def build_graph(
 
     Each node carries its weight: the seeds' are computed, and a new node's
     is its parent's minus (``f``) or plus (``e``) the colour's class.  The
-    window is tested once per weight, and ``e`` is called only inside it.
+    window is tested once per weight.  Both steps of a node and colour come
+    from one rule call (:func:`_step`), which raises only inside the window.
 
     Raises ``ValueError`` for a negative ``max_nodes``, and for colours
     whose walks the budget never ends (:meth:`Budget.stops_raising`): ``e``
@@ -695,13 +699,12 @@ def build_graph(
             break
         z, wt_z = queue.popleft()
         for color, cls in zip(color_list, classes):
-            down = f(curve, z, color)
+            wt_up = kt.add(wt_z, cls)
+            down, *up = _step(curve, z, color, *((-1, 1) if admits(wt_up) else (-1,)))
             if down is not None and admits(wt_down := kt.sub(wt_z, cls)):
                 reach(down, wt_down, (z, down, color))
-            wt_up = kt.add(wt_z, cls)
-            if admits(wt_up):
-                up = e(curve, z, color)
-                reach(up, wt_up, (up, z, color))
+            for node in up:
+                reach(node, wt_up, (node, z, color))
     return CrystalGraph(
         curve,
         tuple(sorted(nodes, key=repr)),

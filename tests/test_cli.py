@@ -333,11 +333,13 @@ class TestSheafCommands:
         )
 
     @pytest.mark.parametrize(
-        "weights", [(2, 3, 7), (3, 1, 1), (1, 1, 1)], ids=lambda w: ",".join(map(str, w))
+        "weights", [(2, 3, 7), (3, 1, 1), (1, 1, 1), (2, 2, 2)],
+        ids=lambda w: ",".join(map(str, w)),
     )
     def test_printed_labels_parse_back(self, weights):
-        # every line bundle, serial and ordinary torsion label in a box reads
-        # back as itself from the text that format_label prints for it
+        # every line bundle, serial and ordinary torsion label in a box, and
+        # every real-root bundle E in a box where genus < 1, reads back as
+        # itself from the text that format_label prints for it
         curve = WeightData(weights)
         labels = [
             cat.LineBundle(curve.normalize(list(res), l=l))
@@ -357,6 +359,8 @@ class TestSheafCommands:
                 except ValueError:  # a weighted marked point
                     continue
                 labels.append(cat.OrdTorsion(pt, d))
+        if curve.genus() < 1:
+            labels += cat.enumerate_real_bundles(curve, 2)
         for label in labels:
             text = cat.format_label(curve, label)
             assert cli.parse_sheaf_label(curve, text) == label, text
@@ -378,13 +382,24 @@ class TestSheafCommands:
     def test_real_bundle_vector(self):
         w222 = WeightData((2, 2, 2))
         rb = cat.enumerate_real_bundles(w222, 2)[0]
-        text = "E(" + ",".join(str(v) for v in kt.to_vector(rb.a)) + ")"
+        text = cat.format_label(w222, rb)
+        assert text == "E([1, -2, 0, 0, 0])"
         assert cli.parse_sheaf_label(w222, text) == rb
+
+    @pytest.mark.parametrize("text", ["E(1,0,0,0,0)", "E(1, 0, 0, 0, 0)", "E[1, 0, 0, 0, 0]"])
+    def test_unprinted_vector_spelling_refused(self, capsys, text):
+        # the vector is written as the printer writes it, E([1, 0, 0, 0, 0])
+        code, out, err = run(capsys, ["sheaf", "rigid", text, "--weights", "2,2,2"])
+        assert code == 2
+        assert out == ""
+        assert "cannot parse sheaf label" in err
 
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("E(1,x)", "coordinate vector must be integers"),
+            ("E([1, x])", "coordinate vector must be integers"),
+            ("E([1,0,0,0,0])", "coordinate vector must be integers separated by ', '"),
+            ("E([])", "coordinate vector must be integers"),
         ],
     )
     def test_malformed_label_refused(self, text, message):
@@ -1569,6 +1584,82 @@ class TestParserFuzz:
         check_parse_and_exit(
             cli._parse_weights_text, (text,), ["curve", "info", f"--weights={text}"]
         )
+
+
+class TestIntegerSpelling:
+    """Every integer the CLI reads from user text is ASCII digits after at
+    most one sign: ``int()`` would also read underscores, spaces and any
+    Unicode digit, and ``\\d`` matches any Unicode digit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text()
+        | st.text(alphabet="0123456789+-_ \u0663\u0661")
+        | st.integers().map(str)
+    )
+    @example("1_0")
+    @example("\u0663")
+    @example(" 3")
+    @example("+-3")
+    def test_reader_takes_ascii_digits_after_one_sign(self, text):
+        if re.fullmatch(r"[+-]?[0-9]+", text, re.ASCII):
+            assert cli.integer(text) == int(text)
+        else:
+            with pytest.raises(ValueError):
+                cli.integer(text)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["curve", "info", "--weights", "1_0,1,1"], "weights must be"),
+            (["curve", "info", "--weights", "\u0663,1,1"], "weights must be"),
+            (["curve", "info", "--weights", "2, 1, 1"], "weights must be"),
+            (["class", "slope", "1_0*O"], "bad multiplicity"),
+            (["class", "slope", "\u0663*O"], "bad multiplicity"),
+            (["class", "slope", "S[\u0661,0]", "--weights", "2,1,1"], "cannot parse class term"),
+            (["sheaf", "rigid", "O(\u0663c)"], "cannot parse degree term"),
+            (["sheaf", "rigid", "O(x\u0661)", "--weights", "2,1,1"], "cannot parse degree term"),
+            (["sheaf", "rigid", "S[\u0661,\u0660]", "--weights", "2,1,1"], "cannot parse sheaf label"),
+            (["sheaf", "rigid", "S[1,0](\u0662)", "--weights", "2,1,1"], "cannot parse sheaf label"),
+            (["sheaf", "rigid", "T[q](\u0662)"], "cannot parse sheaf label"),
+            (["sheaf", "rigid", "E([1_0, 0, 0, 0, 0])", "--weights", "2,2,2"],
+             "coordinate vector must be integers"),
+            (["sheaf", "rigid", "E([\u0661, 0, 0, 0, 0])", "--weights", "2,2,2"],
+             "coordinate vector must be integers"),
+        ],
+        ids=[
+            "weights-underscore", "weights-arabic-indic", "weights-space",
+            "class-underscore", "class-arabic-indic", "class-simple-index",
+            "degree-coefficient", "degree-generator", "label-indices",
+            "label-length", "point-length", "vector-underscore", "vector-arabic-indic",
+        ],
+    )
+    def test_grammar_integer_spelling_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["components", "list", "--class", "delta", "--min-degree", "1_0"],
+            ["components", "list", "--class", "delta", "--real-bundle-box", "\u0663"],
+            ["components", "list", "--class", "delta", "--max-parts", "1_0"],
+            ["crystal", "graph", "--seeds", "empty", "--colors", "O", "--max-rank", "1_0"],
+            ["crystal", "graph", "--seeds", "empty", "--colors", "O", "--max-deg", "\u0663"],
+            ["crystal", "graph", "--seeds", "empty", "--colors", "O", "--max-delta", "1_0"],
+            ["crystal", "graph", "--seeds", "empty", "--colors", "O", "--max-nodes", " 3"],
+            ["oracle", "check", "--suite", "p1", "--seed", "1_0"],
+            ["oracle", "check", "--suite", "p1", "--trials", "\u0663"],
+        ],
+        ids=lambda argv: argv[-2],
+    )
+    def test_option_integer_spelling_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}: invalid integer value: {argv[-1]!r}" in err
 
 
 # ---------------------------------------------------------------------------

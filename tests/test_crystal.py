@@ -1349,7 +1349,9 @@ class TestWorkCounts:
         # The search used to compute every node's weight and test the budget
         # twice per node and colour, call epsilon before f, and the check to
         # read epsilon once per edge end and again per node and colour
-        # (7,156 budget tests, 1,725 weights, 22,242 dispatches)
+        # (7,156 budget tests, 1,725 weights, 22,242 dispatches).  The search
+        # called f and then e on each node and colour, so each made its own
+        # dispatch and quotient-rule call (16,293 dispatches)
         counts = Counter()
 
         def counted(name, fn):
@@ -1370,27 +1372,39 @@ class TestWorkCounts:
         colors = [S(W3, j, l) for l in (1, 2) for j in range(3)]
         cr.clear_memos()
         graph = cr.build_graph(W3, [E], colors, cr.Budget(max_delta=3))
+        misses = {
+            memo.__name__: memo.cache_info().misses
+            for memo in (cr._ms_inverse, cr._exc_fmax, cr._ms_kernel_type)
+        }
         assert cr.verify_axioms(graph) == []
         assert len(graph.nodes) == 862
         assert counts["admits"] <= 124, counts
         assert counts["weight"] <= 863, counts
-        assert counts["dispatch"] <= 16_293, counts
+        assert counts["dispatch"] <= 14_310, counts
         assert counts["label"] <= 7_932, counts
         # _bra_es no longer re-scans its start for epsilon > 0: e_s refuses
         # such targets, and f and e raise only from epsilon 0 (20,637 scans);
         # f and f_max read epsilon off _bra_fmax's scan instead of scanning
-        # once more for it (17,181)
-        assert counts["signature"] <= 13_725, counts
+        # once more for it (17,181); f and e on one node and colour scanned
+        # it once each (13,725)
+        assert counts["signature"] <= 12_444, counts
         # _bra_fmax wrote m again when its scan left no removable (9,885
         # multisegments); the search took the weight below a node before
-        # asking whether f returned one (7,279 subtractions)
-        assert counts["multisegment"] <= 6_912, counts
+        # asking whether f returned one (7,279 subtractions); f and e on one
+        # node and colour each shortened its removables (6,912 multisegments)
+        assert counts["multisegment"] <= 6_465, counts
         assert counts["sub"] <= 4_090, counts
         # classes were summed simple by simple and segment by segment, and a
         # label's weight added its ordinary part and each multisegment to a
         # zero class (17,517 adds and 9,919 scalings)
         assert counts["add"] <= 10_123, counts
         assert counts["scale"] <= 5_077, counts
+        # one step for both directions of the build samples no quotient and
+        # builds no inversion table that separate f and e calls did not: it
+        # raises only inside the window
+        assert misses["_ms_inverse"] <= 168, misses
+        assert misses["_exc_fmax"] <= 702, misses
+        assert misses["_ms_kernel_type"] <= 861, misses
 
     def test_criterion_05_build_leaves_no_reference_cycles(self):
         # the multisegment search's recursive closure left 1,809 objects

@@ -8,7 +8,9 @@ The same reading finds nested functions that call themselves: such a
 function refers to itself through its closure cell, so every call of the
 function around it leaves a reference cycle for the collector.  It also
 finds reads of the process environment, which no package module makes: an
-environment variable would be an input that no flag or config shows.
+environment variable would be an input that no flag or config shows.  And
+it finds every place where ``cli`` turns text into an ``int`` other than
+its one reader, which takes ASCII digits after at most one sign.
 """
 
 import ast
@@ -153,3 +155,54 @@ def test_environment_reader_sees_every_form(tmp_path):
         "c = os.devnull\n"
     )
     assert sorted(environment_reads(path)) == ["m:2", "m:2", "m:3", "m:4"]
+
+
+def int_readings(path: Path) -> list[str]:
+    """``module:line`` for each place in the module at ``path`` that can turn
+    text into an ``int`` without the CLI's one reader, ``integer``: a call
+    of ``int``, a ``type=int`` keyword, and a string holding ``\\d``, which
+    matches every Unicode digit, unless the pattern is ASCII-only (an inline
+    ``(?a)`` flag, or ``re.ASCII``/``re.A`` among the call's arguments)."""
+    tree = ast.parse(path.read_text())
+    ascii_only = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(
+            isinstance(arg, ast.Attribute) and arg.attr in ("ASCII", "A")
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]
+        ):
+            ascii_only.update(id(arg) for arg in node.args)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            hit = node.func.id == "int"
+        elif isinstance(node, ast.keyword):
+            hit = node.arg == "type" and isinstance(node.value, ast.Name) and node.value.id == "int"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            hit = "\\d" in node.value and not (
+                node.value.startswith("(?a") or id(node) in ascii_only
+            )
+        else:
+            continue
+        if hit:
+            found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_cli_reads_integers_through_one_reader():
+    found = int_readings(SRC / "cli.py")
+    assert not found, f"cli reads integers outside cli.integer: {found}"
+
+
+def test_int_reading_finder_sees_every_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import argparse, re\n"
+        "a = int('3')\n"
+        "argparse.ArgumentParser().add_argument('--n', type=int)\n"
+        "b = re.fullmatch(r'\\d+', '3')\n"
+        "c = re.fullmatch(r'(?a)\\d+', '3')\n"
+        "d = re.compile(r'\\d+', re.ASCII)\n"
+        "e = re.fullmatch(r'[0-9]+', '3', flags=re.A)\n"
+        "f = type(a) is int\n"
+    )
+    assert sorted(int_readings(path)) == ["m:2", "m:3", "m:4"]
