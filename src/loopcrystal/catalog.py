@@ -63,7 +63,7 @@ def validate(curve: WeightData, label: IndecLabel) -> None:
     spelling of the point (``T[0.5]`` at the marked point ``1/2``), ordinary
     torsion at a name that starts like a number (a digit, a sign or ``.``)
     but is no exact rational (``T[1/0]``, ``T[1e9]``), and a
-    class that is not a real root of rank >= 1 for genus < 1.  Anything
+    class that is not a real root of rank >= 2 for genus < 1.  Anything
     that is not a label raises ``TypeError``."""
     if isinstance(label, LineBundle):
         if curve.normalize(label.x.residues, l=label.x.l) != label.x:
@@ -89,6 +89,8 @@ def validate(curve: WeightData, label: IndecLabel) -> None:
             raise ValueError("real-root bundles are only labelled for genus < 1")
         if label.a.r < 1:
             raise ValueError("real-root bundle must have positive rank")
+        if label.a.r == 1:
+            raise ValueError("a real root of rank 1 is a line bundle: write it O(...)")
         # a class of rank >= 1 is positive (kt.is_positive)
         if kt.euler_form(curve, label.a, label.a) != 1:
             raise ValueError("class is not a real root")
@@ -247,17 +249,18 @@ def format_label(curve: WeightData, label: IndecLabel) -> str:
 # ---------------------------------------------------------------------------
 
 def enumerate_real_bundles(curve: WeightData, coord_bound: int) -> list[RealBundle]:
-    """Positive real roots with rank >= 1 inside the coordinate box.
+    """Positive real roots with rank >= 2 inside the coordinate box.
 
-    Searches ranks 1..coord_bound, |d| <= coord_bound and torsion
-    coordinates in the same box; only meaningful for genus < 1 where each
-    such root carries a unique indecomposable bundle.
+    Searches ranks 2..coord_bound (a root of rank 1 is a line bundle),
+    |d| <= coord_bound and torsion coordinates in the same box; only
+    meaningful for genus < 1 where each such root carries a unique
+    indecomposable bundle.
     """
     if curve.genus() >= 1:
         raise ValueError("real-root bundles are only labelled for genus < 1")
     found = []
     n_m = kt.lattice_rank(curve) - 2
-    for r in range(1, coord_bound + 1):
+    for r in range(2, coord_bound + 1):
         for d in range(-coord_bound, coord_bound + 1):
             for combo in itertools.product(
                 range(-coord_bound, coord_bound + 1), repeat=n_m

@@ -155,10 +155,12 @@ def resolve_trials(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 _TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
+_OPERATOR_SPACES = re.compile(r" *([+*-]) *")
 
 
 def _signed_terms(text: str) -> list[str]:
-    s = text.replace(" ", "")
+    # a space inside a number or a term stays, for its grammar to refuse
+    s = _OPERATOR_SPACES.sub(r"\1", text.strip(" "))
     if not s:
         raise ValueError("empty expression")
     terms = _TERM_SPLIT.findall(s)

@@ -461,9 +461,7 @@ def enumerate_components_finite(
                 "unsupported family: rank >= 2 decompositions on a star with "
                 ">= 3 weighted points need real_bundle_box for root search"
             )
-        for rb in cat.enumerate_real_bundles(curve, real_bundle_box):
-            if rb.a.r >= 2:
-                summands.append((rb, rb.a))
+        summands += [(rb, rb.a) for rb in cat.enumerate_real_bundles(curve, real_bundle_box)]
     deg_cap = kt.degree_d(curve, a) - (a.r - 1) * curve.p * min_degree
     for x in _line_bundle_candidates(curve, min_degree, deg_cap):
         lab = cat.LineBundle(x)

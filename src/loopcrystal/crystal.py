@@ -73,24 +73,24 @@ def _check_color(curve: WeightData, color) -> None:
 
 def _dispatch(curve: WeightData, z: ComponentLabel, color):
     """The state of ``z`` that the colour acts on, and the family's rules
-    ``(eps, fmax, es, hom, label)`` on it: ``fmax`` maps a state to its
-    epsilon and quotient state from one derivation of the kernel copies,
-    ``es`` maps a state and a copy count to a state, and ``label(curve, z,
-    state)`` writes a state back."""
+    ``(eps, fmax, es, label)`` on it: ``eps`` maps a state to its epsilon,
+    ``fmax`` to its epsilon and quotient state from one derivation of the
+    kernel copies, ``es`` maps a state and a copy count to a state, and
+    ``label(curve, z, state)`` writes a state back."""
     _check_color(curve, color)
     if isinstance(z.bundle, HNTree):
         raise ValueError(UNSUPPORTED)
     if isinstance(color, cat.ExcTorsion):
         if color.l == 1:
-            return _ms_at(z, color.i), (_bra_eps, _bra_fmax, _bra_es, _exc_hom, _with_ms)
-        return _ms_at(z, color.i), (_exc_eps, _exc_quotient, _exc_es, _exc_hom, _with_ms)
+            return _ms_at(z, color.i), (_bra_eps, _bra_fmax, _bra_es, _with_ms)
+        return _ms_at(z, color.i), (_exc_eps, _exc_quotient, _exc_es, _with_ms)
     if isinstance(color, cat.LineBundle):
         if any(color.x.residues) or z.exceptional:
             raise ValueError(UNSUPPORTED)
         for lab in z.bundle:
             if not isinstance(lab, cat.LineBundle) or any(lab.x.residues):
                 raise ValueError(UNSUPPORTED)
-        return _grid_parts(z), (_grid_eps, _grid_fmax, _grid_es, _grid_hom, _grid_label)
+        return _grid_parts(z), (_grid_eps, _grid_fmax, _grid_es, _grid_label)
     raise ValueError(UNSUPPORTED)
 
 
@@ -230,15 +230,6 @@ def _exc_es(curve: WeightData, target: Multisegment, color, s: int) -> Multisegm
     return table[target]
 
 
-def _exc_hom(curve: WeightData, m: Multisegment, color) -> int:
-    if m.is_empty():
-        return 0
-    return sum(
-        mult * cat.hom_dim(curve, color, cat.ExcTorsion(color.i, head, length))
-        for (head, length), mult in _ms_kernel_type(curve, m).pairs
-    )
-
-
 # ---------------------------------------------------------------------------
 # c-grid rules (line-bundle colors)
 # ---------------------------------------------------------------------------
@@ -317,7 +308,7 @@ def _decremented(
     for cond in range(len(nu)):
         if not entries:
             break
-        best = max(entries, key=lambda e: (e[0], len(e[2]), -e[1]))
+        best = max(entries, key=lambda e: (e[0], len(e[2])))
         best[0] -= 1
         best[2].append(cond)
     return entries
@@ -325,12 +316,6 @@ def _decremented(
 
 def _grid_eps(curve: WeightData, state, color) -> int:
     return sum(1 for e in _decremented(curve, *state) if e[0] >= color.x.l)
-
-
-def _grid_hom(curve: WeightData, state, color) -> int:
-    a = color.x.l
-    entries = _decremented(curve, *state)
-    return sum(max(0, e[1] - a + 1 - len(e[2])) for e in entries)
 
 
 def _interlace_min(p_und: tuple[int, ...], a: int) -> tuple[int, ...]:
@@ -483,7 +468,7 @@ def _grid_es(curve: WeightData, start, color, s: int):
 def epsilon(curve: WeightData, z: ComponentLabel, color) -> int:
     """Generic number of copies of the color inside the kernel of the Higgs
     field on ``z`` (the number of times ``f`` applies)."""
-    state, (eps, _, _, _, _) = _dispatch(curve, z, color)
+    state, (eps, _, _, _) = _dispatch(curve, z, color)
     return eps(curve, state, color)
 
 
@@ -491,16 +476,6 @@ def phi(curve: WeightData, z: ComponentLabel, color) -> int:
     return epsilon(curve, z, color) + kt.euler_form(
         curve, cat.class_of(curve, color), comp.weight(curve, z)
     )
-
-
-def hom_into_kernel(curve: WeightData, z: ComponentLabel, color) -> int:
-    """Auxiliary count dim Hom(color, generic kernel) — at least ``epsilon``.
-
-    For torsion colors the kernel type is sampled; for grid colors it is the
-    section count of the decremented kernel summands.
-    """
-    state, (_, _, _, hom, _) = _dispatch(curve, z, color)
-    return hom(curve, state, color)
 
 
 def f_max(curve: WeightData, z: ComponentLabel, color) -> ComponentLabel:
@@ -522,7 +497,7 @@ def e_s(curve: WeightData, zp: ComponentLabel, color, s: int) -> ComponentLabel:
     """
     if s < 0:
         raise ValueError("negative copy count")
-    state, (eps, _, es, _, label) = _dispatch(curve, zp, color)
+    state, (eps, _, es, label) = _dispatch(curve, zp, color)
     if s == 0:
         return zp
     if eps(curve, state, color):
@@ -538,7 +513,7 @@ def _step(curve: WeightData, z: ComponentLabel, color, *ks) -> list[ComponentLab
     ``fmax`` call give epsilon and the quotient state (none sampled at
     epsilon 0) for every shift, and ``es`` is called only on that state, at
     epsilon 0, so it needs none of :func:`e_s`'s refusal."""
-    state, (_, fmax, es, _, label) = _dispatch(curve, z, color)
+    state, (_, fmax, es, label) = _dispatch(curve, z, color)
     s, top = fmax(curve, state, color)
     return [
         None if t < 0
@@ -873,10 +848,6 @@ def dot_lines(graph: CrystalGraph):
             f'[label="f[{cat.format_label(curve, color)}]"];'
         )
     yield "}"
-
-
-def to_dot(graph: CrystalGraph) -> str:
-    return "\n".join(dot_lines(graph))
 
 
 def graph_json_fields(graph: CrystalGraph) -> dict:

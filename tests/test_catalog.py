@@ -118,12 +118,14 @@ class TestClasses:
              ValueError, "positive rank"),
             ((2, 2, 2), cat.RealBundle(kt.scale(-1, kt.structure_class(WeightData((2, 2, 2))))),
              ValueError, "positive rank"),
+            ((2, 2, 2), cat.RealBundle(kt.structure_class(WeightData((2, 2, 2)))),
+             ValueError, r"rank 1 is a line bundle: write it O\(\.\.\.\)"),
             ((2, 3, 7), "O", TypeError, "not an indecomposable label"),
             ((2, 3, 7), kt.structure_class(WeightData((2, 3, 7))), TypeError,
              "not an indecomposable label"),
         ],
-        ids=["exc-length", "ord-length", "real-rank-0", "real-rank-negative", "text",
-             "class"],
+        ids=["exc-length", "ord-length", "real-rank-0", "real-rank-negative", "real-rank-1",
+             "text", "class"],
     )
     def test_validate_refusals(self, weights, label, error, message):
         with pytest.raises(error, match=message):
@@ -148,7 +150,7 @@ class TestClasses:
             assert cat.label_from_json(cat.label_to_json(lab), w237) == lab
 
     def test_real_bundle_json_roundtrip(self, w222):
-        lab = cat.RealBundle(kt.structure_class(w222))
+        lab = cat.enumerate_real_bundles(w222, 2)[0]
         assert cat.label_from_json(cat.label_to_json(lab), w222) == lab
 
 
@@ -246,12 +248,9 @@ class TestHomDims:
             assert cat.hom_dim(w237, lab, lab) >= 1
 
     def test_real_bundle_pairs(self, w222):
-        rb = cat.RealBundle(kt.structure_class(w222))
+        rb, other = cat.enumerate_real_bundles(w222, 2)[:2]
         assert cat.hom_dim(w222, rb, rb) == 1
         assert cat.ext_dim(w222, rb, rb) == 0
-        other = cat.RealBundle(
-            kt.class_of_line_bundle(w222, w222.x(0))
-        )
         with pytest.raises(ValueError, match="unsupported pair"):
             cat.hom_dim(w222, rb, other)
         with pytest.raises(ValueError, match="unsupported pair"):
@@ -317,7 +316,8 @@ class TestRigidity:
             assert not cat.is_rigid(w237, cat.OrdTorsion("q", d))
 
     def test_real_bundles_rigid(self, w222):
-        assert cat.is_rigid(w222, cat.RealBundle(kt.structure_class(w222)))
+        for rb in cat.enumerate_real_bundles(w222, 2):
+            assert cat.is_rigid(w222, rb)
 
 
 class TestTwisting:
@@ -367,16 +367,14 @@ class TestTwisting:
 
 class TestRealBundleEnumeration:
     def test_box_search_on_222(self, w222):
+        # rank-2 roots exist at three weighted points; a rank-1 root is a
+        # line bundle and is not listed
         roots = cat.enumerate_real_bundles(w222, coord_bound=2)
-        classes = {rb.a for rb in roots}
-        assert kt.structure_class(w222) in classes
-        assert kt.class_of_line_bundle(w222, w222.x(0)) in classes
+        assert len(roots) == 5
         for rb in roots:
             cat.validate(w222, rb)
-            assert rb.a.r >= 1
+            assert rb.a.r == 2
             assert kt.euler_form(w222, rb.a, rb.a) == 1
-        # rank-2 roots exist at three weighted points
-        assert any(rb.a.r == 2 for rb in roots)
 
     def test_rejected_for_genus_at_least_one(self, w237):
         with pytest.raises(ValueError):

@@ -237,6 +237,15 @@ class TestClassCommands:
         assert d["degree"] == kt.degree_d(W237, expect)
         assert d["slope"] == "105/2"
 
+    def test_spaces_only_around_operators(self):
+        # spaces around +, - and * are dropped; one inside a term is refused
+        want = cli.parse_kclass(W237, "2*O+3*delta-S[1,1]")
+        assert cli.parse_kclass(W237, "  2 * O +3*  delta -  S[1,1] ") == want
+        assert cli.parse_lelement(W237, " 2c -x1 +  x3 ") == W237.normalize([-1, 0, 1], l=2)
+        for text in ("2*O + 3 *del ta", "S[1, 1]", "2 c"):
+            with pytest.raises(ValueError, match="cannot parse"):
+                cli.parse_kclass(W237, text)
+
     def test_torsion_slope_is_infinite(self, capsys):
         d = run_json(capsys, ["class", "slope", "2*delta", "--weights", "2,3,7"])
         assert d["slope"] == "inf"
@@ -383,8 +392,15 @@ class TestSheafCommands:
         w222 = WeightData((2, 2, 2))
         rb = cat.enumerate_real_bundles(w222, 2)[0]
         text = cat.format_label(w222, rb)
-        assert text == "E([1, -2, 0, 0, 0])"
+        assert text == "E([2, -2, 1, 1, 1])"
         assert cli.parse_sheaf_label(w222, text) == rb
+
+    def test_rank_one_vector_refused(self, capsys):
+        # a rank-1 root is a line bundle, whose label is O(...)
+        argv = ["sheaf", "hom", "E([1, 0, 0, 0, 0])", "O", "--weights", "2,2,2"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "a real root of rank 1 is a line bundle: write it O(...)" in err
 
     @pytest.mark.parametrize("text", ["E(1,0,0,0,0)", "E(1, 0, 0, 0, 0)", "E[1, 0, 0, 0, 0]"])
     def test_unprinted_vector_spelling_refused(self, capsys, text):
@@ -1626,12 +1642,15 @@ class TestIntegerSpelling:
              "coordinate vector must be integers"),
             (["sheaf", "rigid", "E([\u0661, 0, 0, 0, 0])", "--weights", "2,2,2"],
              "coordinate vector must be integers"),
+            (["class", "slope", "1 0*O"], "bad multiplicity"),
+            (["sheaf", "rigid", "O(1 0c)"], "cannot parse degree term"),
         ],
         ids=[
             "weights-underscore", "weights-arabic-indic", "weights-space",
             "class-underscore", "class-arabic-indic", "class-simple-index",
             "degree-coefficient", "degree-generator", "label-indices",
             "label-length", "point-length", "vector-underscore", "vector-arabic-indic",
+            "class-space", "degree-space",
         ],
     )
     def test_grammar_integer_spelling_exits_2(self, capsys, argv, message):

@@ -104,7 +104,6 @@ class TestDispatch:
     OPERATORS = {
         "epsilon": cr.epsilon,
         "phi": cr.phi,
-        "hom_into_kernel": cr.hom_into_kernel,
         "f_max": cr.f_max,
         "e_s0": lambda curve, z, color: cr.e_s(curve, z, color, 0),
         "e_s1": lambda curve, z, color: cr.e_s(curve, z, color, 1),
@@ -195,11 +194,6 @@ class TestGridEpsilon:
     def test_phi_on_structure_stack(self):
         for n in range(1, 5):
             assert cr.phi(P1, gl([0] * n), O(0)) == 2 * n
-
-    def test_hom_into_kernel_dominates_epsilon(self):
-        for z in [gl([0, 0]), gl([2, 0]), gl([1], (1,)), gl([3, 1, 1])]:
-            for k in (-1, 0, 1):
-                assert cr.hom_into_kernel(P1, z, O(k)) >= cr.epsilon(P1, z, O(k))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +728,6 @@ class TestMultisegmentOracleAgreement:
         z = tl(W3, (0, 2), (1, 1))
         for v in range(3):
             cr.epsilon(W3, z, S(W3, v, 2))
-        cr.hom_into_kernel(W3, z, S(W3, 0, 2))
         assert calls == [z.exceptional[0]] * cr.ORACLE_TRIALS
 
     @pytest.mark.parametrize("curve", [W2, W3], ids=["p2", "p3"])
@@ -973,36 +966,35 @@ class TestP1ShapeBattery:
         assert digest == self.BATTERY_SHA256
 
 
-class TestHomIntoKernelPin:
-    """``hom_into_kernel`` on the shapes of :class:`TestP1ShapeBattery` and
-    on every multisegment of total at most 4 on (2,1,1) and (3,1,1), under
-    each colour of length 1 and 2 there."""
+class TestKernelTypePin:
+    """The generic kernel that epsilon and ``f_max`` read: its sampled type
+    on every multisegment of total at most 4 on (2,1,1) and (3,1,1), and its
+    closed degrees on the shapes of :class:`TestP1ShapeBattery`.  A closed
+    serial rule must reproduce the first digest."""
 
-    HOM_SHA256 = "411600f8a861a9c9eb71cdeafd8aa60c0683caad0fad6d06b49dc4f39dde1c09"
+    KERNEL_TYPE_SHA256 = "cab5be9383e7febc8bc62e89fc37ab875bf36d8a9e1b540321a25134019b93f8"
+    KERNEL_DEGREES_SHA256 = "61d125ca1649e17adc2be29d6a1ecce78a4c35315c8f5e9f648cde3f13bd51ab"
 
-    @staticmethod
-    def lines():
+    def test_multisegment_digest(self):
+        cr.clear_memos()
         lines = []
-        for degs in TestP1ShapeBattery.shapes():
-            for a in range(-2, 3):
-                lines.append(f"{degs} {a} {cr.hom_into_kernel(P1, gl(degs), O(a))}")
         for curve in (W2, W3):
             p = curve.weights[0]
             for dims in itertools.product(range(5), repeat=p):
                 if sum(dims) > 4:
                     continue
                 for m in comp.aperiodic_multisegments(curve, 0, dims):
-                    z = comp.component_label(curve, (), (), [m])
-                    for j, l in itertools.product(range(p), range(1, min(p, 3))):
-                        got = cr.hom_into_kernel(curve, z, S(curve, j, l))
-                        lines.append(f"{p} {m.pairs} {j} {l} {got}")
-        return lines
+                    lines.append(f"{p} {m.pairs} {cr._ms_kernel_type(curve, m).pairs}")
+        assert len(lines) == 111
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.KERNEL_TYPE_SHA256
 
-    def test_digest(self):
-        cr.clear_memos()
-        lines = self.lines()
-        assert len(lines) == 1595
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.HOM_SHA256
+    def test_p1_shape_digest(self):
+        lines = [
+            f"{degs} {cr._kernel_degrees(P1, degs)}" for degs in TestP1ShapeBattery.shapes()
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.KERNEL_DEGREES_SHA256
 
 
 def sampled_kernel(shape, seed=0):
@@ -1318,6 +1310,21 @@ class TestVerifyAxioms:
             "e does not invert the edge (pt1: [0;1) + [1;3)) -> (pt1: [0;1) + [1;2)) [S[1,1](1)]"
         ]
 
+    def test_epsilon_step_reported(self, monkeypatch):
+        # an epsilon one too high at a source with no incoming edge of the
+        # colour: only that edge's step breaks, and f and e still agree
+        g = torsion_graph(W2, 2)
+        src, color = tl(W2, (0, 1), (1, 3)), S(W2, 1)
+        assert not any(b == src and c == color for _, b, c in g.edges)
+        epsilon = cr.epsilon
+        monkeypatch.setattr(
+            cr, "epsilon",
+            lambda curve, z, c: epsilon(curve, z, c) + ((z, c) == (src, color)),
+        )
+        assert cr.verify_axioms(g) == [
+            "epsilon step violated on (pt1: [0;1) + [1;3)) -> (pt1: [0;1) + [1;2)) [S[1,1](1)]"
+        ]
+
     def test_expected_dim_bookkeeping(self):
         # quotienting out all s kernel copies shifts the expected dimension
         # by the mixed Euler terms of gamma = s [I] against the remainder
@@ -1431,7 +1438,7 @@ class TestGraphExport:
 
     def test_dot_output(self):
         g = line_graph(max_rank=1, max_deg=1)
-        dot = cr.to_dot(g)
+        dot = "\n".join(cr.dot_lines(g))
         assert dot.startswith("digraph")
         assert 'f[O(0c)]' in dot
         assert dot.count("->") == len(g.edges)

@@ -28,6 +28,7 @@ from loopcrystal import oracle as orc
 from loopcrystal.starlattice import LElement, Record, Shared, WeightData
 
 W311 = WeightData((3, 1, 1))
+W222 = WeightData((2, 2, 2))
 W2222 = WeightData((2, 2, 2, 2))
 
 
@@ -434,13 +435,15 @@ class TestCopyAndPickle:
 
 def json_examples() -> dict:
     """Well-formed JSON values, each with the reader that reads it on
-    ``W311``."""
+    ``W311``, or on ``W222`` for a real-root bundle, which has rank >= 2
+    and so needs three weighted points."""
     line = cat.LineBundle(W311.normalize([0, 1, 0], l=1))
-    real = cat.enumerate_real_bundles(W311, 1)[0]
+    real = cat.enumerate_real_bundles(W222, 2)[0]
     colors = [cat.exc_torsion(W311, 0, j, 1) for j in range(3)]
     z = comp.component_label(
-        W311, [line, real], (2, 1), [comp.multisegment(W311, 0, [(0, 2), (1, 1)])]
+        W311, [line, line], (2, 1), [comp.multisegment(W311, 0, [(0, 2), (1, 1)])]
     )
+    real_z = comp.component_label(W222, [real, cat.LineBundle(W222.c())], (1,), ())
     hn = comp.ComponentLabel(comp.HNTree((comp.HNLeaf(kt.structure_class(W311)),)), (), ())
     graph = cr.build_graph(W311, [comp.EMPTY], colors, cr.Budget(max_delta=1))
 
@@ -452,12 +455,15 @@ def json_examples() -> dict:
 
     return {
         "degree": (line.x.to_json(), LElement.from_json),
-        "class": (real.a.to_json(), lambda data: kt.KClass.from_json(data, W311)),
+        "class": (real.a.to_json(), lambda data: kt.KClass.from_json(data, W222)),
         "line-bundle": (cat.label_to_json(line), sheaf),
-        "real-bundle": (cat.label_to_json(real), sheaf),
+        "real-bundle": (cat.label_to_json(real), lambda data: cat.label_from_json(data, W222)),
         "exc-torsion": (cat.label_to_json(colors[1]), sheaf),
         "ord-torsion": (cat.label_to_json(cat.OrdTorsion("q", 2)), sheaf),
         "component": (comp.label_to_json(W311, z), component),
+        "real-component": (
+            comp.label_to_json(W222, real_z), lambda data: comp.label_from_json(data, W222)
+        ),
         "hn-component": (comp.label_to_json(W311, hn), component),
         "graph": (cr.graph_to_json(graph), cr.graph_from_json),
     }
